@@ -31,14 +31,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _spec_for(family: Family, m: int, sample: Sample | None,
+def _design_interval(sample: Sample) -> tuple[float, float]:
+    """The trimmed design range that half-trig rescales to without --interval."""
+    lo, hi = trim_interval(sample) if sample.n > 1 else (sample.x[0], sample.x[0])
+    if lo < hi:
+        return lo, hi
+    raise DataFormatError(
+        f"degenerate design for half-trig: the 3%-97% quantile range of the "
+        f"{sample.n} x value(s) is the single point {lo:g}; pass --interval a,b")
+
+
+def _spec_for(family: Family, m: int, sample: Sample,
               interval: tuple[float, float] | None) -> BasisSpec:
     if family is Family.HALF_TRIG:
-        if interval is None:
-            if sample is None:
-                raise DataFormatError("half-trig requires --interval or a sample")
-            interval = trim_interval(sample)
-        return BasisSpec(family, m, interval)
+        return BasisSpec(family, m, interval or _design_interval(sample))
     return BasisSpec(family, m)
 
 
@@ -90,6 +96,8 @@ def _cmd_select(args) -> int:
     sample = dataio.load_csv(args.data)
     family = parse_family(args.family)
     interval = _parse_interval(args.interval)
+    if family is Family.HALF_TRIG and interval is None:
+        interval = _design_interval(sample)
     m_grid = default_m_grid(family, sample.n, args.m_max)
     if args.mode == "gl":
         sigma2 = "estimate" if args.sigma2 is None else args.sigma2

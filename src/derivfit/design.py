@@ -119,15 +119,21 @@ def design_from_matrices(phi: np.ndarray, phi_prime: np.ndarray,
                      eigvals=eigvals, eigvecs=eigvecs)
 
 
-def build_design(sample: Sample, spec: BasisSpec) -> DesignSet:
-    """Evaluate the basis and its derivatives at the sample points."""
-    phi = eval_basis(spec, sample.x)
+def basis_matrices(spec: BasisSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Basis values and derivatives at the points x; the derivatives are
+    zero outside the support."""
+    phi = eval_basis(spec, x)
     lo, hi = spec.support
-    inside = (sample.x >= lo) & (sample.x <= hi)
+    inside = (x >= lo) & (x <= hi)
     phi_prime = np.zeros_like(phi)
     if inside.any():
-        phi_prime[inside] = eval_basis_derivative(spec, sample.x[inside])
-    return design_from_matrices(phi, phi_prime, spec)
+        phi_prime[inside] = eval_basis_derivative(spec, x[inside])
+    return phi, phi_prime
+
+
+def build_design(sample: Sample, spec: BasisSpec) -> DesignSet:
+    """Evaluate the basis and its derivatives at the sample points."""
+    return design_from_matrices(*basis_matrices(spec, sample.x), spec)
 
 
 def trim_interval(sample: Sample, lower_q: float = 0.03,

@@ -7,6 +7,12 @@ conditioning passes the squared-norm gate.  The oracle selector uses the
 known target (simulation only); the reuse selector picks the dimension by
 a penalized least-squares contrast on the regression fit and reuses it
 for the derivative.
+
+Each sample gets one sweep: a DesignCache evaluates the basis once and
+memoizes every Gram and coefficient vector.  The collection gate, the
+noise estimate and the gl and reuse choices are private cores that read
+that cache; the public selectors build one cache and call them, and the
+simulation harness calls them on the cache of each draw.
 """
 
 from __future__ import annotations
@@ -18,11 +24,11 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import trapezoid
 
-from .basis import BasisSpec, Family, admissible_dims, eval_basis, eval_basis_derivative
-from .design import (DesignSet, Sample, default_d_constant, design_from_matrices,
-                     stability_check, trim_interval)
+from .basis import BasisSpec, Family, admissible_dims
+from .design import (DesignSet, Sample, basis_matrices, default_d_constant,
+                     design_from_matrices, stability_check, trim_interval)
 from .errors import EmptyCollectionError, SingularGramError
-from .estimators import DerivativeFit, Strategy
+from .estimators import DerivativeFit, Strategy, _solve_theta
 
 CRITERION_TIE_TOL = 1e-12
 
@@ -72,10 +78,13 @@ class SelectionTrace:
 
 
 class DesignCache:
-    """Shared basis evaluations for a sweep over nested dimensions.
+    """The one sweep over nested dimensions that a sample gets.
 
-    Column slices of one tall evaluation give every design in the sweep;
-    each dimension's Gram eigendecomposition is memoized.
+    The basis and its derivatives are evaluated once at the top (extended)
+    dimension; every design in the sweep is a column slice of that
+    evaluation.  Each dimension's Gram eigendecomposition and
+    least-squares coefficients are memoized, so the collection gate, the
+    noise estimate, every selector and the error scoring share one cache.
     """
 
     def __init__(self, sample: Sample, family: Family, m_hi: int,
@@ -85,14 +94,10 @@ class DesignCache:
         self.sample = sample
         self.family = family
         self.interval = interval
-        top = self.spec_for(m_hi).extended()
-        self._phi = eval_basis(top, sample.x)
-        lo, hi = top.support
-        inside = (sample.x >= lo) & (sample.x <= hi)
-        self._phi_prime = np.zeros_like(self._phi)
-        if inside.any():
-            self._phi_prime[inside] = eval_basis_derivative(top, sample.x[inside])
+        self._phi, self._phi_prime = basis_matrices(self.spec_for(m_hi).extended(),
+                                                    sample.x)
         self._designs: dict[int, DesignSet] = {}
+        self._thetas: dict[int, np.ndarray] = {}
 
     def spec_for(self, m: int) -> BasisSpec:
         if self.family is Family.HALF_TRIG:
@@ -107,6 +112,12 @@ class DesignCache:
             self._designs[m] = design_from_matrices(
                 self._phi[:, :m], self._phi_prime[:, :m], self.spec_for(m))
         return self._designs[m]
+
+    def theta(self, m: int) -> np.ndarray:
+        """Least-squares coefficients at dimension m (raises SingularGramError)."""
+        if m not in self._thetas:
+            self._thetas[m] = _solve_theta(self.design(m), self.sample.y)
+        return self._thetas[m]
 
 
 def default_m_grid(family: Family, n: int, m_max: int | None = None) -> tuple[int, ...]:
@@ -143,35 +154,93 @@ def collection_members(cache: DesignCache, m_grid, n: int,
     return members
 
 
+def _gate(cache: DesignCache, m_grid, d_constant: float | None) -> list[int]:
+    """The collection under d (None: the sample-dependent default); an
+    empty collection raises EmptyCollectionError."""
+    n = cache.sample.n
+    if d_constant is None:
+        d_constant = default_d_constant(cache.sample.x, n)
+    members = collection_members(cache, m_grid, n, d_constant)
+    if not members:
+        raise EmptyCollectionError(
+            f"no dimension in {list(m_grid)} passes the collection gate "
+            f"(d={d_constant:.3g}, n={n})")
+    return members
+
+
+def _sigma2(cache: DesignCache, m_grid, members: list[int],
+            sigma2: float | str | None = None) -> float:
+    """The given noise level, or (None / "estimate") the residual mean
+    square at the largest member, corrected for the fitted degrees of
+    freedom."""
+    if sigma2 is not None and sigma2 != "estimate":
+        return float(sigma2)
+    n = cache.sample.n
+    if n <= 2 * max(m_grid):
+        raise ValueError(f"need n > 2*m_max = {2 * max(m_grid)}, got n = {n}")
+    m = members[-1]
+    resid = cache.sample.y - cache.design(m).phi @ cache.theta(m)
+    return float(resid @ resid / n) * n / (n - m)
+
+
+def _gl_choice(cache: DesignCache, members: list[int], sigma2: float,
+               kappa0: float, kappa1: float
+               ) -> tuple[int, dict[int, float], dict[int, float]]:
+    """The pairwise-comparison choice: (m_hat, V-hat per member, A per member)."""
+    n = cache.sample.n
+    fits: dict[int, np.ndarray] = {}
+    v_hat: dict[int, float] = {}
+    for m in members:
+        design = cache.design(m)
+        fits[m] = design.phi_prime @ cache.theta(m)
+        v_hat[m] = penalty_v_hat(design, sigma2, n)
+
+    a_value: dict[int, float] = {}
+    for m in members:
+        best = 0.0
+        for m2 in members:
+            if m2 <= m:
+                continue  # the m-wedge fit coincides with the m2 fit
+            diff = fits[m] - fits[m2]
+            excess = float(diff @ diff / n) - kappa0 * v_hat[m2]
+            if excess > best:
+                best = excess
+        a_value[m] = best
+
+    m_hat, best_crit = members[0], math.inf
+    for m in members:
+        crit = a_value[m] + kappa1 * v_hat[m]
+        if crit < best_crit - CRITERION_TIE_TOL:
+            m_hat, best_crit = m, crit
+    return m_hat, v_hat, a_value
+
+
+def _reuse_choice(cache: DesignCache, members: list[int], sigma2: float) -> int:
+    """The member minimizing the residual empirical norm plus 2 sigma^2 m / n."""
+    n = cache.sample.n
+    best_m, best_crit = members[0], math.inf
+    for m in members:
+        resid = cache.sample.y - cache.design(m).phi @ cache.theta(m)
+        crit = float(resid @ resid / n) + 2.0 * sigma2 * m / n
+        if crit < best_crit - CRITERION_TIE_TOL:
+            best_m, best_crit = m, crit
+    return best_m
+
+
+def _derivative_fit(cache: DesignCache, m: int) -> DerivativeFit:
+    return DerivativeFit(theta=cache.theta(m), strategy=Strategy.DERIV_OF_PROJECTION,
+                         spec=cache.spec_for(m))
+
+
 def estimate_sigma2(sample: Sample, family: Family,
                     m_grid=None, d_constant: float | None = None,
                     interval: tuple[float, float] | None = None) -> float:
     """Residual mean square at the largest collection member, corrected
     for the fitted degrees of freedom."""
-    n = sample.n
     if m_grid is None:
-        m_grid = default_m_grid(family, n)
-    if n <= 2 * max(m_grid):
-        raise ValueError(f"need n > 2*m_max = {2 * max(m_grid)}, got n = {n}")
+        m_grid = default_m_grid(family, sample.n)
     cache = DesignCache(sample, family, max(m_grid), interval)
-    if d_constant is None:
-        d_constant = default_d_constant(sample.x, n)
-    members = collection_members(cache, m_grid, n, d_constant)
-    if not members:
-        raise EmptyCollectionError("no stable dimension to estimate the noise level from")
-    m = members[-1]
-    design = cache.design(m)
-    theta = design.solve_psi(design.phi.T @ sample.y / n)
-    resid = sample.y - design.phi @ theta
-    return float(resid @ resid / n) * n / (n - m)
-
-
-def _resolve_sigma2(config: GlConfig, sample: Sample, family: Family,
-                    m_grid, d_constant: float,
-                    interval: tuple[float, float] | None) -> float:
-    if config.sigma2 == "estimate":
-        return estimate_sigma2(sample, family, m_grid, d_constant, interval)
-    return float(config.sigma2)
+    return _sigma2(cache, m_grid, _gate(cache, m_grid, d_constant))
 
 
 def gl_select(sample: Sample, family: Family, config: GlConfig | None = None,
@@ -187,53 +256,16 @@ def gl_select(sample: Sample, family: Family, config: GlConfig | None = None,
     """
     if config is None:
         config = GlConfig()
-    n = sample.n
-    m_grid = config.m_grid or default_m_grid(family, n)
+    m_grid = config.m_grid or default_m_grid(family, sample.n)
     cache = DesignCache(sample, family, max(m_grid), interval)
-    d_constant = (config.d_constant if config.d_constant is not None
-                  else default_d_constant(sample.x, n))
-    members = collection_members(cache, m_grid, n, d_constant)
-    if not members:
-        raise EmptyCollectionError(
-            f"no dimension in {list(m_grid)} passes the collection gate "
-            f"(d={d_constant:.3g}, n={n})")
-    sigma2 = _resolve_sigma2(config, sample, family, m_grid, d_constant, cache.interval)
-
-    fits: dict[int, np.ndarray] = {}
-    thetas: dict[int, np.ndarray] = {}
-    v_hat: dict[int, float] = {}
-    for m in members:
-        design = cache.design(m)
-        theta = design.solve_psi(design.phi.T @ sample.y / n)
-        thetas[m] = theta
-        fits[m] = design.phi_prime @ theta
-        v_hat[m] = penalty_v_hat(design, sigma2, n)
-
-    a_value: dict[int, float] = {}
-    for m in members:
-        best = 0.0
-        for m2 in members:
-            if m2 <= m:
-                continue  # the m-wedge fit coincides with the m2 fit
-            diff = fits[m] - fits[m2]
-            excess = float(diff @ diff / n) - config.kappa0 * v_hat[m2]
-            if excess > best:
-                best = excess
-        a_value[m] = best
-
-    m_hat, best_crit = members[0], math.inf
-    for m in members:
-        crit = a_value[m] + config.kappa1 * v_hat[m]
-        if crit < best_crit - CRITERION_TIE_TOL:
-            m_hat, best_crit = m, crit
-
-    rows = tuple(
-        TraceRow(m, m in fits, v_hat.get(m), a_value.get(m))
-        for m in m_grid)
+    members = _gate(cache, m_grid, config.d_constant)
+    sigma2 = _sigma2(cache, m_grid, members, config.sigma2)
+    m_hat, v_hat, a_value = _gl_choice(cache, members, sigma2,
+                                       config.kappa0, config.kappa1)
+    rows = tuple(TraceRow(m, m in v_hat, v_hat.get(m), a_value.get(m))
+                 for m in m_grid)
     trace = SelectionTrace(rows=rows, m_hat=m_hat, strategy="gl")
-    fit = DerivativeFit(theta=thetas[m_hat], strategy=Strategy.DERIV_OF_PROJECTION,
-                        spec=cache.spec_for(m_hat))
-    return trace, fit
+    return trace, _derivative_fit(cache, m_hat)
 
 
 def oracle_select(sample: Sample, family: Family, m_grid, truth,
@@ -254,7 +286,7 @@ def oracle_select(sample: Sample, family: Family, m_grid, truth,
     cache = DesignCache(sample, family, max(m_grid), interval)
     lo, hi = eval_interval
     grid = np.linspace(lo, hi, grid_points)
-    errors = _oracle_error_sweep(cache, m_grid, sample.y, grid,
+    errors = _oracle_error_sweep(cache, m_grid, grid,
                                  {fit_kind: eval_on_grid(truth, grid)})
     if not errors:
         raise SingularGramError("every candidate dimension has a singular Gram")
@@ -273,23 +305,16 @@ def eval_on_grid(fn, grid: np.ndarray) -> np.ndarray:
     return np.asarray([fn(float(x)) for x in grid], dtype=float)
 
 
-def _oracle_error_sweep(cache: DesignCache, m_grid, y: np.ndarray,
-                        grid: np.ndarray, targets: dict[str, np.ndarray]
+def _oracle_error_sweep(cache: DesignCache, m_grid, grid: np.ndarray,
+                        targets: dict[str, np.ndarray]
                         ) -> dict[int, dict[str, float]]:
     """Trapezoid-rule squared errors per dimension for each named target."""
-    top = cache.spec_for(max(m_grid))
-    basis_grid = eval_basis(top, grid)
-    lo, hi = top.support
-    inside = (grid >= lo) & (grid <= hi)
-    deriv_grid = np.zeros_like(basis_grid)
-    if inside.any():
-        deriv_grid[inside] = eval_basis_derivative(top, grid[inside])
+    basis_grid, deriv_grid = basis_matrices(cache.spec_for(max(m_grid)), grid)
     out: dict[int, dict[str, float]] = {}
     for m in m_grid:
-        design = cache.design(m)
-        if design.is_singular:
+        if cache.design(m).is_singular:
             continue
-        theta = design.solve_psi(design.phi.T @ y / design.n)
+        theta = cache.theta(m)
         cell: dict[str, float] = {}
         for kind, target in targets.items():
             curve = (basis_grid[:, :m] if kind == "regression"
@@ -307,27 +332,9 @@ def reuse_select(sample: Sample, family: Family, m_grid=None,
     """Select the dimension for the regression fit by penalized contrast
     (residual empirical norm plus 2 sigma^2 m / n) and reuse it for the
     derivative.  Returns (chosen m, strategy-1 derivative fit)."""
-    n = sample.n
     if m_grid is None:
-        m_grid = default_m_grid(family, n)
+        m_grid = default_m_grid(family, sample.n)
     cache = DesignCache(sample, family, max(m_grid), interval)
-    if d_constant is None:
-        d_constant = default_d_constant(sample.x, n)
-    members = collection_members(cache, m_grid, n, d_constant)
-    if not members:
-        raise EmptyCollectionError("no dimension passes the collection gate")
-    if sigma2 is None:
-        sigma2 = estimate_sigma2(sample, family, m_grid, d_constant, cache.interval)
-    best_m, best_crit = members[0], math.inf
-    for m in members:
-        design = cache.design(m)
-        theta = design.solve_psi(design.phi.T @ sample.y / n)
-        resid = sample.y - design.phi @ theta
-        crit = float(resid @ resid / n) + 2.0 * sigma2 * m / n
-        if crit < best_crit - CRITERION_TIE_TOL:
-            best_m, best_crit = m, crit
-    design = cache.design(best_m)
-    theta = design.solve_psi(design.phi.T @ sample.y / n)
-    fit = DerivativeFit(theta=theta, strategy=Strategy.DERIV_OF_PROJECTION,
-                        spec=cache.spec_for(best_m))
-    return best_m, fit
+    members = _gate(cache, m_grid, d_constant)
+    best_m = _reuse_choice(cache, members, _sigma2(cache, m_grid, members, sigma2))
+    return best_m, _derivative_fit(cache, best_m)

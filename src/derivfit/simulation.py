@@ -3,9 +3,10 @@ Monte Carlo experiment runner.
 
 Each experiment cell is a (test function, basis family, sample size)
 triple.  A repetition draws standard-normal design points and Gaussian
-noise, fits the whole dimension sweep, selects a dimension per the
-configured mode for both the regression function and its derivative, and
-scores squared L2 errors on the central quantile range of the design.
+noise, builds the draw's one dimension sweep (a DesignCache), selects a
+dimension per the configured mode for both the regression function and
+its derivative from that sweep, and scores squared L2 errors on the
+central quantile range of the design.
 Reports aggregate means and standard deviations of 100*MSE and of the
 selected dimensions.  Everything is a pure function of the config,
 including the seed.
@@ -19,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Family, parse_family
-from .design import Sample, default_d_constant, trim_interval
+from .design import Sample, trim_interval
 from .errors import EmptyCollectionError, SingularGramError
-from .selection import (DesignCache, GlConfig, _oracle_error_sweep,
-                        collection_members, default_m_grid, estimate_sigma2,
-                        eval_on_grid, gl_select, reuse_select)
+from .selection import (DesignCache, GlConfig, _gate, _gl_choice, _oracle_error_sweep,
+                        _reuse_choice, _sigma2, default_m_grid, eval_on_grid)
 
 EVAL_GRID_POINTS = 512
 
@@ -86,8 +86,25 @@ class ExperimentConfig:
         unknown = [f for f in self.functions if f not in TEST_FUNCTIONS]
         if unknown:
             raise ValueError(f"unknown test functions {unknown}")
-        for fam in self.families:
-            parse_family(fam)
+        if min(self.n_list, default=2) < 2:
+            raise ValueError(f"every n must be >= 2, got {list(self.n_list)}")
+        if self.m_max is not None and self.m_max < 1:
+            raise ValueError(f"m_max must be >= 1, got {self.m_max}")
+        families = [parse_family(fam) for fam in self.families]
+        if self.mode == "oracle":
+            return
+        # the selectors' own checks, made before any repetition runs
+        GlConfig(kappa0=self.kappa0, kappa1=self.kappa1, sigma2=self.sigma2)
+        if self.sigma2 != "estimate":
+            return
+        for family in families:
+            for n in self.n_list:
+                m_top = max(default_m_grid(family, n, self.m_max))
+                if n <= 2 * m_top:
+                    raise ValueError(
+                        f"estimating sigma2 needs n > 2*m_max, but n = {n} with "
+                        f"m_max = {m_top} ({family.value}); raise n, lower m_max "
+                        f"or give sigma2")
 
 
 @dataclass(frozen=True)
@@ -115,28 +132,6 @@ class ExperimentReport:
         raise KeyError((function, family, n, target))
 
 
-def _run_repetition_oracle(cache: DesignCache, sample: Sample, fn: TestFunction,
-                           m_grid, grid: np.ndarray):
-    targets = {"regression": eval_on_grid(fn.b, grid),
-               "derivative": eval_on_grid(fn.b_prime, grid)}
-    errors = _oracle_error_sweep(cache, m_grid, sample.y, grid, targets)
-    if not errors:
-        raise SingularGramError("all dimensions singular")
-    m_b = min(errors, key=lambda m: (errors[m]["regression"], m))
-    m_bp = min(errors, key=lambda m: (errors[m]["derivative"], m))
-    return (errors[m_b]["regression"], m_b), (errors[m_bp]["derivative"], m_bp)
-
-
-def _selected_errors(cache: DesignCache, sample: Sample, fn: TestFunction,
-                     m_b: int, m_bp: int, grid: np.ndarray):
-    errors_b = _oracle_error_sweep(cache, [m_b], sample.y, grid,
-                                   {"regression": eval_on_grid(fn.b, grid)})
-    errors_bp = _oracle_error_sweep(cache, [m_bp], sample.y, grid,
-                                    {"derivative": eval_on_grid(fn.b_prime, grid)})
-    return ((errors_b[m_b]["regression"], m_b),
-            (errors_bp[m_bp]["derivative"], m_bp))
-
-
 def _run_repetition(config: ExperimentConfig, fn: TestFunction, family: Family,
                     n: int, rng: np.random.Generator):
     """One draw: returns ((err_b, dim_b), (err_bp, dim_bp))."""
@@ -146,30 +141,25 @@ def _run_repetition(config: ExperimentConfig, fn: TestFunction, family: Family,
     m_grid = default_m_grid(family, n, config.m_max)
     # the rescalable family follows the trimmed range of each draw
     cache = DesignCache(sample, family, max(m_grid), (lo, hi))
-
     if config.mode == "oracle":
-        return _run_repetition_oracle(cache, sample, fn, m_grid, grid)
-
-    d_const = (config.d_constant if config.d_constant is not None
-               else default_d_constant(sample.x, n))
-    if config.mode == "gl":
-        gl_conf = GlConfig(kappa0=config.kappa0, kappa1=config.kappa1,
-                           sigma2=config.sigma2, d_constant=d_const,
-                           m_grid=tuple(m_grid))
-        trace, _fit = gl_select(sample, family, gl_conf, interval=cache.interval)
-        m_bp = trace.m_hat
-        # regression dimension by the penalized contrast over the same members
-        m_b, _ = reuse_select(sample, family, m_grid,
-                              sigma2=None if config.sigma2 == "estimate"
-                              else float(config.sigma2),
-                              d_constant=d_const, interval=cache.interval)
-    else:  # reuse
-        m_b, _fit = reuse_select(sample, family, m_grid,
-                                 sigma2=None if config.sigma2 == "estimate"
-                                 else float(config.sigma2),
-                                 d_constant=d_const, interval=cache.interval)
-        m_bp = m_b
-    return _selected_errors(cache, sample, fn, m_b, m_bp, grid)
+        scored = m_grid
+    else:
+        members = _gate(cache, m_grid, config.d_constant)
+        sigma2 = _sigma2(cache, m_grid, members, config.sigma2)
+        # regression dimension by the penalized contrast over the members
+        m_b = _reuse_choice(cache, members, sigma2)
+        m_bp = (_gl_choice(cache, members, sigma2, config.kappa0, config.kappa1)[0]
+                if config.mode == "gl" else m_b)
+        scored = {m_b, m_bp}
+    errors = _oracle_error_sweep(cache, scored, grid,
+                                 {"regression": eval_on_grid(fn.b, grid),
+                                  "derivative": eval_on_grid(fn.b_prime, grid)})
+    if not errors:
+        raise SingularGramError("all dimensions singular")
+    if config.mode == "oracle":
+        m_b = min(errors, key=lambda m: (errors[m]["regression"], m))
+        m_bp = min(errors, key=lambda m: (errors[m]["derivative"], m))
+    return (errors[m_b]["regression"], m_b), (errors[m_bp]["derivative"], m_bp)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -241,6 +231,8 @@ def calibrate_kappa(function: str, family_name: str, n: int,
     fn = TEST_FUNCTIONS[function]
     family = parse_family(family_name)
     kappas = [float(k) for k in kappas]
+    for kappa in kappas:
+        GlConfig(kappa0=kappa, kappa1=kappa)  # rejects a bad constant before the sweep
     ratios: dict[float, list[float]] = {k: [] for k in kappas}
     dims: dict[float, list[int]] = {k: [] for k in kappas}
     for i in range(seeds):
@@ -250,28 +242,20 @@ def calibrate_kappa(function: str, family_name: str, n: int,
         grid = np.linspace(lo, hi, EVAL_GRID_POINTS)
         m_grid = default_m_grid(family, n, m_max)
         cache = DesignCache(sample, family, max(m_grid), (lo, hi))
-        target = {"derivative": eval_on_grid(fn.b_prime, grid)}
-        errors = _oracle_error_sweep(cache, m_grid, sample.y, grid, target)
+        errors = _oracle_error_sweep(cache, m_grid, grid,
+                                     {"derivative": eval_on_grid(fn.b_prime, grid)})
         if not errors:
             continue
         oracle_err = min(e["derivative"] for e in errors.values())
-        d_const = (d_constant if d_constant is not None
-                   else default_d_constant(sample.x, n))
         try:
-            sigma2_hat = estimate_sigma2(sample, family, m_grid, d_const,
-                                         cache.interval)
+            members = _gate(cache, m_grid, d_constant)
+            sigma2_hat = _sigma2(cache, m_grid, members)
         except (EmptyCollectionError, ValueError):
             continue
         for kappa in kappas:
-            conf = GlConfig(kappa0=kappa, kappa1=kappa, sigma2=sigma2_hat,
-                            d_constant=d_const, m_grid=tuple(m_grid))
-            try:
-                trace, _ = gl_select(sample, family, conf, interval=cache.interval)
-            except EmptyCollectionError:
-                continue
-            ratios[kappa].append(errors[trace.m_hat]["derivative"]
-                                 / max(oracle_err, 1e-300))
-            dims[kappa].append(trace.m_hat)
+            m_hat = _gl_choice(cache, members, sigma2_hat, kappa, kappa)[0]
+            ratios[kappa].append(errors[m_hat]["derivative"] / max(oracle_err, 1e-300))
+            dims[kappa].append(m_hat)
     out = []
     for kappa in kappas:
         r = np.asarray(ratios[kappa])

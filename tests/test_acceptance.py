@@ -270,7 +270,7 @@ def _gl_risk_ratios(function, family, n, kappa, seeds, seed_base):
         grid = np.linspace(lo, hi, 512)
         m_grid = default_m_grid(family, n)
         cache = DesignCache(sample, family, max(m_grid), (lo, hi))
-        errors = _oracle_error_sweep(cache, m_grid, sample.y, grid,
+        errors = _oracle_error_sweep(cache, m_grid, grid,
                                      {"derivative": eval_on_grid(fn.b_prime, grid)})
         oracle_err = min(e["derivative"] for e in errors.values())
         config = GlConfig(kappa0=kappa, kappa1=kappa, sigma2="estimate",

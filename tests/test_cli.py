@@ -113,3 +113,33 @@ def test_bench_requires_output(tmp_path):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("functions = b2\nfamilies = hermite\nn = 250\nrepetitions = 1\n")
     assert run_cli("bench", "--config", str(cfg)) == 2
+
+
+@pytest.mark.parametrize("rows", ["1,2\n1,3\n1,4\n1,5\n", "0.5,2\n"],
+                         ids=["constant-x", "one-observation"])
+def test_degenerate_half_trig_design_is_a_data_error(tmp_path, capsys, rows):
+    data = tmp_path / "degenerate.csv"
+    data.write_text("x,y\n" + rows)
+    for argv in (["select", str(data), "--family", "half-trig"],
+                 ["fit", str(data), "--family", "half-trig", "--m", "3",
+                  "--out", str(tmp_path / "c.csv")]):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert "degenerate design" in err and "--interval" in err
+    # an explicit interval makes the design usable again
+    assert run_cli("select", str(data), "--family", "half-trig",
+                   "--interval", "0,2", "--sigma2", "0.1") == 0
+
+
+def test_bench_rejects_a_bad_config_before_running(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    out = tmp_path / "report.csv"
+    cfg.write_text("functions = b1\nfamilies = hermite\nn = 4000, 60\n"
+                   "m_max = 40\nmode = gl\nrepetitions = 20\n")
+    assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "n = 60" in err and "m_max = 40" in err
+    cfg.write_text("functions = b1\nfamilies = hermite\nn = 250\nm_max = 0\n")
+    assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 2
+    assert "m_max must be >= 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -61,6 +61,28 @@ def test_config_validation():
         ExperimentConfig(families=("wavelet",))
 
 
+def test_config_rejects_bad_sizes_and_constants():
+    with pytest.raises(ValueError, match="m_max"):
+        ExperimentConfig(m_max=0)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        ExperimentConfig(n_list=(250, 1))
+    with pytest.raises(ValueError, match="kappa0"):
+        ExperimentConfig(mode="gl", kappa0=0.0)
+    with pytest.raises(ValueError, match="sigma2 must be positive"):
+        ExperimentConfig(mode="reuse", sigma2=-1.0)
+
+
+def test_config_rejects_sigma2_estimate_without_enough_observations():
+    with pytest.raises(ValueError, match=r"n = 60 with m_max = 40"):
+        ExperimentConfig(n_list=(4000, 60), m_max=40, mode="gl", repetitions=20)
+    with pytest.raises(ValueError, match=r"n = 20 with m_max = 10"):
+        ExperimentConfig(n_list=(20,), m_max=10, mode="reuse")
+    # a given noise level, or the oracle mode, needs no estimate
+    ExperimentConfig(n_list=(4000, 60), m_max=40, mode="gl", sigma2=0.0625)
+    ExperimentConfig(n_list=(4000, 60), m_max=40, mode="oracle")
+    ExperimentConfig(n_list=(21,), m_max=10, mode="reuse")
+
+
 def test_noiseless_in_span_oracle_run():
     config = ExperimentConfig(functions=("b2",), families=("hermite",),
                               n_list=(400,), sigma=0.0, repetitions=1,
@@ -113,7 +135,7 @@ def test_oracle_dimensions_for_both_targets_stay_coupled():
             m_grid = range(1, 26)
             cache = DesignCache(sample, family, 25, (lo, hi))
             errors = _oracle_error_sweep(
-                cache, m_grid, sample.y, grid,
+                cache, m_grid, grid,
                 {"regression": eval_on_grid(fn.b, grid),
                  "derivative": eval_on_grid(fn.b_prime, grid)})
             m_b = min(errors, key=lambda m: (errors[m]["regression"], m))

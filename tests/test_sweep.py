@@ -1,0 +1,94 @@
+"""One sweep per sample: the harness, the selectors and the noise estimate
+share a single DesignCache, and the cache agrees with direct builds."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from derivfit.basis import Family, parse_family
+from derivfit.cli import main
+from derivfit.design import Sample, build_design, trim_interval
+from derivfit.estimators import fit_derivative_1
+from derivfit.selection import (DesignCache, GlConfig, _oracle_error_sweep,
+                                default_m_grid, eval_on_grid, gl_select,
+                                reuse_select)
+from derivfit.simulation import (ExperimentConfig, TEST_FUNCTIONS, _run_repetition,
+                                 generate_sample, rng_for, run_experiment)
+
+
+@pytest.fixture()
+def cache_builds(monkeypatch):
+    """Counts DesignCache constructions while the test runs."""
+    calls = []
+    original = DesignCache.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DesignCache, "__init__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["gl", "reuse"])
+def test_harness_repetition_picks_the_public_selectors_dims(mode):
+    config = ExperimentConfig(mode=mode, kappa0=0.5, kappa1=0.5)
+    for fn_id, family_name, n in (("b1", "half-trig", 250), ("b3", "hermite", 1000)):
+        fn = TEST_FUNCTIONS[fn_id]
+        family = parse_family(family_name)
+        for rep in range(3):
+            (err_b, m_b), (err_bp, m_bp) = _run_repetition(
+                config, fn, family, n, rng_for(5, 0, rep))
+            sample = generate_sample(fn, n, config.sigma, rng_for(5, 0, rep))
+            interval = trim_interval(sample)
+            m_grid = default_m_grid(family, n)
+            m_reuse, _ = reuse_select(sample, family, m_grid, interval=interval)
+            if mode == "gl":
+                trace, _ = gl_select(sample, family,
+                                     GlConfig(kappa0=0.5, kappa1=0.5, m_grid=m_grid),
+                                     interval=interval)
+                assert (m_b, m_bp) == (m_reuse, trace.m_hat)
+            else:
+                assert m_b == m_bp == m_reuse
+            grid = np.linspace(*interval, 512)
+            errors = _oracle_error_sweep(
+                DesignCache(sample, family, max(m_grid), interval), m_grid, grid,
+                {"regression": eval_on_grid(fn.b, grid),
+                 "derivative": eval_on_grid(fn.b_prime, grid)})
+            assert err_b == pytest.approx(errors[m_b]["regression"], rel=1e-12)
+            assert err_bp == pytest.approx(errors[m_bp]["derivative"], rel=1e-12)
+
+
+def test_one_cache_per_gl_repetition(cache_builds):
+    config = ExperimentConfig(functions=("b1", "b3"), families=("hermite", "half-trig"),
+                              n_list=(250,), repetitions=2, seed=3, mode="gl")
+    report = run_experiment(config)
+    reps = sum(r.k for r in report.rows if r.target == "b")
+    assert reps + sum(report.excluded.values()) == 8
+    assert len(cache_builds) == 8
+
+
+@pytest.mark.parametrize("family", ["hermite", "half-trig"])
+def test_one_cache_per_select_call(tmp_path, cache_builds, family):
+    data = tmp_path / "sample.csv"
+    assert main(["simulate", "--function", "b3", "--n", "500", "--seed", "4",
+                 "--out", str(data)]) == 0
+    assert main(["select", str(data), "--family", family, "--mode", "gl",
+                 "--out", str(tmp_path / "curve.csv")]) == 0
+    assert len(cache_builds) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from([Family.HERMITE, Family.HALF_TRIG]),
+       m=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+def test_cache_slices_match_direct_builds(family, m, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(300)
+    sample = Sample(x=x, y=x * x + 0.25 * rng.standard_normal(300))
+    cache = DesignCache(sample, family, 12)
+    spec = cache.spec_for(m)
+    np.testing.assert_allclose(cache.design(m).psi_hat,
+                               build_design(sample, spec).psi_hat, rtol=1e-12)
+    np.testing.assert_allclose(cache.theta(m), fit_derivative_1(sample, spec).theta,
+                               rtol=1e-12)
