@@ -163,58 +163,51 @@ def eval_basis(spec: BasisSpec, x) -> np.ndarray:
 
 
 def _eval_inside(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
+    """The (n, m) values, as the transpose of an (m, n) array: row j holds
+    phi_j at every point, so each step of a recursion is contiguous."""
     m = spec.m
     fam = spec.family
+    out = np.empty((m, x.size))
     if fam is Family.TRIG_ODD:
         # order: 1, sqrt2 cos(2pi x), sqrt2 sin(2pi x), sqrt2 cos(4pi x), ...
-        out = np.empty((x.size, m))
-        out[:, 0] = 1.0
+        out[0] = 1.0
         for col in range(1, m):
             j = (col + 1) // 2
             phase = 2.0 * np.pi * j * x
-            out[:, col] = np.sqrt(2.0) * (np.cos(phase) if col % 2 == 1 else np.sin(phase))
-        return out
-    if fam is Family.HALF_TRIG:
+            out[col] = np.sqrt(2.0) * (np.cos(phase) if col % 2 == 1 else np.sin(phase))
+    elif fam is Family.HALF_TRIG:
         a, b = spec.interval  # type: ignore[misc]
         w = b - a
         u = (x - a) / w
-        out = np.empty((x.size, m))
-        out[:, 0] = 1.0 / np.sqrt(w)
+        out[0] = 1.0 / np.sqrt(w)
         amp = np.sqrt(2.0 / w)
         for col in range(1, m):
             j = (col + 1) // 2
             phase = np.pi * j * u
-            out[:, col] = amp * (np.sin(phase) if col % 2 == 1 else np.cos(phase))
-        return out
-    if fam is Family.LAGUERRE:
+            out[col] = amp * (np.sin(phase) if col % 2 == 1 else np.cos(phase))
+    elif fam is Family.LAGUERRE:
         # l_j(x) = sqrt2 L_j(2x) e^{-x}; weight folded into the start values.
-        out = np.empty((x.size, m))
         e = np.exp(-x)
-        out[:, 0] = np.sqrt(2.0) * e
+        out[0] = np.sqrt(2.0) * e
         if m > 1:
-            out[:, 1] = np.sqrt(2.0) * (1.0 - 2.0 * x) * e
+            out[1] = np.sqrt(2.0) * (1.0 - 2.0 * x) * e
         for j in range(2, m):
-            out[:, j] = ((2 * j - 1 - 2.0 * x) * out[:, j - 1] - (j - 1) * out[:, j - 2]) / j
-        return out
-    if fam is Family.HERMITE:
-        out = np.empty((x.size, m))
-        out[:, 0] = np.pi ** -0.25 * np.exp(-x * x / 2.0)
+            out[j] = ((2 * j - 1 - 2.0 * x) * out[j - 1] - (j - 1) * out[j - 2]) / j
+    elif fam is Family.HERMITE:
+        out[0] = np.pi ** -0.25 * np.exp(-x * x / 2.0)
         if m > 1:
-            out[:, 1] = np.sqrt(2.0) * x * out[:, 0]
+            out[1] = np.sqrt(2.0) * x * out[0]
         for j in range(2, m):
-            out[:, j] = (np.sqrt(2.0 / j) * x * out[:, j - 1]
-                         - np.sqrt((j - 1) / j) * out[:, j - 2])
-        return out
-    # LEGENDRE
-    out = np.empty((x.size, m))
-    out[:, 0] = 1.0 / np.sqrt(2.0)
-    if m > 1:
-        out[:, 1] = np.sqrt(1.5) * x
-    for j in range(2, m):
-        a_j = np.sqrt((2 * j + 1) * (2 * j - 1)) / j
-        c_j = (j - 1) / j * np.sqrt((2 * j + 1) / (2 * j - 3))
-        out[:, j] = a_j * x * out[:, j - 1] - c_j * out[:, j - 2]
-    return out
+            out[j] = np.sqrt(2.0 / j) * x * out[j - 1] - np.sqrt((j - 1) / j) * out[j - 2]
+    else:  # LEGENDRE
+        out[0] = 1.0 / np.sqrt(2.0)
+        if m > 1:
+            out[1] = np.sqrt(1.5) * x
+        for j in range(2, m):
+            a_j = np.sqrt((2 * j + 1) * (2 * j - 1)) / j
+            c_j = (j - 1) / j * np.sqrt((2 * j + 1) / (2 * j - 3))
+            out[j] = a_j * x * out[j - 1] - c_j * out[j - 2]
+    return out.T
 
 
 def eval_basis_derivative(spec: BasisSpec, x) -> np.ndarray:
@@ -262,7 +255,7 @@ def _eval_derivative_inside(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
         return out
     if fam is Family.LAGUERRE:
         vals = _eval_inside(spec, x)
-        out = np.empty_like(vals)
+        out = np.empty(vals.shape)  # C order, whatever the layout of vals
         running = np.zeros(x.size)
         for j in range(m):
             out[:, j] = -vals[:, j] - 2.0 * running
@@ -366,7 +359,10 @@ def _hermite_sup_factor(m: int) -> float:
     lim = math.sqrt(2 * m + 1) + 4.0
     grid = np.linspace(-lim, lim, 40001)
     spec = BasisSpec(Family.HERMITE, m)
-    return float((_eval_inside(spec, grid) ** 2).sum(axis=1).max())
+    # a tenth of the grid at a time bounds the memory; the squares are in C
+    # order, so each point's sum runs over its contiguous values
+    return max(float(np.square(_eval_inside(spec, part), order="C").sum(axis=1).max())
+               for part in np.array_split(grid, 10))
 
 
 def l_factor(spec: BasisSpec, analytic: bool = False) -> float:

@@ -58,9 +58,13 @@ def _parse_interval(text: str | None) -> tuple[float, float] | None:
 
 
 def _grid_for(args, sample: Sample) -> np.ndarray:
-    lo = args.grid_lo if args.grid_lo is not None else None
-    hi = args.grid_hi if args.grid_hi is not None else None
+    """The output grid; resolve it before any fit, so a bad one fails first."""
+    lo, hi = args.grid_lo, args.grid_hi
     if lo is None or hi is None:
+        if sample.n < 2:
+            raise DataFormatError(
+                f"cannot trim {sample.n} observation to an output grid; "
+                f"pass --grid-lo and --grid-hi")
         tlo, thi = trim_interval(sample)
         lo = tlo if lo is None else lo
         hi = thi if hi is None else hi
@@ -81,11 +85,11 @@ def _cmd_fit(args) -> int:
     sample = dataio.load_csv(args.data)
     family = parse_family(args.family)
     spec = _spec_for(family, args.m, sample, _parse_interval(args.interval))
+    grid = _grid_for(args, sample)
     fit = (fit_derivative_1 if args.strategy == 1 else fit_derivative_2)(sample, spec)
     if args.truncate:
         ext_design = build_design(sample, spec.extended())
         fit = truncate_fit(fit, stability_check(ext_design, sample.n))
-    grid = _grid_for(args, sample)
     dataio.emit_curve(fit, grid, args.out)
     status = " (truncated to zero)" if fit.truncated_to_zero else ""
     print(f"strategy-{args.strategy} derivative fit at m={args.m}{status} -> {args.out}")
@@ -99,6 +103,7 @@ def _cmd_select(args) -> int:
     if family is Family.HALF_TRIG and interval is None:
         interval = _design_interval(sample)
     m_grid = default_m_grid(family, sample.n, args.m_max)
+    grid = _grid_for(args, sample) if args.out else None
     if args.mode == "gl":
         sigma2 = "estimate" if args.sigma2 is None else args.sigma2
         config = GlConfig(kappa0=args.kappa0, kappa1=args.kappa1, sigma2=sigma2,
@@ -121,7 +126,6 @@ def _cmd_select(args) -> int:
         fit = fit_derivative_1(sample, spec)
         print(f"oracle m = {m_hat} (squared L2 error {err:.6g})")
     if args.out:
-        grid = _grid_for(args, sample)
         dataio.emit_curve(fit, grid, args.out)
         print(f"curve -> {args.out}")
     return 0

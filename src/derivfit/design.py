@@ -3,7 +3,9 @@
 For a sample (X_1..X_n) and a basis spec of dimension m this module builds
 the n-by-m value and derivative matrices, the m-by-m empirical Gram
 (the matrix of empirical scalar products), and evaluates the two
-conditioning gates used downstream:
+conditioning gates used downstream.  The basis is evaluated once per
+design, at m+p columns: the derivative columns are those values times
+the transposed link matrix, never a second recursion.  The gates:
 
 * the truncation gate: L(m) * (||Gram^-1||_op or 1) <= c * n/log(n) with
   the fixed constant c = (3 log(3/2) - 1)/9;
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .basis import BasisSpec, eval_basis, eval_basis_derivative, l_factor
+from .basis import BasisSpec, delta_matrix, eval_basis, l_factor
 from .errors import SingularGramError
 
 # c = (3 log(3/2) - 1)/9, approx 0.0240439
@@ -120,15 +122,15 @@ def design_from_matrices(phi: np.ndarray, phi_prime: np.ndarray,
 
 
 def basis_matrices(spec: BasisSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Basis values and derivatives at the points x; the derivatives are
-    zero outside the support."""
-    phi = eval_basis(spec, x)
-    lo, hi = spec.support
-    inside = (x >= lo) & (x <= hi)
-    phi_prime = np.zeros_like(phi)
-    if inside.any():
-        phi_prime[inside] = eval_basis_derivative(spec, x[inside])
-    return phi, phi_prime
+    """Basis values Phi and derivatives Phi' at the points x.
+
+    The values are evaluated once, at the m+p columns of the extended
+    spec; Phi is the first m of them and Phi' = Phi_{m+p} Delta^T through
+    the exact link matrix.  Value rows are zero outside the support, so
+    the derivative rows are zero there too.
+    """
+    ext = eval_basis(spec.extended(), x)
+    return ext[:, :spec.m], ext @ delta_matrix(spec).entries.T
 
 
 def build_design(sample: Sample, spec: BasisSpec) -> DesignSet:

@@ -116,7 +116,7 @@ def evaluate_fit(fit: DerivativeFit, grid) -> np.ndarray:
 
 
 def fitted_derivative_at_sample(fit: DerivativeFit, design: DesignSet) -> np.ndarray:
-    """Values at the design points from cached matrices (selection hot path)."""
+    """Values at the design points, from the design's value or derivative columns."""
     if fit.truncated_to_zero:
         return np.zeros(design.n)
     mat = design.phi if fit.strategy is Strategy.PROJECTION_OF_DERIV else design.phi_prime

@@ -3,20 +3,28 @@
 The data-driven selector compares every pair of candidate fits through
 their empirical-norm distance at the sample points, penalized by a
 variance proxy, and restricts candidates to the collection whose Gram
-conditioning passes the squared-norm gate.  The oracle selector uses the
-known target (simulation only); the reuse selector picks the dimension by
-a penalized least-squares contrast on the regression fit and reuses it
-for the derivative.
+conditioning passes the squared-norm gate.  Both live in coefficient
+space: a fit's derivative at the sample points is Phi' theta, so the
+distance of two fits is the quadratic form of their (zero-padded)
+coefficient difference in the derivative Gram Psi' = Phi'^T Phi' / n,
+and each member's penalty reads the leading block of that one matrix.
+The oracle selector uses the known target (simulation only); the reuse
+selector picks the dimension by a penalized least-squares contrast on
+the regression fit and reuses it for the derivative.
 
-Each sample gets one sweep: a DesignCache evaluates the basis once and
-memoizes every Gram and coefficient vector.  The collection gate, the
-noise estimate and the gl and reuse choices are private cores that read
-that cache; the public selectors build one cache and call them, and the
-simulation harness calls them on the cache of each draw.
+Each sample gets one sweep: a DesignCache evaluates the basis once (the
+derivative columns come from the link matrix), builds Psi' once when gl
+needs it, and memoizes every Gram and coefficient vector.  The
+collection gate, the noise estimate and the gl and reuse choices are
+private cores that read that cache; the public selectors build one cache
+and call them, and the simulation harness calls them on the cache of
+each draw.  Grid scoring evaluates all dimensions' curves in one product
+per target.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,6 +93,8 @@ class DesignCache:
     evaluation.  Each dimension's Gram eigendecomposition and
     least-squares coefficients are memoized, so the collection gate, the
     noise estimate, every selector and the error scoring share one cache.
+    The derivative Gram psi_prime is built on first use; its leading m-by-m
+    block is the derivative Gram of dimension m.
     """
 
     def __init__(self, sample: Sample, family: Family, m_hi: int,
@@ -119,6 +129,23 @@ class DesignCache:
             self._thetas[m] = _solve_theta(self.design(m), self.sample.y)
         return self._thetas[m]
 
+    def thetas(self, dims) -> np.ndarray:
+        """The coefficient vectors of dims as columns, zero-padded to max(dims)."""
+        out = np.zeros((max(dims), len(dims)))
+        for col, m in enumerate(dims):
+            out[:m, col] = self.theta(m)
+        return out
+
+    @functools.cached_property
+    def psi_prime(self) -> np.ndarray:
+        """The derivative Gram Phi'^T Phi' / n at the top dimension."""
+        return self._phi_prime.T @ self._phi_prime / self.sample.n
+
+    def residual_ms(self, m: int) -> float:
+        """Residual mean square (1/n)|y - Phi theta|^2 of the dimension-m fit."""
+        resid = self.sample.y - self.design(m).phi @ self.theta(m)
+        return float(resid @ resid / self.sample.n)
+
 
 def default_m_grid(family: Family, n: int, m_max: int | None = None) -> tuple[int, ...]:
     """Admissible dimensions up to min(40, n // 10) (or an explicit cap)."""
@@ -127,13 +154,16 @@ def default_m_grid(family: Family, n: int, m_max: int | None = None) -> tuple[in
     return tuple(admissible_dims(family, m_max))
 
 
-def penalty_v_hat(design: DesignSet, sigma2: float, n: int) -> float:
+def penalty_v_hat(design: DesignSet, sigma2: float, n: int,
+                  psi_prime: np.ndarray | None = None) -> float:
     """Variance proxy: (sigma^2 m / n) times the top eigenvalue of the
-    Gram-whitened derivative Gram."""
+    Gram-whitened derivative Gram psi_prime (None: built from the
+    design's derivative columns)."""
     if design.is_singular:
         raise SingularGramError(f"Gram matrix singular at m={design.m}")
     w = design.whitener()
-    psi_prime = design.phi_prime.T @ design.phi_prime / design.n
+    if psi_prime is None:
+        psi_prime = design.phi_prime.T @ design.phi_prime / design.n
     s = w @ psi_prime @ w
     lam = scipy.linalg.eigvalsh((s + s.T) / 2.0)
     return sigma2 * design.m / n * max(lam[-1], 0.0)
@@ -179,40 +209,34 @@ def _sigma2(cache: DesignCache, m_grid, members: list[int],
     if n <= 2 * max(m_grid):
         raise ValueError(f"need n > 2*m_max = {2 * max(m_grid)}, got n = {n}")
     m = members[-1]
-    resid = cache.sample.y - cache.design(m).phi @ cache.theta(m)
-    return float(resid @ resid / n) * n / (n - m)
+    return cache.residual_ms(m) * n / (n - m)
 
 
 def _gl_choice(cache: DesignCache, members: list[int], sigma2: float,
                kappa0: float, kappa1: float
                ) -> tuple[int, dict[int, float], dict[int, float]]:
-    """The pairwise-comparison choice: (m_hat, V-hat per member, A per member)."""
-    n = cache.sample.n
-    fits: dict[int, np.ndarray] = {}
-    v_hat: dict[int, float] = {}
-    for m in members:
-        design = cache.design(m)
-        fits[m] = design.phi_prime @ cache.theta(m)
-        v_hat[m] = penalty_v_hat(design, sigma2, n)
+    """The pairwise-comparison choice: (m_hat, V-hat per member, A per member).
 
-    a_value: dict[int, float] = {}
-    for m in members:
-        best = 0.0
-        for m2 in members:
-            if m2 <= m:
-                continue  # the m-wedge fit coincides with the m2 fit
-            diff = fits[m] - fits[m2]
-            excess = float(diff @ diff / n) - kappa0 * v_hat[m2]
-            if excess > best:
-                best = excess
-        a_value[m] = best
+    All pairs at once in coefficient space: the squared empirical distance
+    of the fits at members i < j is (theta_i - theta_j)^T Psi'
+    (theta_i - theta_j) with zero-padded coefficients.
+    """
+    n, k = cache.sample.n, max(members)
+    psi_prime = cache.psi_prime[:k, :k]
+    v = np.array([penalty_v_hat(cache.design(m), sigma2, n, psi_prime[:m, :m])
+                  for m in members])
+    thetas = cache.thetas(members)
+    diff = thetas[:, :, None] - thetas[:, None, :]
+    dist = (diff * np.tensordot(psi_prime, diff, 1)).sum(axis=0)
+    # strict upper pairs (the m-wedge fit coincides with the m2 fit for
+    # m2 <= m); the zeros left on and below the diagonal clip A at 0
+    a = np.triu(dist - kappa0 * v, 1).max(axis=1)
 
     m_hat, best_crit = members[0], math.inf
-    for m in members:
-        crit = a_value[m] + kappa1 * v_hat[m]
+    for m, crit in zip(members, a + kappa1 * v):
         if crit < best_crit - CRITERION_TIE_TOL:
             m_hat, best_crit = m, crit
-    return m_hat, v_hat, a_value
+    return m_hat, dict(zip(members, v.tolist())), dict(zip(members, a.tolist()))
 
 
 def _reuse_choice(cache: DesignCache, members: list[int], sigma2: float) -> int:
@@ -220,8 +244,7 @@ def _reuse_choice(cache: DesignCache, members: list[int], sigma2: float) -> int:
     n = cache.sample.n
     best_m, best_crit = members[0], math.inf
     for m in members:
-        resid = cache.sample.y - cache.design(m).phi @ cache.theta(m)
-        crit = float(resid @ resid / n) + 2.0 * sigma2 * m / n
+        crit = cache.residual_ms(m) + 2.0 * sigma2 * m / n
         if crit < best_crit - CRITERION_TIE_TOL:
             best_m, best_crit = m, crit
     return best_m
@@ -308,20 +331,19 @@ def eval_on_grid(fn, grid: np.ndarray) -> np.ndarray:
 def _oracle_error_sweep(cache: DesignCache, m_grid, grid: np.ndarray,
                         targets: dict[str, np.ndarray]
                         ) -> dict[int, dict[str, float]]:
-    """Trapezoid-rule squared errors per dimension for each named target."""
-    basis_grid, deriv_grid = basis_matrices(cache.spec_for(max(m_grid)), grid)
-    out: dict[int, dict[str, float]] = {}
-    for m in m_grid:
-        if cache.design(m).is_singular:
-            continue
-        theta = cache.theta(m)
-        cell: dict[str, float] = {}
-        for kind, target in targets.items():
-            curve = (basis_grid[:, :m] if kind == "regression"
-                     else deriv_grid[:, :m]) @ theta
-            cell[kind] = float(trapezoid((curve - target) ** 2, grid))
-        out[m] = cell
-    return out
+    """Trapezoid-rule squared errors per non-singular dimension for each
+    named target: one curve product and one trapezoid call per target."""
+    dims = [m for m in m_grid if not cache.design(m).is_singular]
+    if not dims:
+        return {}
+    thetas = cache.thetas(dims)
+    basis_grid, deriv_grid = basis_matrices(cache.spec_for(thetas.shape[0]), grid)
+    errors = {}
+    for kind, target in targets.items():
+        curves = (basis_grid if kind == "regression" else deriv_grid) @ thetas
+        errors[kind] = trapezoid((curves - target[:, None]) ** 2, grid, axis=0)
+    return {m: {kind: float(err[col]) for kind, err in errors.items()}
+            for col, m in enumerate(dims)}
 
 
 def reuse_select(sample: Sample, family: Family, m_grid=None,

@@ -143,3 +143,38 @@ def test_bench_rejects_a_bad_config_before_running(tmp_path, capsys):
     assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 2
     assert "m_max must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--family", "half-trig", "--interval", "0,2", "--sigma2", "0.1"],
+    ["fit", "--family", "hermite", "--m", "1"],
+], ids=["select", "fit"])
+def test_untrimmable_output_grid_fails_before_the_fit(tmp_path, capsys, argv):
+    data = tmp_path / "one_row.csv"
+    data.write_text("x,y\n0.5,1.0\n")
+    curve = tmp_path / "c.csv"
+    command, *options = argv
+    assert run_cli(command, str(data), *options, "--out", str(curve)) == 2
+    captured = capsys.readouterr()
+    assert "--grid-lo" in captured.err and "--grid-hi" in captured.err
+    assert captured.out == ""  # nothing was selected or fitted
+    assert not curve.exists()
+    # an explicit grid needs no trimming
+    assert run_cli(command, str(data), *options, "--out", str(curve),
+                   "--grid-lo", "0", "--grid-hi", "1") == 0
+    assert len(curve.read_text().splitlines()) == 513
+
+
+def test_select_with_duplicate_x_values(tmp_path, capsys):
+    rng = np.random.default_rng(21)
+    x = np.round(rng.standard_normal(600), 1)  # about 60 distinct values
+    y = x * x + 0.25 * rng.standard_normal(600)
+    data = tmp_path / "ties.csv"
+    rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))
+    data.write_text("x,y\n" + rows)
+    for family in ("hermite", "half-trig"):
+        for mode in ("gl", "reuse", "oracle"):
+            assert run_cli("select", str(data), "--family", family, "--mode", mode,
+                           "--function", "b3", "--out", str(tmp_path / "c.csv")) == 0
+    out = capsys.readouterr().out
+    assert out.count("selected m = ") == 4 and out.count("oracle m = ") == 2

@@ -1,0 +1,227 @@
+"""The gl sweep in coefficient space agrees with the n-space computation.
+
+The derivative columns come from the link matrix, the pair distances and
+the penalties from one derivative Gram, and the grid scoring from one
+product per target.  The n-space oracle below is the direct computation:
+derivative columns from the derivative recursion, one fit vector per
+member at the sample points, the pairwise loop over those vectors, the
+penalty on each member's own design, and one trapezoid call per
+(dimension, target).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import trapezoid
+
+from derivfit import simulation
+from derivfit.basis import (BasisSpec, Family, eval_basis, eval_basis_derivative,
+                            parse_family)
+from derivfit.design import Sample, basis_matrices, design_from_matrices, trim_interval
+from derivfit.estimators import fit_derivative_1
+from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, GlConfig, _gate,
+                                _oracle_error_sweep, _sigma2, default_m_grid,
+                                gl_select, penalty_v_hat, reuse_select)
+from derivfit.simulation import (TEST_FUNCTIONS, calibrate_kappa, generate_sample,
+                                 rng_for)
+
+
+# ---------------------------------------------------------------------------
+# n-space oracle
+# ---------------------------------------------------------------------------
+
+def recursion_matrices(spec, x):
+    """Values, and derivatives from the derivative recursion (zero outside
+    the support)."""
+    phi = eval_basis(spec, x)
+    lo, hi = spec.support
+    inside = (x >= lo) & (x <= hi)
+    phi_prime = np.zeros_like(phi)
+    if inside.any():
+        phi_prime[inside] = eval_basis_derivative(spec, x[inside])
+    return phi, phi_prime
+
+
+def n_space_design(sample, spec):
+    return design_from_matrices(*recursion_matrices(spec, sample.x), spec)
+
+
+def n_space_gl(sample, spec_for, members, sigma2, kappa0, kappa1):
+    """(m_hat, V-hat per member, A per member) from fit vectors at the sample."""
+    n = sample.n
+    fits, v_hat = {}, {}
+    for m in members:
+        design = n_space_design(sample, spec_for(m))
+        fits[m] = design.phi_prime @ fit_derivative_1(sample, design.spec, design).theta
+        v_hat[m] = penalty_v_hat(design, sigma2, n)
+    a_value = {}
+    for m in members:
+        best = 0.0
+        for m2 in members:
+            if m2 <= m:
+                continue
+            diff = fits[m] - fits[m2]
+            excess = float(diff @ diff / n) - kappa0 * v_hat[m2]
+            if excess > best:
+                best = excess
+        a_value[m] = best
+    m_hat, best_crit = members[0], math.inf
+    for m in members:
+        crit = a_value[m] + kappa1 * v_hat[m]
+        if crit < best_crit - CRITERION_TIE_TOL:
+            m_hat, best_crit = m, crit
+    return m_hat, v_hat, a_value
+
+
+def n_space_reuse(sample, spec_for, members, sigma2):
+    n = sample.n
+    best_m, best_crit = members[0], math.inf
+    for m in members:
+        design = n_space_design(sample, spec_for(m))
+        resid = sample.y - design.phi @ fit_derivative_1(sample, design.spec, design).theta
+        crit = float(resid @ resid / n) + 2.0 * sigma2 * m / n
+        if crit < best_crit - CRITERION_TIE_TOL:
+            best_m, best_crit = m, crit
+    return best_m
+
+
+def n_space_errors(sample, spec_for, dims, grid, targets):
+    """One curve and one trapezoid call per (dimension, target)."""
+    out = {}
+    for m in dims:
+        design = n_space_design(sample, spec_for(m))
+        theta = fit_derivative_1(sample, design.spec, design).theta
+        phi, phi_prime = recursion_matrices(spec_for(m), grid)
+        out[m] = {kind: float(trapezoid(((phi if kind == "regression" else phi_prime)
+                                         @ theta - target) ** 2, grid))
+                  for kind, target in targets.items()}
+    return out
+
+
+def draws(family_name, n_list=(250, 1000), seeds=range(4)):
+    """Fixed simulated samples: (family, sample, trimmed interval)."""
+    family = parse_family(family_name)
+    for n in n_list:
+        for seed in seeds:
+            fn = TEST_FUNCTIONS[("b1", "b2", "b3", "b4")[seed % 4]]
+            sample = generate_sample(fn, n, 0.25, rng_for(31, n, seed))
+            yield family, sample, trim_interval(sample)
+
+
+# ---------------------------------------------------------------------------
+# Derivative columns through the link matrix
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(list(Family)), m=st.integers(1, 30),
+       a=st.floats(-3.0, 3.0), width=st.floats(0.2, 6.0), seed=st.integers(0, 2 ** 16))
+def test_basis_matrices_take_derivatives_through_the_link_matrix(family, m, a, width,
+                                                                 seed):
+    if family is Family.TRIG_ODD and m % 2 == 0:
+        m += 1
+    spec = (BasisSpec(family, m, (a, a + width)) if family is Family.HALF_TRIG
+            else BasisSpec(family, m))
+    lo, hi = spec.support
+    rng = np.random.default_rng(seed)
+    # points on and around the support, its finite ends (and the half-trig
+    # interval's ends) included, some beyond them
+    ends = [e for e in (lo, hi, a, a + width) if math.isfinite(e)]
+    centre = 0.5 * (min(ends) + max(ends))
+    x = np.concatenate([centre + (max(ends) - min(ends) + 2.0) * rng.uniform(-1, 1, 40),
+                        rng.standard_normal(20) * 3.0, ends])
+    phi, phi_prime = basis_matrices(spec, x)
+    assert np.array_equal(phi, eval_basis(spec, x))
+    inside = (x >= lo) & (x <= hi)
+    reference = eval_basis_derivative(spec, x[inside])
+    scale = np.abs(reference).max(axis=0)
+    assert np.all(np.abs(phi_prime[inside] - reference) <= 1e-12 * scale)
+    assert not phi_prime[~inside].any()
+
+
+@pytest.mark.parametrize("family,centre", [(Family.LEGENDRE, 0.0),
+                                           (Family.LAGUERRE, 0.5)])
+def test_designs_beyond_a_bounded_support(family, centre):
+    rng = np.random.default_rng(17)
+    x = centre + rng.standard_normal(400)
+    sample = Sample(x=x, y=np.sin(x) + 0.1 * rng.standard_normal(400))
+    lo, hi = BasisSpec(family, 1).support
+    outside = (x < lo) | (x > hi)
+    assert 50 < outside.sum() < 350
+    cache = DesignCache(sample, family, 12)
+    for m in (1, 5, 12):
+        design = cache.design(m)
+        assert not design.phi[outside].any() and not design.phi_prime[outside].any()
+    trace, fit = gl_select(sample, family, GlConfig(m_grid=tuple(range(1, 13))))
+    assert trace.m_hat in trace.members and fit.m == trace.m_hat
+    m_reuse, _ = reuse_select(sample, family, range(1, 13))
+    assert m_reuse in trace.members
+
+
+# ---------------------------------------------------------------------------
+# Coefficient space against the n-space oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family_name", ["hermite", "half-trig"])
+def test_gl_penalties_and_comparisons_match_the_n_space_loop(family_name):
+    for family, sample, interval in draws(family_name):
+        for kappa in (0.2, 1.0):
+            config = GlConfig(kappa0=kappa, kappa1=kappa)
+            trace, _ = gl_select(sample, family, config, interval=interval)
+            cache = DesignCache(sample, family, max(r.m for r in trace.rows), interval)
+            sigma2 = _sigma2(cache, [r.m for r in trace.rows], trace.members)
+            m_hat, v_hat, a_value = n_space_gl(sample, cache.spec_for, trace.members,
+                                               sigma2, kappa, kappa)
+            rows = [r for r in trace.rows if r.in_collection]
+            np.testing.assert_allclose([r.v_hat for r in rows],
+                                       [v_hat[r.m] for r in rows], rtol=1e-10)
+            np.testing.assert_allclose([r.a_value for r in rows],
+                                       [a_value[r.m] for r in rows], rtol=1e-10)
+            assert trace.m_hat == m_hat
+
+
+@pytest.mark.parametrize("family_name", ["hermite", "half-trig"])
+def test_reuse_choice_matches_the_n_space_loop(family_name):
+    for family, sample, interval in draws(family_name):
+        m_grid = default_m_grid(family, sample.n)
+        cache = DesignCache(sample, family, max(m_grid), interval)
+        members = _gate(cache, m_grid, None)
+        m_hat, _ = reuse_select(sample, family, m_grid, interval=interval)
+        assert m_hat == n_space_reuse(sample, cache.spec_for, members,
+                                      _sigma2(cache, m_grid, members))
+
+
+@pytest.mark.parametrize("family_name", ["hermite", "half-trig"])
+def test_calibration_choices_match_the_n_space_loop(family_name, monkeypatch):
+    calls = []
+    original = simulation._gl_choice
+
+    def recording(cache, members, sigma2, kappa0, kappa1):
+        result = original(cache, members, sigma2, kappa0, kappa1)
+        calls.append((cache, list(members), sigma2, kappa0, kappa1, result[0]))
+        return result
+
+    monkeypatch.setattr(simulation, "_gl_choice", recording)
+    calibrate_kappa("b3", family_name, 250, [0.1, 0.5, 2.0], seeds=6, seed=4)
+    assert len(calls) == 18
+    for cache, members, sigma2, kappa0, kappa1, m_hat in calls:
+        assert m_hat == n_space_gl(cache.sample, cache.spec_for, members, sigma2,
+                                   kappa0, kappa1)[0]
+
+
+@pytest.mark.parametrize("family_name", ["hermite", "half-trig"])
+def test_batched_grid_scoring_matches_per_dimension_calls(family_name):
+    for family, sample, interval in draws(family_name, n_list=(250,)):
+        fn = TEST_FUNCTIONS["b2"]
+        grid = np.linspace(*interval, 512)
+        targets = {"regression": fn.b(grid), "derivative": fn.b_prime(grid)}
+        m_grid = default_m_grid(family, sample.n)
+        cache = DesignCache(sample, family, max(m_grid), interval)
+        errors = _oracle_error_sweep(cache, m_grid, grid, targets)
+        expected = n_space_errors(sample, cache.spec_for, list(errors), grid, targets)
+        assert list(errors) == [m for m in m_grid if not cache.design(m).is_singular]
+        for m, cell in errors.items():
+            for kind in targets:
+                assert cell[kind] == pytest.approx(expected[m][kind], rel=1e-10)
