@@ -57,15 +57,18 @@ def _parse_interval(text: str | None) -> tuple[float, float] | None:
     return float(parts[0]), float(parts[1])
 
 
+def _trim(sample: Sample, purpose: str) -> tuple[float, float]:
+    """The trimmed design range; a one-observation sample is a data error."""
+    if sample.n < 2:
+        raise DataFormatError(f"cannot trim {sample.n} observation to {purpose}")
+    return trim_interval(sample)
+
+
 def _grid_for(args, sample: Sample) -> np.ndarray:
     """The output grid; resolve it before any fit, so a bad one fails first."""
     lo, hi = args.grid_lo, args.grid_hi
     if lo is None or hi is None:
-        if sample.n < 2:
-            raise DataFormatError(
-                f"cannot trim {sample.n} observation to an output grid; "
-                f"pass --grid-lo and --grid-hi")
-        tlo, thi = trim_interval(sample)
+        tlo, thi = _trim(sample, "an output grid; pass --grid-lo and --grid-hi")
         lo = tlo if lo is None else lo
         hi = thi if hi is None else hi
     return np.linspace(lo, hi, args.grid_points)
@@ -103,6 +106,10 @@ def _cmd_select(args) -> int:
     if family is Family.HALF_TRIG and interval is None:
         interval = _design_interval(sample)
     m_grid = default_m_grid(family, sample.n, args.m_max)
+    if args.mode == "oracle":
+        if args.function is None:
+            raise DataFormatError("--mode oracle needs --function for the true target")
+        eval_iv = _trim(sample, "the oracle's scoring interval")
     grid = _grid_for(args, sample) if args.out else None
     if args.mode == "gl":
         sigma2 = "estimate" if args.sigma2 is None else args.sigma2
@@ -116,10 +123,7 @@ def _cmd_select(args) -> int:
                                   d_constant=args.d_const, interval=interval)
         print(f"selected m = {m_hat} (dimension chosen for the regression fit)")
     else:  # oracle
-        if args.function is None:
-            raise DataFormatError("--mode oracle needs --function for the true target")
         fn = simulation.TEST_FUNCTIONS[args.function]
-        eval_iv = trim_interval(sample)
         m_hat, err = oracle_select(sample, family, m_grid, fn.b_prime, eval_iv,
                                    interval=interval)
         spec = _spec_for(family, m_hat, sample, interval)

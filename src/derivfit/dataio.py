@@ -21,16 +21,23 @@ from .simulation import CalibrationRow, ExperimentConfig, ExperimentReport
 REPORT_COLUMNS = ("function", "family", "n", "target", "mse100_mean",
                   "mse100_std", "dim_mean", "dim_std", "K")
 
+# data rows converted per numpy call; bounds the cell strings alive at once
+_CHUNK_ROWS = 4096
+
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
 def load_csv(path) -> Sample:
-    """Read a two-column numeric CSV; header row "x,y" is optional."""
+    """Read a two-column numeric CSV; header row "x,y" is optional.
+
+    The cells are converted by numpy, with float()'s rules, a chunk of
+    rows at a time; only a file with a row that is not two cells, a cell
+    that conversion rejects or a non-finite value goes through the
+    per-row checks that name the offending line.
+    """
     lines = Path(path).read_text().splitlines()
-    xs: list[float] = []
-    ys: list[float] = []
     start = 0
     header: list[str] | None = None
     for i, line in enumerate(lines):
@@ -45,7 +52,25 @@ def load_csv(path) -> Sample:
     if header is not None and len(header) > 2:
         raise DataFormatError(
             f"expected two columns (x,y); extra column {header[2]!r}", line=start)
-    seen = False
+    data = [line for line in lines[start:] if line.strip()]
+    values = None
+    if all(line.count(",") == 1 for line in data):
+        try:
+            values = np.concatenate([
+                np.array(",".join(data[i:i + _CHUNK_ROWS]).split(","), dtype=float)
+                for i in range(0, len(data), _CHUNK_ROWS)]).reshape(-1, 2)
+        except ValueError:  # a cell float() rejects, or no rows
+            pass
+    if values is None or not np.isfinite(values).all():
+        values = _checked_rows(lines, start, header)
+    x, y = values.T.copy()
+    return Sample(x=x, y=y)
+
+
+def _checked_rows(lines: list[str], start: int, header: list[str] | None) -> np.ndarray:
+    """The data rows as an (n, 2) array, converted one row at a time; the
+    first bad row raises a DataFormatError with its line number."""
+    rows: list[tuple[float, float]] = []
     for i in range(start, len(lines)):
         line = lines[i].strip()
         if not line:
@@ -63,12 +88,10 @@ def load_csv(path) -> Sample:
             raise DataFormatError(f"non-numeric value in row: {line!r}", line=i + 1) from None
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DataFormatError("non-finite value rejected", line=i + 1)
-        xs.append(x)
-        ys.append(y)
-        seen = True
-    if not seen:
+        rows.append((x, y))
+    if not rows:
         raise DataFormatError("no data rows", line=0 if not lines else len(lines))
-    return Sample(x=np.asarray(xs), y=np.asarray(ys))
+    return np.array(rows)
 
 
 def _is_numeric_row(cells: list[str]) -> bool:

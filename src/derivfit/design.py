@@ -5,7 +5,11 @@ the n-by-m value and derivative matrices, the m-by-m empirical Gram
 (the matrix of empirical scalar products), and evaluates the two
 conditioning gates used downstream.  The basis is evaluated once per
 design, at m+p columns: the derivative columns are those values times
-the transposed link matrix, never a second recursion.  The gates:
+the transposed link matrix, never a second recursion.  The Gram and the
+moments Phi^T y / n are products of fixed-width column panels, so those
+of the first m columns are bitwise the leading blocks of those of all
+columns: one top-dimension product serves every nested dimension.  The
+gates:
 
 * the truncation gate: L(m) * (||Gram^-1||_op or 1) <= c * n/log(n) with
   the fixed constant c = (3 log(3/2) - 1)/9;
@@ -32,6 +36,11 @@ STABILITY_C = (3.0 * math.log(1.5) - 1.0) / 9.0
 
 # relative eigenvalue cutoff below which the Gram counts as singular
 SINGULAR_RTOL = 1e-10
+
+# column width of the panels that gram and moments multiply; each entry
+# comes from a BLAS call of one shape on the same columns whatever the
+# total width, so the products of a column prefix are leading blocks
+PANEL_WIDTH = 8
 
 
 @dataclass(frozen=True)
@@ -111,11 +120,50 @@ class DesignSet:
         return (u * self.eigvals ** -0.5) @ u.T
 
 
+def _panels(phi: np.ndarray) -> list[np.ndarray]:
+    """The columns of phi as n-by-PANEL_WIDTH panels with unit column
+    stride (views where phi has it), the last one zero-padded; one
+    layout keeps every panel product on the same BLAS code path."""
+    if phi.dtype != np.float64 or phi.strides[1] != phi.itemsize:
+        phi = np.ascontiguousarray(phi, dtype=float)
+    n, k = phi.shape
+    full = k - k % PANEL_WIDTH
+    panels = [phi[:, a:a + PANEL_WIDTH] for a in range(0, full, PANEL_WIDTH)]
+    if full < k:
+        panels.append(np.zeros((n, PANEL_WIDTH)))
+        panels[-1][:, :k - full] = phi[:, full:]
+    return panels
+
+
+def gram(phi: np.ndarray) -> np.ndarray:
+    """The empirical Gram phi^T phi / n from panel products, exactly
+    symmetric; gram(phi[:, :m]) is bitwise gram(phi)[:m, :m]."""
+    panels = _panels(phi)
+    p, w, k = len(panels), PANEL_WIDTH, phi.shape[1]
+    blocks = np.empty((p, w, p, w))
+    for a in range(p):
+        for b in range(a, p):
+            blocks[a, :, b] = panels[a].T @ panels[b]  # numpy: syrk if a == b
+            blocks[b, :, a] = blocks[a, :, b].T
+    raw = blocks.reshape(p * w, p * w)[:k, :k] / phi.shape[0]
+    return (raw + raw.T) / 2.0  # exact symmetry by construction
+
+
+def moments(phi: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """phi^T y / n from panel products; moments(phi[:, :m], y) is bitwise
+    moments(phi, y)[:m]."""
+    rhs = np.concatenate([panel.T @ y for panel in _panels(phi)])
+    return rhs[:phi.shape[1]] / phi.shape[0]
+
+
 def design_from_matrices(phi: np.ndarray, phi_prime: np.ndarray,
-                         spec: BasisSpec) -> DesignSet:
-    """Assemble a DesignSet from precomputed value/derivative columns."""
-    raw = phi.T @ phi / phi.shape[0]
-    psi_hat = (raw + raw.T) / 2.0  # exact symmetry by construction
+                         spec: BasisSpec,
+                         psi_hat: np.ndarray | None = None) -> DesignSet:
+    """Assemble a DesignSet from precomputed value/derivative columns;
+    psi_hat, when given, stands for gram(phi), e.g. the leading block of
+    a wider Gram."""
+    if psi_hat is None:
+        psi_hat = gram(phi)
     eigvals, eigvecs = scipy.linalg.eigh(psi_hat)
     return DesignSet(phi=phi, phi_prime=phi_prime, psi_hat=psi_hat, spec=spec,
                      eigvals=eigvals, eigvecs=eigvecs)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import BasisSpec, delta_matrix, eval_basis, eval_basis_derivative
-from .design import DesignSet, Sample, StabilityVerdict, build_design
+from .design import DesignSet, Sample, StabilityVerdict, build_design, moments
 
 
 class Strategy(enum.Enum):
@@ -52,8 +52,7 @@ class DerivativeFit:
 
 def _solve_theta(design: DesignSet, y: np.ndarray) -> np.ndarray:
     """theta = Gram^-1 (1/n) Phi^T y (raises SingularGramError)."""
-    rhs = design.phi.T @ y / design.n
-    return design.solve_psi(rhs)
+    return design.solve_psi(moments(design.phi, y))
 
 
 def fit_regression(sample: Sample, spec: BasisSpec,

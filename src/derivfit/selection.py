@@ -13,8 +13,10 @@ selector picks the dimension by a penalized least-squares contrast on
 the regression fit and reuses it for the derivative.
 
 Each sample gets one sweep: a DesignCache evaluates the basis once (the
-derivative columns come from the link matrix), builds Psi' once when gl
-needs it, and memoizes every Gram and coefficient vector.  The
+derivative columns come from the link matrix), builds one panel Gram and
+one Phi^T y at the top dimension, whose leading blocks are every
+dimension's Gram and moments, builds Psi' once when gl needs it, and
+memoizes every Gram eigendecomposition and coefficient vector.  The
 collection gate, the noise estimate and the gl and reuse choices are
 private cores that read that cache; the public selectors build one cache
 and call them, and the simulation harness calls them on the cache of
@@ -34,9 +36,10 @@ from scipy.integrate import trapezoid
 
 from .basis import BasisSpec, Family, admissible_dims
 from .design import (DesignSet, Sample, basis_matrices, default_d_constant,
-                     design_from_matrices, stability_check, trim_interval)
+                     design_from_matrices, gram, moments, stability_check,
+                     trim_interval)
 from .errors import EmptyCollectionError, SingularGramError
-from .estimators import DerivativeFit, Strategy, _solve_theta
+from .estimators import DerivativeFit, Strategy
 
 CRITERION_TIE_TOL = 1e-12
 
@@ -90,7 +93,10 @@ class DesignCache:
 
     The basis and its derivatives are evaluated once at the top (extended)
     dimension; every design in the sweep is a column slice of that
-    evaluation.  Each dimension's Gram eigendecomposition and
+    evaluation.  The Gram and Phi^T y / n are built once there, as panel
+    products: dimension m's Gram is the leading m-by-m block (a view) and
+    its right-hand side the first m moments, bitwise what a direct build
+    at m computes.  Each dimension's Gram eigendecomposition and
     least-squares coefficients are memoized, so the collection gate, the
     noise estimate, every selector and the error scoring share one cache.
     The derivative Gram psi_prime is built on first use; its leading m-by-m
@@ -106,6 +112,8 @@ class DesignCache:
         self.interval = interval
         self._phi, self._phi_prime = basis_matrices(self.spec_for(m_hi).extended(),
                                                     sample.x)
+        self._gram = gram(self._phi)
+        self._rhs = moments(self._phi, sample.y)
         self._designs: dict[int, DesignSet] = {}
         self._thetas: dict[int, np.ndarray] = {}
 
@@ -120,13 +128,14 @@ class DesignCache:
                              f"{self._phi.shape[1]}")
         if m not in self._designs:
             self._designs[m] = design_from_matrices(
-                self._phi[:, :m], self._phi_prime[:, :m], self.spec_for(m))
+                self._phi[:, :m], self._phi_prime[:, :m], self.spec_for(m),
+                self._gram[:m, :m])
         return self._designs[m]
 
     def theta(self, m: int) -> np.ndarray:
         """Least-squares coefficients at dimension m (raises SingularGramError)."""
         if m not in self._thetas:
-            self._thetas[m] = _solve_theta(self.design(m), self.sample.y)
+            self._thetas[m] = self.design(m).solve_psi(self._rhs[:m])
         return self._thetas[m]
 
     def thetas(self, dims) -> np.ndarray:

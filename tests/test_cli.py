@@ -165,6 +165,20 @@ def test_untrimmable_output_grid_fails_before_the_fit(tmp_path, capsys, argv):
     assert len(curve.read_text().splitlines()) == 513
 
 
+@pytest.mark.parametrize("grid", [[], ["--grid-lo", "0", "--grid-hi", "1"]],
+                         ids=["default-grid", "explicit-grid"])
+def test_oracle_select_on_one_row_is_a_data_error(tmp_path, capsys, grid):
+    data = tmp_path / "one_row.csv"
+    data.write_text("x,y\n0.5,1.0\n")
+    curve = tmp_path / "c.csv"
+    assert run_cli("select", str(data), "--family", "hermite", "--mode", "oracle",
+                   "--function", "b1", "--out", str(curve), *grid) == 2
+    captured = capsys.readouterr()
+    assert "cannot trim 1 observation to the oracle's scoring interval" in captured.err
+    assert captured.out == ""
+    assert not curve.exists()
+
+
 def test_select_with_duplicate_x_values(tmp_path, capsys):
     rng = np.random.default_rng(21)
     x = np.round(rng.standard_normal(600), 1)  # about 60 distinct values

@@ -132,3 +132,27 @@ def test_read_config_builds_experiment(tmp_path):
     bad.write_text("n = two hundred\n")
     with pytest.raises(DataFormatError):
         read_config(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("oops,3", "non-numeric"), ("1,2,3", "expected two columns"),
+    ("4", "expected two columns"), ("1,inf", "non-finite")])
+def test_bad_row_deep_in_a_large_file_reports_its_line(tmp_path, bad, message):
+    rng = np.random.default_rng(5)
+    rows = [f"{a!r},{b!r}" for a, b in rng.standard_normal((5000, 2)).tolist()]
+    rows[4321] = bad
+    path = tmp_path / "large.csv"
+    path.write_text("x,y\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataFormatError, match=message) as err:
+        load_csv(path)
+    assert err.value.line == 4323  # header, then data row 4322
+
+
+def test_values_parse_as_python_float_parses_them(tmp_path):
+    cells = [(" 1.5 ", "\t2"), ("1_0", "-.5"), ("1e-400", "+3E2"), ("  -0", "5.")]
+    path = tmp_path / "odd.csv"
+    path.write_text("x,y\n" + "".join(f"{a},{b}\n" for a, b in cells) + "\n  \n")
+    sample = load_csv(path)
+    np.testing.assert_array_equal(sample.x, [float(a) for a, _ in cells])
+    np.testing.assert_array_equal(sample.y, [float(b) for _, b in cells])
+    assert np.signbit(sample.x[3])

@@ -1,0 +1,114 @@
+"""Panel products: the Gram and the moments of a column prefix are the
+leading blocks of the full products, bit for bit, so one top-dimension
+product per sample serves every nested dimension."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import derivfit.design
+import derivfit.estimators
+import derivfit.selection
+from derivfit.basis import Family
+from derivfit.design import Sample, build_design, gram, moments
+from derivfit.estimators import fit_derivative_1, fit_derivative_2
+from derivfit.selection import DesignCache, _gate, _gl_choice, _reuse_choice, _sigma2
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
+        np.ascontiguousarray(b).tobytes()
+
+
+def _layouts(phi, rng):
+    """phi as C-ordered, F-ordered and column-sliced arrays."""
+    n, k = phi.shape
+    wide = rng.standard_normal((n, k + 5))
+    wide[:, 2:2 + k] = phi
+    return {"C": np.ascontiguousarray(phi), "F": np.asfortranarray(phi),
+            "C-sliced": wide[:, 2:2 + k],
+            "F-sliced": np.asfortranarray(wide)[:, 2:2 + k]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.one_of(st.just(1), st.integers(1, 600)), k=st.integers(1, 45),
+       data=st.data(), seed=st.integers(0, 2 ** 16))
+def test_panel_products_are_prefix_exact(n, k, data, seed):
+    m = data.draw(st.integers(1, k), label="m")
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal((n, k)) * rng.uniform(0.1, 10.0, k)
+    y = rng.standard_normal(n)
+    top_gram, top_rhs = gram(np.asfortranarray(phi)), moments(np.asfortranarray(phi), y)
+    assert _same_bits(top_gram, top_gram.T)
+    ref = phi.T @ phi / n
+    assert np.linalg.norm(top_gram - ref) <= 1e-14 * np.linalg.norm(ref)
+    np.testing.assert_allclose(top_rhs, phi.T @ y / n, rtol=1e-12,
+                               atol=1e-14 * np.abs(phi).max() * np.abs(y).max())
+    for name, layout in _layouts(phi, rng).items():
+        assert _same_bits(gram(layout), top_gram), name
+        assert _same_bits(moments(layout, y), top_rhs), name
+        assert _same_bits(gram(layout[:, :m]), top_gram[:m, :m]), name
+        assert _same_bits(moments(layout[:, :m], y), top_rhs[:m]), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from([Family.HERMITE, Family.HALF_TRIG]),
+       n=st.sampled_from([250, 300, 1000]), m=st.integers(1, 16),
+       seed=st.integers(0, 2 ** 16))
+def test_cache_and_direct_builds_agree_bitwise(family, n, m, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    sample = Sample(x=x, y=np.sin(2 * x) + 0.25 * rng.standard_normal(n))
+    cache = DesignCache(sample, family, 16)
+    spec = cache.spec_for(m)
+    for dim in (m, spec.extended().m):
+        direct = build_design(sample, cache.spec_for(dim))
+        assert _same_bits(cache.design(dim).psi_hat, direct.psi_hat)
+        assert cache.design(dim).is_singular == direct.is_singular
+        if not direct.is_singular:
+            assert _same_bits(cache.theta(dim),
+                              fit_derivative_1(sample, cache.spec_for(dim)).theta)
+    if not cache.design(spec.extended().m).is_singular:
+        assert _same_bits(fit_derivative_2(sample, spec).theta,
+                          fit_derivative_2(sample, spec,
+                                           cache.design(spec.extended().m)).theta)
+
+
+@pytest.fixture()
+def product_calls(monkeypatch):
+    """Counts gram and moments calls, under every module binding."""
+    calls = {"gram": 0, "moments": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        original = getattr(derivfit.design, name)
+        for module in (derivfit.design, derivfit.selection, derivfit.estimators):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, original))
+    return calls
+
+
+@pytest.mark.parametrize("family", [Family.HERMITE, Family.HALF_TRIG])
+def test_one_tall_product_per_cache(product_calls, family):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(1000)
+    sample = Sample(x=x, y=x * x + 0.25 * rng.standard_normal(1000))
+    m_grid = tuple(range(1, 31)) if family is Family.HERMITE else tuple(range(1, 31, 2))
+    cache = DesignCache(sample, family, max(m_grid))
+    assert product_calls == {"gram": 1, "moments": 1}
+    members = _gate(cache, m_grid, None)
+    sigma2 = _sigma2(cache, m_grid, members)
+    _reuse_choice(cache, members, sigma2)
+    _gl_choice(cache, members, sigma2, 0.5, 0.5)
+    cache.thetas(members)
+    assert product_calls == {"gram": 1, "moments": 1}
+    top = cache.design(cache.spec_for(max(m_grid)).extended().m)
+    for m in members:
+        assert np.shares_memory(cache.design(m).psi_hat, top.psi_hat)
+        assert _same_bits(cache.design(m).psi_hat, top.psi_hat[:m, :m])
