@@ -8,8 +8,11 @@ design, at m+p columns: the derivative columns are those values times
 the transposed link matrix, never a second recursion.  The Gram and the
 moments Phi^T y / n are products of fixed-width column panels, so those
 of the first m columns are bitwise the leading blocks of those of all
-columns: one top-dimension product serves every nested dimension.  The
-gates:
+columns, and the Gram's Cholesky factor is built row by row, so the
+factor of a leading block is bitwise the leading block of the factor:
+one top-dimension product and one factorization serve every nested
+dimension.  A design's eigenvalues (values only) decide whether its Gram
+is singular and give the inverse's operator norm.  The gates:
 
 * the truncation gate: L(m) * (||Gram^-1||_op or 1) <= c * n/log(n) with
   the fixed constant c = (3 log(3/2) - 1)/9;
@@ -22,6 +25,7 @@ fit under consideration; singular Grams fail both.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -71,8 +75,9 @@ class Sample:
 class DesignSet:
     """Value matrix, derivative matrix and Gram for one (sample, spec) pair.
 
-    The Gram eigendecomposition is computed once at construction; all
-    inverse-related quantities are derived from it.
+    The Gram eigenvalues (values only) are computed at construction and
+    decide singularity and the inverse's norm; solves go through the
+    Gram's prefix Cholesky factor, built on first use.
     """
 
     phi: np.ndarray
@@ -80,7 +85,6 @@ class DesignSet:
     psi_hat: np.ndarray
     spec: BasisSpec
     eigvals: np.ndarray = field(repr=False)
-    eigvecs: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -102,22 +106,25 @@ class DesignSet:
             return math.inf
         return 1.0 / self.eigvals[0]
 
+    @functools.cached_property
+    def factor(self) -> np.ndarray:
+        """The Gram's prefix Cholesky factor (see prefix_cholesky)."""
+        return prefix_cholesky(self.psi_hat)
+
     def solve_psi(self, rhs: np.ndarray) -> np.ndarray:
-        """Gram^-1 @ rhs through the eigendecomposition."""
-        if self.is_singular:
+        """Gram^-1 @ rhs through the prefix Cholesky factor."""
+        if self.is_singular or len(self.factor) < self.m:
             raise SingularGramError(
                 f"Gram matrix is numerically singular at m={self.m} "
                 f"(family {self.spec.family.value})")
-        u = self.eigvecs
-        return u @ ((u.T @ rhs) / self.eigvals[:, None] if rhs.ndim == 2
-                    else (u.T @ rhs) / self.eigvals)
+        return scipy.linalg.cho_solve((self.factor, True), rhs, check_finite=False)
 
     def whitener(self) -> np.ndarray:
         """Symmetric inverse square root of the Gram."""
         if self.is_singular:
             raise SingularGramError(f"Gram matrix is numerically singular at m={self.m}")
-        u = self.eigvecs
-        return (u * self.eigvals ** -0.5) @ u.T
+        lam, u = scipy.linalg.eigh(self.psi_hat)
+        return (u * lam ** -0.5) @ u.T
 
 
 def _panels(phi: np.ndarray) -> list[np.ndarray]:
@@ -156,6 +163,27 @@ def moments(phi: np.ndarray, y: np.ndarray) -> np.ndarray:
     return rhs[:phi.shape[1]] / phi.shape[0]
 
 
+def prefix_cholesky(psi_hat: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of psi_hat, built row by row: row i is one
+    triangular solve against rows < i and one dot product, so it depends
+    on psi_hat[:i+1, :i+1] alone and the factor of a leading block is
+    bitwise the leading block of the factor (LAPACK's blocked dpotrf is
+    not).  The build stops at the first non-positive pivot, so the
+    factor has fewer rows than psi_hat when a leading block is not
+    positive definite."""
+    k = psi_hat.shape[0]
+    factor = np.zeros((k, k))
+    for i in range(k):
+        row = (scipy.linalg.blas.dtrsv(factor[:i, :i], psi_hat[i, :i], lower=1)
+               if i else psi_hat[0, :0])
+        pivot = psi_hat[i, i] - row @ row
+        if not pivot > 0.0:
+            return factor[:i, :i].copy()
+        factor[i, :i] = row
+        factor[i, i] = math.sqrt(pivot)
+    return factor
+
+
 def design_from_matrices(phi: np.ndarray, phi_prime: np.ndarray,
                          spec: BasisSpec,
                          psi_hat: np.ndarray | None = None) -> DesignSet:
@@ -164,9 +192,9 @@ def design_from_matrices(phi: np.ndarray, phi_prime: np.ndarray,
     a wider Gram."""
     if psi_hat is None:
         psi_hat = gram(phi)
-    eigvals, eigvecs = scipy.linalg.eigh(psi_hat)
+    eigvals = scipy.linalg.eigh(psi_hat, eigvals_only=True)
     return DesignSet(phi=phi, phi_prime=phi_prime, psi_hat=psi_hat, spec=spec,
-                     eigvals=eigvals, eigvecs=eigvecs)
+                     eigvals=eigvals)
 
 
 def basis_matrices(spec: BasisSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

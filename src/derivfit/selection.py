@@ -13,19 +13,26 @@ selector picks the dimension by a penalized least-squares contrast on
 the regression fit and reuses it for the derivative.
 
 Each sample gets one sweep: a DesignCache evaluates the basis once (the
-derivative columns come from the link matrix), builds one panel Gram and
-one Phi^T y at the top dimension, whose leading blocks are every
-dimension's Gram and moments, builds Psi' once when gl needs it, and
-memoizes every Gram eigendecomposition and coefficient vector.  The
-collection gate, the noise estimate and the gl and reuse choices are
+derivative columns come from the link matrix), builds one panel Gram,
+one Phi^T y and one prefix Cholesky factor of the Gram at the top
+dimension, whose leading blocks are every dimension's Gram, moments and
+factor, builds Psi' once when gl needs it, and memoizes every
+coefficient vector.  No dimension's Gram is eigendecomposed for a solve
+or a penalty: the first singular dimension and the edge of the
+collection are monotone in m (Cauchy interlacing), so both are found by
+bisection, with one values-only eigendecomposition per probed dimension.
+The collection gate, the noise estimate and the gl and reuse choices are
 private cores that read that cache; the public selectors build one cache
 and call them, and the simulation harness calls them on the cache of
 each draw.  Grid scoring evaluates all dimensions' curves in one product
-per target.
+per target.  Every selector, the oracle included, scans its candidates
+in order and keeps the earlier one unless a later one is better by more
+than CRITERION_TIE_TOL.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -36,8 +43,8 @@ from scipy.integrate import trapezoid
 
 from .basis import BasisSpec, Family, admissible_dims
 from .design import (DesignSet, Sample, basis_matrices, default_d_constant,
-                     design_from_matrices, gram, moments, stability_check,
-                     trim_interval)
+                     design_from_matrices, gram, moments, prefix_cholesky,
+                     stability_check, trim_interval)
 from .errors import EmptyCollectionError, SingularGramError
 from .estimators import DerivativeFit, Strategy
 
@@ -67,6 +74,10 @@ class GlConfig:
                 raise ValueError(f"sigma2 must be a float or 'estimate', got {self.sigma2!r}")
         elif self.sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
+        if self.d_constant is not None and not (math.isfinite(self.d_constant)
+                                                and self.d_constant > 0):
+            raise ValueError(f"the collection constant d must be finite and "
+                             f"positive, got d = {self.d_constant}")
 
 
 @dataclass(frozen=True)
@@ -93,14 +104,19 @@ class DesignCache:
 
     The basis and its derivatives are evaluated once at the top (extended)
     dimension; every design in the sweep is a column slice of that
-    evaluation.  The Gram and Phi^T y / n are built once there, as panel
-    products: dimension m's Gram is the leading m-by-m block (a view) and
-    its right-hand side the first m moments, bitwise what a direct build
-    at m computes.  Each dimension's Gram eigendecomposition and
-    least-squares coefficients are memoized, so the collection gate, the
-    noise estimate, every selector and the error scoring share one cache.
-    The derivative Gram psi_prime is built on first use; its leading m-by-m
-    block is the derivative Gram of dimension m.
+    evaluation.  The Gram, Phi^T y / n and the Gram's prefix Cholesky
+    factor are built once there: dimension m's Gram is the leading m-by-m
+    block (a view), its right-hand side the first m moments and its
+    factor the leading m-by-m block of the factor, bitwise what a direct
+    build at m computes, so theta(m) is two triangular solves.  The
+    singular dimensions form a suffix of 1..K (the Gram's smallest
+    eigenvalue does not grow with m, its largest does not shrink), so
+    m_singular, the first of them, is found by bisection; designs (one
+    values-only eigendecomposition each) are built only for such probes
+    and for the collection gate.  The coefficients are memoized, so the
+    gate, the noise estimate, every selector and the error scoring share
+    one cache.  The derivative Gram psi_prime is built on first use; its
+    leading m-by-m block is the derivative Gram of dimension m.
     """
 
     def __init__(self, sample: Sample, family: Family, m_hi: int,
@@ -114,6 +130,7 @@ class DesignCache:
                                                     sample.x)
         self._gram = gram(self._phi)
         self._rhs = moments(self._phi, sample.y)
+        self.factor = prefix_cholesky(self._gram)
         self._designs: dict[int, DesignSet] = {}
         self._thetas: dict[int, np.ndarray] = {}
 
@@ -132,10 +149,24 @@ class DesignCache:
                 self._gram[:m, :m])
         return self._designs[m]
 
+    @functools.cached_property
+    def m_singular(self) -> int:
+        """The first admissible dimension whose Gram is singular, by
+        bisection over designs; one past the factor's rows if none is (a
+        non-positive pivot at row i makes dimension i + 1 singular)."""
+        dims = admissible_dims(self.family, len(self.factor))
+        i = bisect.bisect_left(dims, True, key=lambda m: self.design(m).is_singular)
+        return dims[i] if i < len(dims) else len(self.factor) + 1
+
     def theta(self, m: int) -> np.ndarray:
         """Least-squares coefficients at dimension m (raises SingularGramError)."""
         if m not in self._thetas:
-            self._thetas[m] = self.design(m).solve_psi(self._rhs[:m])
+            if m >= self.m_singular:
+                raise SingularGramError(
+                    f"Gram matrix is numerically singular at m={m} "
+                    f"(family {self.family.value})")
+            self._thetas[m] = scipy.linalg.cho_solve(
+                (self.factor[:m, :m], True), self._rhs[:m], check_finite=False)
         return self._thetas[m]
 
     def thetas(self, dims) -> np.ndarray:
@@ -152,7 +183,7 @@ class DesignCache:
 
     def residual_ms(self, m: int) -> float:
         """Residual mean square (1/n)|y - Phi theta|^2 of the dimension-m fit."""
-        resid = self.sample.y - self.design(m).phi @ self.theta(m)
+        resid = self.sample.y - self._phi[:, :m] @ self.theta(m)
         return float(resid @ resid / self.sample.n)
 
 
@@ -160,37 +191,57 @@ def default_m_grid(family: Family, n: int, m_max: int | None = None) -> tuple[in
     """Admissible dimensions up to min(40, n // 10) (or an explicit cap)."""
     if m_max is None:
         m_max = min(40, max(1, n // 10))
+    elif m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
     return tuple(admissible_dims(family, m_max))
 
 
-def penalty_v_hat(design: DesignSet, sigma2: float, n: int,
+def penalty_v_hat(design: DesignSet | np.ndarray, sigma2: float, n: int,
                   psi_prime: np.ndarray | None = None) -> float:
     """Variance proxy: (sigma^2 m / n) times the top eigenvalue of the
-    Gram-whitened derivative Gram psi_prime (None: built from the
-    design's derivative columns)."""
-    if design.is_singular:
-        raise SingularGramError(f"Gram matrix singular at m={design.m}")
-    w = design.whitener()
-    if psi_prime is None:
-        psi_prime = design.phi_prime.T @ design.phi_prime / design.n
-    s = w @ psi_prime @ w
-    lam = scipy.linalg.eigvalsh((s + s.T) / 2.0)
-    return sigma2 * design.m / n * max(lam[-1], 0.0)
+    derivative Gram in the Gram's metric, L^-1 Psi' L^-T with L L^T the
+    Gram (the spectrum of Gram^-1 Psi').  design is a DesignSet, whose
+    psi_prime, when None, is built from its derivative columns, or that
+    m-by-m matrix itself (see _whitened_derivative_gram)."""
+    if isinstance(design, DesignSet):
+        if design.is_singular:
+            raise SingularGramError(f"Gram matrix singular at m={design.m}")
+        if psi_prime is None:
+            psi_prime = design.phi_prime.T @ design.phi_prime / design.n
+        design = _whitened_derivative_gram(design.factor, psi_prime)
+    lam = np.linalg.eigvalsh(design)
+    return sigma2 * len(design) / n * max(lam[-1], 0.0)
+
+
+def _whitened_derivative_gram(factor: np.ndarray, psi_prime: np.ndarray) -> np.ndarray:
+    """L^-1 Psi' L^-T for the lower Cholesky factor L, exactly symmetric.
+    L is triangular, so its leading m-by-m block is, up to rounding, the
+    same product of the leading m-by-m blocks of L and Psi'."""
+    half = scipy.linalg.solve_triangular(factor, psi_prime, lower=True,
+                                         check_finite=False)
+    s = scipy.linalg.solve_triangular(factor, half.T, lower=True, check_finite=False)
+    return (s + s.T) / 2.0
 
 
 def collection_members(cache: DesignCache, m_grid, n: int,
                        d_constant: float) -> list[int]:
     """Dimensions whose extended-design conditioning passes the gate.
 
-    Membership is checked at m+p; a singular Gram at m or m+p excludes m.
+    Membership is checked at m+p: a singular Gram there (from the cache's
+    m_singular on) excludes m, and otherwise the collection gate of
+    stability_check decides.  L(m+p) and ||Gram^-1|| do not decrease with
+    m, so the members are a prefix of the ascending grid, found by
+    bisection with stability_check on the probed designs only.  Members
+    keep the grid's order.
     """
-    members = []
-    for m in m_grid:
+    def fails(m: int) -> bool:
         ext_m = cache.spec_for(m).extended().m
-        verdict = stability_check(cache.design(ext_m), n, d_constant)
-        if verdict.in_collection and not cache.design(m).is_singular:
-            members.append(m)
-    return members
+        return not (ext_m < cache.m_singular and stability_check(
+            cache.design(ext_m), n, d_constant).in_collection)
+
+    ascending = sorted(set(m_grid))
+    admitted = set(ascending[:bisect.bisect_left(ascending, True, key=fails)])
+    return [m for m in m_grid if m in admitted]
 
 
 def _gate(cache: DesignCache, m_grid, d_constant: float | None) -> list[int]:
@@ -228,35 +279,38 @@ def _gl_choice(cache: DesignCache, members: list[int], sigma2: float,
 
     All pairs at once in coefficient space: the squared empirical distance
     of the fits at members i < j is (theta_i - theta_j)^T Psi'
-    (theta_i - theta_j) with zero-padded coefficients.
+    (theta_i - theta_j) with zero-padded coefficients.  Each member's
+    V-hat reads the leading block of one whitened derivative Gram.
     """
     n, k = cache.sample.n, max(members)
     psi_prime = cache.psi_prime[:k, :k]
-    v = np.array([penalty_v_hat(cache.design(m), sigma2, n, psi_prime[:m, :m])
-                  for m in members])
+    whitened = _whitened_derivative_gram(cache.factor[:k, :k], psi_prime)
+    v = np.array([penalty_v_hat(whitened[:m, :m], sigma2, n) for m in members])
     thetas = cache.thetas(members)
     diff = thetas[:, :, None] - thetas[:, None, :]
     dist = (diff * np.tensordot(psi_prime, diff, 1)).sum(axis=0)
     # strict upper pairs (the m-wedge fit coincides with the m2 fit for
     # m2 <= m); the zeros left on and below the diagonal clip A at 0
     a = np.triu(dist - kappa0 * v, 1).max(axis=1)
-
-    m_hat, best_crit = members[0], math.inf
-    for m, crit in zip(members, a + kappa1 * v):
-        if crit < best_crit - CRITERION_TIE_TOL:
-            m_hat, best_crit = m, crit
+    m_hat = _first_minimum(members, a + kappa1 * v)
     return m_hat, dict(zip(members, v.tolist())), dict(zip(members, a.tolist()))
+
+
+def _first_minimum(dims, values) -> int:
+    """The tie rule of every selector: scanning dims in order, the current
+    pick stays unless a later value is lower by more than CRITERION_TIE_TOL."""
+    best_m, best = dims[0], math.inf
+    for m, value in zip(dims, values):
+        if value < best - CRITERION_TIE_TOL:
+            best_m, best = m, value
+    return best_m
 
 
 def _reuse_choice(cache: DesignCache, members: list[int], sigma2: float) -> int:
     """The member minimizing the residual empirical norm plus 2 sigma^2 m / n."""
     n = cache.sample.n
-    best_m, best_crit = members[0], math.inf
-    for m in members:
-        crit = cache.residual_ms(m) + 2.0 * sigma2 * m / n
-        if crit < best_crit - CRITERION_TIE_TOL:
-            best_m, best_crit = m, crit
-    return best_m
+    return _first_minimum(members, [cache.residual_ms(m) + 2.0 * sigma2 * m / n
+                                    for m in members])
 
 
 def _derivative_fit(cache: DesignCache, m: int) -> DerivativeFit:
@@ -311,7 +365,8 @@ def oracle_select(sample: Sample, family: Family, m_grid, truth,
     fit_kind="regression", its derivative for "derivative"); the error is
     a trapezoid-rule integral on a uniform grid over eval_interval.
     Singular dimensions are skipped; if every fit is singular a
-    SingularGramError is raised.
+    SingularGramError is raised.  Errors within CRITERION_TIE_TOL of
+    each other tie, and ties go to the smaller dimension.
     """
     if fit_kind not in ("derivative", "regression"):
         raise ValueError(f"fit_kind must be 'derivative' or 'regression', got {fit_kind!r}")
@@ -322,7 +377,8 @@ def oracle_select(sample: Sample, family: Family, m_grid, truth,
                                  {fit_kind: eval_on_grid(truth, grid)})
     if not errors:
         raise SingularGramError("every candidate dimension has a singular Gram")
-    best_m = min(errors, key=lambda m: (errors[m][fit_kind], m))
+    dims = sorted(errors)
+    best_m = _first_minimum(dims, [errors[m][fit_kind] for m in dims])
     return best_m, errors[best_m][fit_kind]
 
 
@@ -342,7 +398,7 @@ def _oracle_error_sweep(cache: DesignCache, m_grid, grid: np.ndarray,
                         ) -> dict[int, dict[str, float]]:
     """Trapezoid-rule squared errors per non-singular dimension for each
     named target: one curve product and one trapezoid call per target."""
-    dims = [m for m in m_grid if not cache.design(m).is_singular]
+    dims = [m for m in m_grid if m < cache.m_singular]
     if not dims:
         return {}
     thetas = cache.thetas(dims)
@@ -363,6 +419,7 @@ def reuse_select(sample: Sample, family: Family, m_grid=None,
     """Select the dimension for the regression fit by penalized contrast
     (residual empirical norm plus 2 sigma^2 m / n) and reuse it for the
     derivative.  Returns (chosen m, strategy-1 derivative fit)."""
+    GlConfig(d_constant=d_constant)  # rejects a bad d before the sweep
     if m_grid is None:
         m_grid = default_m_grid(family, sample.n)
     cache = DesignCache(sample, family, max(m_grid), interval)

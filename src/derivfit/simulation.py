@@ -22,8 +22,9 @@ import numpy as np
 from .basis import Family, parse_family
 from .design import Sample, trim_interval
 from .errors import EmptyCollectionError, SingularGramError
-from .selection import (DesignCache, GlConfig, _gate, _gl_choice, _oracle_error_sweep,
-                        _reuse_choice, _sigma2, default_m_grid, eval_on_grid)
+from .selection import (DesignCache, GlConfig, _first_minimum, _gate, _gl_choice,
+                        _oracle_error_sweep, _reuse_choice, _sigma2, default_m_grid,
+                        eval_on_grid)
 
 EVAL_GRID_POINTS = 512
 
@@ -94,7 +95,8 @@ class ExperimentConfig:
         if self.mode == "oracle":
             return
         # the selectors' own checks, made before any repetition runs
-        GlConfig(kappa0=self.kappa0, kappa1=self.kappa1, sigma2=self.sigma2)
+        GlConfig(kappa0=self.kappa0, kappa1=self.kappa1, sigma2=self.sigma2,
+                 d_constant=self.d_constant)
         if self.sigma2 != "estimate":
             return
         for family in families:
@@ -156,9 +158,9 @@ def _run_repetition(config: ExperimentConfig, fn: TestFunction, family: Family,
                                   "derivative": eval_on_grid(fn.b_prime, grid)})
     if not errors:
         raise SingularGramError("all dimensions singular")
-    if config.mode == "oracle":
-        m_b = min(errors, key=lambda m: (errors[m]["regression"], m))
-        m_bp = min(errors, key=lambda m: (errors[m]["derivative"], m))
+    if config.mode == "oracle":  # errors are keyed in ascending m
+        m_b = _first_minimum(list(errors), [e["regression"] for e in errors.values()])
+        m_bp = _first_minimum(list(errors), [e["derivative"] for e in errors.values()])
     return (errors[m_b]["regression"], m_b), (errors[m_bp]["derivative"], m_bp)
 
 
@@ -231,8 +233,9 @@ def calibrate_kappa(function: str, family_name: str, n: int,
     fn = TEST_FUNCTIONS[function]
     family = parse_family(family_name)
     kappas = [float(k) for k in kappas]
-    for kappa in kappas:
-        GlConfig(kappa0=kappa, kappa1=kappa)  # rejects a bad constant before the sweep
+    for kappa in kappas:  # rejects a bad constant before the sweep
+        GlConfig(kappa0=kappa, kappa1=kappa, d_constant=d_constant)
+    m_grid = default_m_grid(family, n, m_max)
     ratios: dict[float, list[float]] = {k: [] for k in kappas}
     dims: dict[float, list[int]] = {k: [] for k in kappas}
     for i in range(seeds):
@@ -240,7 +243,6 @@ def calibrate_kappa(function: str, family_name: str, n: int,
         sample = generate_sample(fn, n, sigma, rng)
         lo, hi = trim_interval(sample)
         grid = np.linspace(lo, hi, EVAL_GRID_POINTS)
-        m_grid = default_m_grid(family, n, m_max)
         cache = DesignCache(sample, family, max(m_grid), (lo, hi))
         errors = _oracle_error_sweep(cache, m_grid, grid,
                                      {"derivative": eval_on_grid(fn.b_prime, grid)})

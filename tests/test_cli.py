@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import derivfit.selection
 from derivfit.cli import main
 from derivfit.dataio import load_csv
 
@@ -192,3 +193,43 @@ def test_select_with_duplicate_x_values(tmp_path, capsys):
                            "--function", "b3", "--out", str(tmp_path / "c.csv")) == 0
     out = capsys.readouterr().out
     assert out.count("selected m = ") == 4 and out.count("oracle m = ") == 2
+
+
+def _refuse_caches(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DesignCache was built")
+    monkeypatch.setattr(derivfit.selection.DesignCache, "__init__", refuse)
+
+
+@pytest.mark.parametrize("d", ["-1", "0", "nan"])
+def test_bad_collection_constant_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       sample_csv, d):
+    _refuse_caches(monkeypatch)
+    capsys.readouterr()  # the fixture's output
+    cfg, out = tmp_path / "bench.cfg", tmp_path / "report.csv"
+    for mode in ("gl", "reuse"):
+        cfg.write_text(f"functions = b1\nfamilies = hermite\nn = 250\nmode = {mode}\n"
+                       f"repetitions = 2\nd_constant = {d}\n")
+        assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 2
+        assert "collection constant d" in capsys.readouterr().err
+        assert run_cli("select", str(sample_csv), "--family", "hermite",
+                       "--mode", mode, "--d-const", d) == 1
+        captured = capsys.readouterr()
+        assert "collection constant d" in captured.err and captured.out == ""
+    assert not out.exists()
+    assert run_cli("calibrate", "--function", "b1", "--n", "250", "--kappas", "1",
+                   "--seeds", "2", "--d-const", d) == 1
+    captured = capsys.readouterr()
+    assert "collection constant d" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("m_max", ["0", "-2"])
+def test_m_max_below_one_fails_before_any_work(capsys, monkeypatch, sample_csv, m_max):
+    _refuse_caches(monkeypatch)
+    capsys.readouterr()  # the fixture's output
+    for argv in (["select", str(sample_csv), "--family", "hermite"],
+                 ["calibrate", "--function", "b1", "--n", "250", "--kappas", "1",
+                  "--seeds", "2"]):
+        assert run_cli(*argv, "--m-max", m_max) == 1
+        captured = capsys.readouterr()
+        assert f"m_max must be >= 1, got {m_max}" in captured.err and captured.out == ""

@@ -150,3 +150,19 @@ def test_calibration_sweep_and_best():
     assert len(rows) == 2
     assert all(math.isfinite(r.median_ratio) for r in rows)
     assert best_kappa(rows) in (0.2, 1.0)
+
+
+@pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
+def test_bad_collection_constant_is_rejected_up_front(d):
+    for mode in ("gl", "reuse"):
+        with pytest.raises(ValueError, match="collection constant d"):
+            ExperimentConfig(mode=mode, d_constant=d)
+    with pytest.raises(ValueError, match="collection constant d"):
+        calibrate_kappa("b1", "hermite", 250, kappas=(1.0,), seeds=2, d_constant=d)
+    ExperimentConfig(mode="oracle", d_constant=d)  # the oracle never gates
+
+
+def test_a_positive_collection_constant_is_accepted():
+    ExperimentConfig(mode="gl", d_constant=1e6)
+    rows = calibrate_kappa("b1", "hermite", 250, kappas=(1.0,), seeds=2, d_constant=1e6)
+    assert len(rows) == 1
