@@ -10,26 +10,20 @@ or reused from the regression fit; a Monte Carlo harness benchmarks all
 of it.
 """
 
-from .basis import (BasisSpec, DerivativeLinkMatrix, Family, admissible_dims,
-                    delta_matrix, eval_basis, eval_basis_derivative, l_factor,
-                    l_prime_factor, parse_family)
+from .basis import (BasisSpec, Family, admissible_dims, delta_matrix, eval_basis,
+                    eval_basis_derivative, l_factor, parse_family)
 from .design import (Sample, DesignSet, StabilityVerdict, build_design,
-                     default_d_constant, empirical_inner, empirical_norm,
-                     frobenius_norm, operator_norm, stability_check,
-                     trim_interval, STABILITY_C)
+                     default_d_constant, stability_check, trim_interval,
+                     STABILITY_C)
 from .errors import (DataFormatError, DerivfitError, EmptyCollectionError,
-                     QuadratureError, SingularGramError)
-from .estimators import (DerivativeFit, RegressionFit, Strategy, evaluate_fit,
-                         fit_derivative_1, fit_derivative_2, fit_regression,
-                         truncate_fit)
+                     SingularGramError)
+from .estimators import (DerivativeFit, Strategy, evaluate_fit, fit_derivative_1,
+                         fit_derivative_2, truncate_fit)
 from .selection import (GlConfig, SelectionTrace, default_m_grid,
                         estimate_sigma2, gl_select, oracle_select,
                         penalty_v_hat, reuse_select)
 from .simulation import (ExperimentConfig, ExperimentReport, TEST_FUNCTIONS,
                          TestFunction, calibrate_kappa, generate_sample,
                          rng_for, run_experiment)
-from .theory import (DensitySpec, TheoreticalGram, projection_coefficients,
-                     projection_gap, theoretical_gram, theoretical_penalty,
-                     weighted_delta)
 
 __version__ = "0.1.0"

@@ -16,7 +16,8 @@ All polynomial families are evaluated through normalized three-term
 recurrences with the weights folded in, so values stay O(1) up to large
 degree.  Each family's derivatives lie in the span of the first m+p
 elements; ``delta_matrix`` returns that exact expansion, row j holding the
-coefficients of the j-th element's derivative.
+coefficients of the j-th element's derivative, and ``eval_basis_derivative``
+evaluates the derivatives through it.
 """
 
 from __future__ import annotations
@@ -142,18 +143,13 @@ def admissible_dims(family: Family, m_max: int) -> list[int]:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _as_points(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
-
-
 def eval_basis(spec: BasisSpec, x) -> np.ndarray:
     """Values (phi_1(x), ..., phi_m(x)); zero outside the support.
 
     Accepts a scalar (returns shape (m,)) or a 1-D array (returns (n, m)).
     """
-    pts, scalar = _as_points(x)
+    scalar = np.ndim(x) == 0
+    pts = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = spec.support
     inside = (pts >= lo) & (pts <= hi)
     out = np.zeros((pts.size, spec.m))
@@ -211,100 +207,25 @@ def _eval_inside(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
 
 
 def eval_basis_derivative(spec: BasisSpec, x) -> np.ndarray:
-    """Values (phi_1'(x), ..., phi_m'(x)), via the exact recursion formulas.
+    """Values (phi_1'(x), ..., phi_m'(x)), as the values of the first m+p
+    elements times the transposed link matrix.
 
-    x must lie in the closed support (boundary values are the one-sided
-    limits of the recursions); strictly outside raises ValueError.
+    x must lie in the closed support; strictly outside raises ValueError.
     """
-    pts, scalar = _as_points(x)
+    pts = np.asarray(x, dtype=float)
     lo, hi = spec.support
     if ((pts < lo) | (pts > hi)).any():
         raise ValueError("derivative evaluation outside the basis support")
-    out = _eval_derivative_inside(spec, pts)
-    return out[0] if scalar else out
-
-
-def _eval_derivative_inside(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
-    m = spec.m
-    fam = spec.family
-    if fam is Family.TRIG_ODD:
-        out = np.zeros((x.size, m))
-        for col in range(1, m):
-            j = (col + 1) // 2
-            om = 2.0 * np.pi * j
-            phase = om * x
-            if col % 2 == 1:   # derivative of sqrt2 cos
-                out[:, col] = -np.sqrt(2.0) * om * np.sin(phase)
-            else:              # derivative of sqrt2 sin
-                out[:, col] = np.sqrt(2.0) * om * np.cos(phase)
-        return out
-    if fam is Family.HALF_TRIG:
-        a, b = spec.interval  # type: ignore[misc]
-        w = b - a
-        u = (x - a) / w
-        amp = np.sqrt(2.0 / w)
-        out = np.zeros((x.size, m))
-        for col in range(1, m):
-            j = (col + 1) // 2
-            om = np.pi * j / w
-            phase = np.pi * j * u
-            if col % 2 == 1:   # derivative of sin column
-                out[:, col] = amp * om * np.cos(phase)
-            else:              # derivative of cos column
-                out[:, col] = -amp * om * np.sin(phase)
-        return out
-    if fam is Family.LAGUERRE:
-        vals = _eval_inside(spec, x)
-        out = np.empty(vals.shape)  # C order, whatever the layout of vals
-        running = np.zeros(x.size)
-        for j in range(m):
-            out[:, j] = -vals[:, j] - 2.0 * running
-            running += vals[:, j]
-        return out
-    if fam is Family.HERMITE:
-        vals = _eval_inside(spec.with_m(m + 1), x)
-        out = np.empty((x.size, m))
-        for j in range(m):
-            lower = np.sqrt(j) * vals[:, j - 1] if j >= 1 else 0.0
-            out[:, j] = (lower - np.sqrt(j + 1) * vals[:, j + 1]) / np.sqrt(2.0)
-        return out
-    # LEGENDRE: derivative of element n expands over lower elements of the
-    # opposite parity; keep running weighted sums per parity.
-    vals = _eval_inside(spec, x)
-    out = np.zeros((x.size, m))
-    sum_even = np.zeros(x.size)   # sum of sqrt(4k+1) g_{2k}
-    sum_odd = np.zeros(x.size)    # sum of sqrt(4k+3) g_{2k+1}
-    for n in range(1, m):
-        if n % 2 == 1:
-            q = (n - 1) // 2
-            sum_even += np.sqrt(4 * q + 1) * vals[:, 2 * q]
-            out[:, n] = np.sqrt(4 * q + 3) * sum_even
-        else:
-            q = (n - 2) // 2
-            sum_odd += np.sqrt(4 * q + 3) * vals[:, 2 * q + 1]
-            out[:, n] = np.sqrt(4 * q + 5) * sum_odd
-    return out
+    return eval_basis(spec.extended(), pts) @ delta_matrix(spec).T
 
 
 # ---------------------------------------------------------------------------
 # Derivative link matrix
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DerivativeLinkMatrix:
-    """Matrix whose row j expands phi_j' in (phi_1, ..., phi_{m+p})."""
-
-    entries: np.ndarray
-    family: Family
-    m: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
-
-def delta_matrix(spec: BasisSpec) -> DerivativeLinkMatrix:
-    """Exact expansion of the first m derivatives in the first m+p elements."""
+def delta_matrix(spec: BasisSpec) -> np.ndarray:
+    """Exact expansion of the first m derivatives in the first m+p elements:
+    row j holds the coefficients of phi_j'."""
     m, p = spec.m, spec.p
     fam = spec.family
     delta = np.zeros((m, m + p))
@@ -346,7 +267,7 @@ def delta_matrix(spec: BasisSpec) -> DerivativeLinkMatrix:
                 q = (n - 2) // 2
                 for k in range(q + 1):
                     delta[n, 2 * k + 1] = np.sqrt(4 * q + 5) * np.sqrt(4 * k + 3)
-    return DerivativeLinkMatrix(delta, fam, m)
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +286,11 @@ def _hermite_sup_factor(m: int) -> float:
                for part in np.array_split(grid, 10))
 
 
-def l_factor(spec: BasisSpec, analytic: bool = False) -> float:
+def l_factor(spec: BasisSpec) -> float:
     """sup_x of sum_{j<=m} phi_j(x)^2.
 
     Exact closed forms where they exist; the Hermite value is a cached
-    numeric supremum (pass analytic=True for the m/sqrt(pi) upper bound).
+    numeric supremum, below the analytic bound m/sqrt(pi).
     """
     m = spec.m
     fam = spec.family
@@ -383,19 +304,4 @@ def l_factor(spec: BasisSpec, analytic: bool = False) -> float:
         return 2.0 * m
     if fam is Family.LEGENDRE:
         return m * m / 2.0
-    if analytic:
-        return m / math.sqrt(math.pi)
     return _hermite_sup_factor(m)
-
-
-def l_prime_factor(spec: BasisSpec, probe_grid) -> float:
-    """Grid supremum of sum_{j<=m} phi_j'(x)^2 (diagnostic lower bound)."""
-    grid = np.asarray(probe_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("probe grid must be nonempty")
-    lo, hi = spec.support
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    if grid.size == 0:
-        raise ValueError("probe grid lies outside the basis support")
-    dv = eval_basis_derivative(spec, grid)
-    return float((dv ** 2).sum(axis=1).max())

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import dataio, simulation
 from .basis import BasisSpec, Family, parse_family
-from .design import Sample, build_design, stability_check, trim_interval
-from .errors import (DataFormatError, EmptyCollectionError, QuadratureError,
-                     SingularGramError)
+from .design import (Sample, build_design, default_d_constant, stability_check,
+                     trim_interval)
+from .errors import DataFormatError, EmptyCollectionError, SingularGramError
 from .estimators import fit_derivative_1, fit_derivative_2, truncate_fit
 from .selection import GlConfig, default_m_grid, gl_select, oracle_select, reuse_select
 
@@ -92,7 +92,8 @@ def _cmd_fit(args) -> int:
     fit = (fit_derivative_1 if args.strategy == 1 else fit_derivative_2)(sample, spec)
     if args.truncate:
         ext_design = build_design(sample, spec.extended())
-        fit = truncate_fit(fit, stability_check(ext_design, sample.n))
+        fit = truncate_fit(fit, stability_check(ext_design, sample.n,
+                                                default_d_constant(sample.x)))
     dataio.emit_curve(fit, grid, args.out)
     status = " (truncated to zero)" if fit.truncated_to_zero else ""
     print(f"strategy-{args.strategy} derivative fit at m={args.m}{status} -> {args.out}")
@@ -143,7 +144,8 @@ def _cmd_bench(args) -> int:
     report = simulation.run_experiment(config)
     dataio.save_report(report, out)
     for cell, count in sorted(report.excluded.items()):
-        print(f"note: {count} repetitions excluded (singular fits) in {cell}",
+        print(f"note: {count} repetitions excluded (singular Gram or empty "
+              f"collection) in {cell}",
               file=sys.stderr)
     print(f"wrote {len(report.rows)} report rows to {out}")
     return 0
@@ -239,7 +241,7 @@ def main(argv=None) -> int:
     except (DataFormatError, OSError) as exc:
         print(f"derivfit: data error: {exc}", file=sys.stderr)
         return DATA_EXIT
-    except (SingularGramError, EmptyCollectionError, QuadratureError) as exc:
+    except (SingularGramError, EmptyCollectionError) as exc:
         print(f"derivfit: numerical failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
     except ValueError as exc:

@@ -1,4 +1,4 @@
-"""Empirical design matrices, matrix norms, and stability checks.
+"""Empirical design matrices and stability checks.
 
 For a sample (X_1..X_n) and a basis spec of dimension m this module builds
 the n-by-m value and derivative matrices, the m-by-m empirical Gram
@@ -119,13 +119,6 @@ class DesignSet:
                 f"(family {self.spec.family.value})")
         return scipy.linalg.cho_solve((self.factor, True), rhs, check_finite=False)
 
-    def whitener(self) -> np.ndarray:
-        """Symmetric inverse square root of the Gram."""
-        if self.is_singular:
-            raise SingularGramError(f"Gram matrix is numerically singular at m={self.m}")
-        lam, u = scipy.linalg.eigh(self.psi_hat)
-        return (u * lam ** -0.5) @ u.T
-
 
 def _panels(phi: np.ndarray) -> list[np.ndarray]:
     """The columns of phi as n-by-PANEL_WIDTH panels with unit column
@@ -206,7 +199,7 @@ def basis_matrices(spec: BasisSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     the derivative rows are zero there too.
     """
     ext = eval_basis(spec.extended(), x)
-    return ext[:, :spec.m], ext @ delta_matrix(spec).entries.T
+    return ext[:, :spec.m], ext @ delta_matrix(spec).T
 
 
 def build_design(sample: Sample, spec: BasisSpec) -> DesignSet:
@@ -214,51 +207,16 @@ def build_design(sample: Sample, spec: BasisSpec) -> DesignSet:
     return design_from_matrices(*basis_matrices(spec, sample.x), spec)
 
 
-def trim_interval(sample: Sample, lower_q: float = 0.03,
-                  upper_q: float = 0.97) -> tuple[float, float]:
-    """Empirical quantile range of the design points.
+def trim_interval(sample: Sample) -> tuple[float, float]:
+    """The 3%-97% empirical quantile range of the design points.
 
     Quantiles use linear interpolation of the order statistics (numpy's
     default rule: position (n-1)q, one-based (n-1)q + 1).
     """
     if sample.n < 2:
         raise ValueError("need at least two observations to trim")
-    lo, hi = np.quantile(sample.x, [lower_q, upper_q])
+    lo, hi = np.quantile(sample.x, [0.03, 0.97])
     return float(lo), float(hi)
-
-
-# ---------------------------------------------------------------------------
-# Norms and empirical products
-# ---------------------------------------------------------------------------
-
-def operator_norm(matrix) -> float:
-    """Largest singular value, via the symmetric eigensolver on M*M."""
-    m = np.asarray(matrix, dtype=float)
-    if m.size == 0:
-        return 0.0
-    gram = m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T
-    lam = scipy.linalg.eigvalsh(gram)
-    return math.sqrt(max(lam[-1], 0.0))
-
-
-def frobenius_norm(matrix) -> float:
-    m = np.asarray(matrix, dtype=float)
-    return float(np.sqrt((m * m).sum()))
-
-
-def empirical_norm(values) -> float:
-    """Root mean square over the design points: sqrt((1/n) sum v_i^2)."""
-    v = np.asarray(values, dtype=float)
-    return float(np.sqrt((v * v).mean()))
-
-
-def empirical_inner(u, v) -> float:
-    """(1/n) sum u_i v_i."""
-    a = np.asarray(u, dtype=float)
-    b = np.asarray(v, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("length mismatch in empirical inner product")
-    return float((a * b).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +237,7 @@ class StabilityVerdict:
     l_factor: float
 
 
-def default_d_constant(x, n: int | None = None) -> float:
+def default_d_constant(x) -> float:
     """Default collection constant d = n^3 / (max(f_sup_hat, 1) + 1/3).
 
     The theoretical d (1/[192(||f||_inf or 1 + 1/3)]) empties the
@@ -290,24 +248,19 @@ def default_d_constant(x, n: int | None = None) -> float:
     f_sup_hat is a histogram estimate of the density sup.
     """
     x = np.asarray(x, dtype=float)
-    if n is None:
-        n = x.size
     bins = max(10, int(math.sqrt(x.size)))
     counts, _ = np.histogram(x, bins=bins, density=True)
     f_sup = float(counts.max()) if counts.size else 1.0
-    return n ** 3 / (max(f_sup, 1.0) + 1.0 / 3.0)
+    return x.size ** 3 / (max(f_sup, 1.0) + 1.0 / 3.0)
 
 
-def stability_check(design: DesignSet, n: int,
-                    d_constant: float | None = None) -> StabilityVerdict:
+def stability_check(design: DesignSet, n: int, d_constant: float) -> StabilityVerdict:
     """Evaluate both gates on the given design (build it at dimension m+p).
 
     A singular Gram yields both flags False rather than an error.
     """
     lfac = l_factor(design.spec)
     budget = n / math.log(n) if n > 1 else math.inf
-    if d_constant is None:
-        d_constant = n ** 3 / (1.0 + 1.0 / 3.0)  # density sup clipped to 1
     op_inv = design.psi_inv_op_norm
     if not math.isfinite(op_inv):
         return StabilityVerdict(False, False, op_inv, lfac)

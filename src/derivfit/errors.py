@@ -13,10 +13,6 @@ class EmptyCollectionError(DerivfitError):
     """No dimension in the candidate grid passes the collection membership test."""
 
 
-class QuadratureError(DerivfitError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class DataFormatError(DerivfitError):
     """Malformed input data (CSV or config file).
 

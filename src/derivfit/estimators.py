@@ -1,4 +1,4 @@
-"""Least-squares regression fit and the two derivative estimators.
+"""The two derivative estimators, both built on the least-squares fit.
 
 Strategy 1 differentiates the regression fit: the coefficient vector of
 the m-dimensional least-squares fit is evaluated against the basis
@@ -26,17 +26,6 @@ class Strategy(enum.Enum):
 
 
 @dataclass(frozen=True)
-class RegressionFit:
-    """Least-squares coefficients on the first m basis elements."""
-
-    theta: np.ndarray
-    spec: BasisSpec
-
-    def __call__(self, grid) -> np.ndarray:
-        return eval_basis(self.spec, np.asarray(grid, dtype=float)) @ self.theta
-
-
-@dataclass(frozen=True)
 class DerivativeFit:
     """A derivative estimate: coefficients plus the evaluation strategy."""
 
@@ -53,14 +42,6 @@ class DerivativeFit:
 def _solve_theta(design: DesignSet, y: np.ndarray) -> np.ndarray:
     """theta = Gram^-1 (1/n) Phi^T y (raises SingularGramError)."""
     return design.solve_psi(moments(design.phi, y))
-
-
-def fit_regression(sample: Sample, spec: BasisSpec,
-                   design: DesignSet | None = None) -> RegressionFit:
-    """Least-squares fit of the responses on the m-dimensional span."""
-    if design is None:
-        design = build_design(sample, spec)
-    return RegressionFit(theta=_solve_theta(design, sample.y), spec=spec)
 
 
 def fit_derivative_1(sample: Sample, spec: BasisSpec,
@@ -86,8 +67,7 @@ def fit_derivative_2(sample: Sample, spec: BasisSpec,
     elif design_ext.spec.m != ext.m:
         raise ValueError(f"extended design has m={design_ext.spec.m}, expected {ext.m}")
     theta_ext = _solve_theta(design_ext, sample.y)
-    delta = delta_matrix(spec).entries
-    return DerivativeFit(theta=-(delta @ theta_ext),
+    return DerivativeFit(theta=-(delta_matrix(spec) @ theta_ext),
                          strategy=Strategy.PROJECTION_OF_DERIV, spec=spec)
 
 
@@ -112,11 +92,3 @@ def evaluate_fit(fit: DerivativeFit, grid) -> np.ndarray:
     if inside.any():
         out[inside] = eval_basis_derivative(fit.spec, pts[inside]) @ fit.theta
     return out
-
-
-def fitted_derivative_at_sample(fit: DerivativeFit, design: DesignSet) -> np.ndarray:
-    """Values at the design points, from the design's value or derivative columns."""
-    if fit.truncated_to_zero:
-        return np.zeros(design.n)
-    mat = design.phi if fit.strategy is Strategy.PROJECTION_OF_DERIV else design.phi_prime
-    return mat[:, :fit.m] @ fit.theta

@@ -55,9 +55,9 @@ CRITERION_TIE_TOL = 1e-12
 class GlConfig:
     """Tuning constants for the data-driven selector.
 
-    sigma2 may be a positive float or the string "estimate"; d_constant
-    None means the sample-dependent default.  m_grid None means the
-    family's admissible dimensions up to min(40, n // 10).
+    sigma2 may be a positive finite float or the string "estimate";
+    d_constant None means the sample-dependent default.  m_grid None
+    means the family's admissible dimensions up to min(40, n // 10).
     """
 
     kappa0: float = 1.0
@@ -72,8 +72,8 @@ class GlConfig:
         if isinstance(self.sigma2, str):
             if self.sigma2 != "estimate":
                 raise ValueError(f"sigma2 must be a float or 'estimate', got {self.sigma2!r}")
-        elif self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        elif not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ValueError(f"sigma2 must be positive and finite, got sigma2 = {self.sigma2}")
         if self.d_constant is not None and not (math.isfinite(self.d_constant)
                                                 and self.d_constant > 0):
             raise ValueError(f"the collection constant d must be finite and "
@@ -196,18 +196,16 @@ def default_m_grid(family: Family, n: int, m_max: int | None = None) -> tuple[in
     return tuple(admissible_dims(family, m_max))
 
 
-def penalty_v_hat(design: DesignSet | np.ndarray, sigma2: float, n: int,
-                  psi_prime: np.ndarray | None = None) -> float:
+def penalty_v_hat(design: DesignSet | np.ndarray, sigma2: float, n: int) -> float:
     """Variance proxy: (sigma^2 m / n) times the top eigenvalue of the
     derivative Gram in the Gram's metric, L^-1 Psi' L^-T with L L^T the
     Gram (the spectrum of Gram^-1 Psi').  design is a DesignSet, whose
-    psi_prime, when None, is built from its derivative columns, or that
-    m-by-m matrix itself (see _whitened_derivative_gram)."""
+    Psi' is built from its derivative columns, or that m-by-m matrix
+    itself (see _whitened_derivative_gram)."""
     if isinstance(design, DesignSet):
         if design.is_singular:
             raise SingularGramError(f"Gram matrix singular at m={design.m}")
-        if psi_prime is None:
-            psi_prime = design.phi_prime.T @ design.phi_prime / design.n
+        psi_prime = design.phi_prime.T @ design.phi_prime / design.n
         design = _whitened_derivative_gram(design.factor, psi_prime)
     lam = np.linalg.eigvalsh(design)
     return sigma2 * len(design) / n * max(lam[-1], 0.0)
@@ -249,7 +247,7 @@ def _gate(cache: DesignCache, m_grid, d_constant: float | None) -> list[int]:
     empty collection raises EmptyCollectionError."""
     n = cache.sample.n
     if d_constant is None:
-        d_constant = default_d_constant(cache.sample.x, n)
+        d_constant = default_d_constant(cache.sample.x)
     members = collection_members(cache, m_grid, n, d_constant)
     if not members:
         raise EmptyCollectionError(
@@ -323,6 +321,7 @@ def estimate_sigma2(sample: Sample, family: Family,
                     interval: tuple[float, float] | None = None) -> float:
     """Residual mean square at the largest collection member, corrected
     for the fitted degrees of freedom."""
+    GlConfig(d_constant=d_constant)  # rejects a bad d before the sweep
     if m_grid is None:
         m_grid = default_m_grid(family, sample.n)
     cache = DesignCache(sample, family, max(m_grid), interval)
@@ -419,7 +418,8 @@ def reuse_select(sample: Sample, family: Family, m_grid=None,
     """Select the dimension for the regression fit by penalized contrast
     (residual empirical norm plus 2 sigma^2 m / n) and reuse it for the
     derivative.  Returns (chosen m, strategy-1 derivative fit)."""
-    GlConfig(d_constant=d_constant)  # rejects a bad d before the sweep
+    # rejects a bad sigma2 or d before the sweep
+    GlConfig(sigma2="estimate" if sigma2 is None else sigma2, d_constant=d_constant)
     if m_grid is None:
         m_grid = default_m_grid(family, sample.n)
     cache = DesignCache(sample, family, max(m_grid), interval)

@@ -57,6 +57,8 @@ def rng_for(seed: int, cell_index: int, repetition: int) -> np.random.Generator:
 def generate_sample(fn: TestFunction, n: int, sigma: float,
                     rng: np.random.Generator) -> Sample:
     """X standard normal, independent Gaussian noise with sd sigma."""
+    if sigma < 0:
+        raise ValueError(f"sigma must be nonnegative, got sigma = {sigma}")
     x = rng.standard_normal(n)
     eps = sigma * rng.standard_normal(n) if sigma > 0 else np.zeros(n)
     return Sample(x=x, y=fn.b(x) + eps)
@@ -167,8 +169,9 @@ def _run_repetition(config: ExperimentConfig, fn: TestFunction, family: Family,
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every cell of the config and aggregate.
 
-    Repetitions where no dimension admits a numerically invertible Gram
-    are excluded from the aggregates and counted per cell.
+    Repetitions where no dimension admits a numerically invertible Gram,
+    or whose collection is empty, are excluded from the aggregates and
+    counted per cell.
     """
     rows: list[ReportRow] = []
     excluded: dict[tuple[str, str, int], int] = {}

@@ -1,10 +1,17 @@
-"""Quadrature-backed theoretical quantities used as independent test oracles.
+"""Independent reference computations that the tests compare the package against.
 
-Everything here is computed from integrals, never from the empirical
-machinery it is meant to check: projection coefficients of a function on
-a basis, the population Gram under a design density, the density-weighted
-link matrices, the projection/derivative commutation gap with its
-per-family closed forms, and the population penalty.
+Nothing here runs in the package's pipeline.  The derivative recursion
+evaluates each family's derivatives from its own formulas, never through
+the link matrix; the quadrature oracles compute projection coefficients,
+population Grams, density-weighted link matrices, the
+projection/derivative commutation gap with its per-family closed forms
+and the population penalty from integrals, never from the empirical
+machinery.  The remaining helpers (matrix and empirical norms, the
+regression fit, the Gram's symmetric inverse square root, fitted
+derivatives at the design points, the derivative sup factor) are direct
+n-space or dense forms of quantities the package computes another way.
+
+Tests import them as ``from oracles import ...``.
 """
 
 from __future__ import annotations
@@ -16,9 +23,173 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import quad
 
-from .basis import (BasisSpec, Family, delta_matrix, eval_basis,
-                    eval_basis_derivative)
-from .errors import QuadratureError
+from derivfit.basis import BasisSpec, Family, delta_matrix, eval_basis
+from derivfit.design import DesignSet, Sample, build_design, moments
+from derivfit.errors import DerivfitError, SingularGramError
+from derivfit.estimators import DerivativeFit, Strategy
+
+
+class QuadratureError(DerivfitError):
+    """Adaptive quadrature failed to reach the requested tolerance."""
+
+
+# ---------------------------------------------------------------------------
+# Derivative recursion
+# ---------------------------------------------------------------------------
+
+def derivative_recursion(spec: BasisSpec, x) -> np.ndarray:
+    """Values (phi_1'(x), ..., phi_m'(x)) from each family's own
+    derivative formulas: the closed forms for the trigonometric families,
+    and three-term or running-sum relations on the basis values for the
+    polynomial ones.  x must lie in the closed support; a scalar gives
+    shape (m,), a 1-D array (n, m)."""
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    m = spec.m
+    fam = spec.family
+    if fam is Family.TRIG_ODD:
+        out = np.zeros((x.size, m))
+        for col in range(1, m):
+            j = (col + 1) // 2
+            om = 2.0 * np.pi * j
+            phase = om * x
+            if col % 2 == 1:   # derivative of sqrt2 cos
+                out[:, col] = -np.sqrt(2.0) * om * np.sin(phase)
+            else:              # derivative of sqrt2 sin
+                out[:, col] = np.sqrt(2.0) * om * np.cos(phase)
+    elif fam is Family.HALF_TRIG:
+        a, b = spec.interval  # type: ignore[misc]
+        w = b - a
+        u = (x - a) / w
+        amp = np.sqrt(2.0 / w)
+        out = np.zeros((x.size, m))
+        for col in range(1, m):
+            j = (col + 1) // 2
+            om = np.pi * j / w
+            phase = np.pi * j * u
+            if col % 2 == 1:   # derivative of sin column
+                out[:, col] = amp * om * np.cos(phase)
+            else:              # derivative of cos column
+                out[:, col] = -amp * om * np.sin(phase)
+    elif fam is Family.LAGUERRE:
+        vals = eval_basis(spec, x)
+        out = np.empty(vals.shape)
+        running = np.zeros(x.size)
+        for j in range(m):
+            out[:, j] = -vals[:, j] - 2.0 * running
+            running += vals[:, j]
+    elif fam is Family.HERMITE:
+        vals = eval_basis(spec.with_m(m + 1), x)
+        out = np.empty((x.size, m))
+        for j in range(m):
+            lower = np.sqrt(j) * vals[:, j - 1] if j >= 1 else 0.0
+            out[:, j] = (lower - np.sqrt(j + 1) * vals[:, j + 1]) / np.sqrt(2.0)
+    else:
+        # LEGENDRE: derivative of element n expands over lower elements of
+        # the opposite parity; keep running weighted sums per parity.
+        vals = eval_basis(spec, x)
+        out = np.zeros((x.size, m))
+        sum_even = np.zeros(x.size)   # sum of sqrt(4k+1) g_{2k}
+        sum_odd = np.zeros(x.size)    # sum of sqrt(4k+3) g_{2k+1}
+        for n in range(1, m):
+            if n % 2 == 1:
+                q = (n - 1) // 2
+                sum_even += np.sqrt(4 * q + 1) * vals[:, 2 * q]
+                out[:, n] = np.sqrt(4 * q + 3) * sum_even
+            else:
+                q = (n - 2) // 2
+                sum_odd += np.sqrt(4 * q + 3) * vals[:, 2 * q + 1]
+                out[:, n] = np.sqrt(4 * q + 5) * sum_odd
+    return out[0] if scalar else out
+
+
+def l_prime_factor(spec: BasisSpec, probe_grid) -> float:
+    """Grid supremum of sum_{j<=m} phi_j'(x)^2 (diagnostic lower bound)."""
+    grid = np.asarray(probe_grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("probe grid must be nonempty")
+    lo, hi = spec.support
+    grid = grid[(grid >= lo) & (grid <= hi)]
+    if grid.size == 0:
+        raise ValueError("probe grid lies outside the basis support")
+    dv = derivative_recursion(spec, grid)
+    return float((dv ** 2).sum(axis=1).max())
+
+
+# ---------------------------------------------------------------------------
+# Norms, the regression fit and fitted values at the sample
+# ---------------------------------------------------------------------------
+
+def operator_norm(matrix) -> float:
+    """Largest singular value, via the symmetric eigensolver on M*M."""
+    m = np.asarray(matrix, dtype=float)
+    if m.size == 0:
+        return 0.0
+    gram = m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T
+    lam = scipy.linalg.eigvalsh(gram)
+    return math.sqrt(max(lam[-1], 0.0))
+
+
+def frobenius_norm(matrix) -> float:
+    m = np.asarray(matrix, dtype=float)
+    return float(np.sqrt((m * m).sum()))
+
+
+def empirical_norm(values) -> float:
+    """Root mean square over the design points: sqrt((1/n) sum v_i^2)."""
+    v = np.asarray(values, dtype=float)
+    return float(np.sqrt((v * v).mean()))
+
+
+def empirical_inner(u, v) -> float:
+    """(1/n) sum u_i v_i."""
+    a = np.asarray(u, dtype=float)
+    b = np.asarray(v, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("length mismatch in empirical inner product")
+    return float((a * b).mean())
+
+
+def whitener(design: DesignSet) -> np.ndarray:
+    """Symmetric inverse square root of the design's Gram."""
+    if design.is_singular:
+        raise SingularGramError(f"Gram matrix is numerically singular at m={design.m}")
+    lam, u = scipy.linalg.eigh(design.psi_hat)
+    return (u * lam ** -0.5) @ u.T
+
+
+@dataclass(frozen=True)
+class RegressionFit:
+    """Least-squares coefficients on the first m basis elements."""
+
+    theta: np.ndarray
+    spec: BasisSpec
+
+    def __call__(self, grid) -> np.ndarray:
+        return eval_basis(self.spec, np.asarray(grid, dtype=float)) @ self.theta
+
+
+def fit_regression(sample: Sample, spec: BasisSpec,
+                   design: DesignSet | None = None) -> RegressionFit:
+    """Least-squares fit of the responses on the m-dimensional span."""
+    if design is None:
+        design = build_design(sample, spec)
+    return RegressionFit(theta=design.solve_psi(moments(design.phi, sample.y)),
+                         spec=spec)
+
+
+def fitted_derivative_at_sample(fit: DerivativeFit, design: DesignSet) -> np.ndarray:
+    """Values at the design points, from the design's value or derivative columns."""
+    if fit.truncated_to_zero:
+        return np.zeros(design.n)
+    mat = design.phi if fit.strategy is Strategy.PROJECTION_OF_DERIV else design.phi_prime
+    return mat[:, :fit.m] @ fit.theta
+
+
+# ---------------------------------------------------------------------------
+# Quadrature oracles
+# ---------------------------------------------------------------------------
 
 _QUAD_LIMIT = 400
 
@@ -107,7 +278,7 @@ def derivative_coefficients(b, spec: BasisSpec, j_max: int, b_prime=None,
         if b_prime is not None:
             out[j] = _quad(lambda x: b_prime(x) * eval_basis(probe, x)[j], lo, hi, tol)
         else:
-            out[j] = -_quad(lambda x: b(x) * eval_basis_derivative(probe, x)[j],
+            out[j] = -_quad(lambda x: b(x) * derivative_recursion(probe, x)[j],
                             lo, hi, tol)
     return out
 
@@ -155,7 +326,7 @@ def weighted_delta(spec: BasisSpec, gram: TheoreticalGram, which: int) -> np.nda
     m, p = spec.m, spec.p
     if gram.psi.shape[0] != m + p:
         raise ValueError(f"gram has dimension {gram.psi.shape[0]}, expected {m + p}")
-    delta_t = delta_matrix(spec).entries.T
+    delta_t = delta_matrix(spec).T
     psi_m = gram.leading_block(m)
     psi_ext = gram.psi
     if which == 1:
@@ -227,7 +398,7 @@ def projection_gap(b, spec: BasisSpec, b_prime=None,
 
     def diff_sq(x):
         vals = eval_basis(spec, x)
-        derivs = eval_basis_derivative(spec, x)
+        derivs = derivative_recursion(spec, x)
         return (float(c[:m] @ derivs) - float(d @ vals)) ** 2
 
     numeric = _quad(diff_sq, lo, hi, tol)

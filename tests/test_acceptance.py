@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from derivfit.basis import (BasisSpec, Family, delta_matrix, eval_basis,
-                            eval_basis_derivative)
+from derivfit.basis import BasisSpec, Family, eval_basis, eval_basis_derivative
 from derivfit.design import (Sample, build_design, default_d_constant,
                              trim_interval)
 from derivfit.dataio import save_report
@@ -24,7 +23,7 @@ from derivfit.selection import (DesignCache, GlConfig, _oracle_error_sweep,
 from derivfit.simulation import (ExperimentConfig, TEST_FUNCTIONS, best_kappa,
                                  calibrate_kappa, generate_sample, rng_for,
                                  run_experiment)
-from derivfit.theory import projection_gap
+from oracles import derivative_recursion, projection_gap, whitener
 
 SEED = 20250
 
@@ -87,11 +86,12 @@ def test_criterion_1_basis_correctness():
                     else BasisSpec(family, m + 1 if family is Family.TRIG_ODD and m % 2 == 0 else m))
             lo, hi = quad_domain(spec)
             pts = np.clip(rng.uniform(lo, hi, 1000), lo + 1e-6, hi - 1e-6)
-            sample = Sample(x=pts, y=np.zeros(pts.size))
-            design = build_design(sample, spec)
-            ext = build_design(sample, spec.extended())
-            linked = ext.phi @ delta_matrix(spec).entries.T
-            rel = np.abs(design.phi_prime - linked).max() / (1.0 + np.abs(linked).max())
+            design = build_design(Sample(x=pts, y=np.zeros(pts.size)), spec)
+            # the design's derivative columns come through the link matrix;
+            # the recursion evaluates the derivatives without it
+            recursion = derivative_recursion(spec, pts)
+            rel = (np.abs(design.phi_prime - recursion).max()
+                   / (1.0 + np.abs(recursion).max()))
             worst_link = max(worst_link, rel)
 
     elapsed = time.perf_counter() - start
@@ -164,11 +164,11 @@ def test_criterion_3_monotonicity():
         m_grid = default_m_grid(family, 600, 20)
         cache = DesignCache(sample, family, max(m_grid))
         members = collection_members(cache, m_grid, 600,
-                                     default_d_constant(sample.x, 600))
+                                     default_d_constant(sample.x))
         traces, penalties = [], []
         for m in members:
             design = cache.design(m)
-            w = design.whitener()
+            w = whitener(design)
             psi_prime = design.phi_prime.T @ design.phi_prime / design.n
             traces.append(float(np.trace(w @ psi_prime @ w)))
             penalties.append(penalty_v_hat(design, 1.0, 600))

@@ -7,7 +7,8 @@ import pytest
 
 from derivfit.basis import (BasisSpec, Family, admissible_dims, delta_matrix,
                             eval_basis, eval_basis_derivative, l_factor,
-                            l_prime_factor, parse_family)
+                            parse_family)
+from oracles import derivative_recursion, l_prime_factor
 
 ALL_FAMILIES = [Family.TRIG_ODD, Family.HALF_TRIG, Family.LAGUERRE,
                 Family.HERMITE, Family.LEGENDRE]
@@ -162,40 +163,40 @@ def test_link_matrix_exactness(family):
     for m in (1, 2, 3, 7, 18, 30):
         spec = make_spec(family, m)
         ext = spec.extended()
-        delta = delta_matrix(spec).entries
+        delta = delta_matrix(spec)
         rng = np.random.default_rng(m)
         pts = interior_points(spec, rng, 1000)
-        derivs = eval_basis_derivative(spec, pts)
+        derivs = derivative_recursion(spec, pts)
         linked = eval_basis(ext, pts) @ delta.T
         bound = 1e-9 * (1.0 + np.abs(linked).max())
         assert np.abs(derivs - linked).max() <= bound
 
 
 def test_delta_laguerre_m2():
-    delta = delta_matrix(BasisSpec(Family.LAGUERRE, 2)).entries
+    delta = delta_matrix(BasisSpec(Family.LAGUERRE, 2))
     np.testing.assert_allclose(delta, [[-1.0, 0.0], [-2.0, -1.0]], atol=1e-15)
 
 
 def test_delta_hermite_m2():
-    delta = delta_matrix(BasisSpec(Family.HERMITE, 2)).entries
+    delta = delta_matrix(BasisSpec(Family.HERMITE, 2))
     s = 1 / math.sqrt(2)
     np.testing.assert_allclose(delta, [[0.0, -s, 0.0], [s, 0.0, -1.0]], rtol=1e-14)
 
 
 def test_delta_trig_m3():
-    delta = delta_matrix(BasisSpec(Family.TRIG_ODD, 3)).entries
+    delta = delta_matrix(BasisSpec(Family.TRIG_ODD, 3))
     w = 2 * math.pi
     np.testing.assert_allclose(delta, [[0, 0, 0], [0, 0, -w], [0, w, 0]], atol=1e-14)
 
 
 def test_delta_legendre_m2():
-    delta = delta_matrix(BasisSpec(Family.LEGENDRE, 2)).entries
+    delta = delta_matrix(BasisSpec(Family.LEGENDRE, 2))
     np.testing.assert_allclose(delta, [[0.0, 0.0], [math.sqrt(3), 0.0]], rtol=1e-14)
 
 
 def test_delta_trig_antisymmetric_blocks():
     for m in (3, 5, 9):
-        delta = delta_matrix(BasisSpec(Family.TRIG_ODD, m)).entries
+        delta = delta_matrix(BasisSpec(Family.TRIG_ODD, m))
         assert np.all(delta[0] == 0.0)
         assert np.all(delta[:, 0] == 0.0)
         np.testing.assert_allclose(delta, -delta.T, atol=1e-14)
@@ -206,9 +207,9 @@ def test_delta_trig_antisymmetric_blocks():
 
 
 def test_delta_triangular_structure():
-    dl = delta_matrix(BasisSpec(Family.LAGUERRE, 6)).entries
+    dl = delta_matrix(BasisSpec(Family.LAGUERRE, 6))
     assert np.all(np.triu(dl, k=1) == 0.0)
-    dg = delta_matrix(BasisSpec(Family.LEGENDRE, 6)).entries
+    dg = delta_matrix(BasisSpec(Family.LEGENDRE, 6))
     assert np.all(np.triu(dg, k=0) == 0.0)  # zero diagonal too
 
 
@@ -267,7 +268,7 @@ def test_l_factor_hermite_numeric_below_analytic():
     for m in (1, 4, 9, 25):
         spec = BasisSpec(Family.HERMITE, m)
         numeric = l_factor(spec)
-        analytic = l_factor(spec, analytic=True)
+        analytic = m / math.sqrt(math.pi)
         assert 0 < numeric <= analytic + 1e-12
         # grows like sqrt(m): K stays in a narrow band
         assert 0.4 <= numeric / math.sqrt(m) <= 0.6

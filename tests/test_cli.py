@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import derivfit.selection
+from derivfit.basis import Family
 from derivfit.cli import main
 from derivfit.dataio import load_csv
 
@@ -233,3 +234,46 @@ def test_m_max_below_one_fails_before_any_work(capsys, monkeypatch, sample_csv, 
         assert run_cli(*argv, "--m-max", m_max) == 1
         captured = capsys.readouterr()
         assert f"m_max must be >= 1, got {m_max}" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("sigma2", ["-1", "0", "nan", "inf"])
+def test_bad_noise_level_fails_before_any_work(capsys, monkeypatch, sample_csv, sigma2):
+    _refuse_caches(monkeypatch)
+    capsys.readouterr()  # the fixture's output
+    for mode in ("gl", "reuse"):
+        assert run_cli("select", str(sample_csv), "--family", "hermite",
+                       "--mode", mode, "--sigma2", sigma2) == 1
+        captured = capsys.readouterr()
+        assert "sigma2 must be positive" in captured.err and captured.out == ""
+
+
+def test_bad_collection_constant_fails_before_the_noise_estimate(monkeypatch, sample_csv):
+    _refuse_caches(monkeypatch)
+    with pytest.raises(ValueError, match="collection constant d"):
+        derivfit.selection.estimate_sigma2(load_csv(sample_csv), Family.HERMITE,
+                                           d_constant=-1)
+
+
+def test_negative_sigma_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    _refuse_caches(monkeypatch)
+    out = tmp_path / "sample.csv"
+    assert run_cli("simulate", "--n", "50", "--sigma", "-1", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert "sigma must be nonnegative, got sigma = -1.0" in captured.err
+    assert captured.out == "" and not out.exists()
+    assert run_cli("calibrate", "--function", "b1", "--n", "250", "--kappas", "1",
+                   "--seeds", "2", "--sigma", "-0.5") == 1
+    captured = capsys.readouterr()
+    assert "sigma must be nonnegative, got sigma = -0.5" in captured.err
+    assert captured.out == ""
+
+
+def test_bench_names_both_exclusion_causes(tmp_path, capsys):
+    cfg, out = tmp_path / "bench.cfg", tmp_path / "report.csv"
+    # a tiny collection constant empties every repetition's collection
+    cfg.write_text("functions = b1\nfamilies = hermite\nn = 250\nmode = gl\n"
+                   "repetitions = 2\nd_constant = 1e-12\n")
+    assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 0
+    err = capsys.readouterr().err
+    assert ("note: 2 repetitions excluded (singular Gram or empty collection) "
+            "in ('b1', 'hermite', 250)") in err

@@ -7,8 +7,9 @@ import pytest
 
 from derivfit.basis import BasisSpec, Family, delta_matrix
 from derivfit.design import (STABILITY_C, Sample, build_design, default_d_constant,
-                             empirical_inner, empirical_norm, frobenius_norm,
-                             operator_norm, stability_check, trim_interval)
+                             stability_check, trim_interval)
+from oracles import (empirical_inner, empirical_norm, frobenius_norm, operator_norm,
+                     whitener)
 
 
 def test_sample_validation():
@@ -66,7 +67,7 @@ def test_phi_prime_consistency_with_link(family, xgen):
             else BasisSpec(family, m))
     design = build_design(sample, spec)
     design_ext = build_design(sample, spec.extended())
-    delta = delta_matrix(spec).entries
+    delta = delta_matrix(spec)
     linked = design_ext.phi @ delta.T
     scale = 1.0 + np.abs(linked).max()
     assert np.abs(design.phi_prime - linked).max() <= 1e-9 * scale
@@ -109,7 +110,7 @@ def test_stability_identity_gram_passes():
     n = 1000
     sample = Sample(x=rng.uniform(0, 1, n), y=np.zeros(n))
     design = build_design(sample, BasisSpec(Family.TRIG_ODD, 3))
-    verdict = stability_check(design, n)
+    verdict = stability_check(design, n, default_d_constant(sample.x))
     assert verdict.in_lambda and verdict.in_collection
     assert verdict.l_factor == 3.0
     # frozen constant value
@@ -120,7 +121,7 @@ def test_stability_singular_gram_fails_both():
     # two points cannot identify three coefficients
     sample = Sample(x=np.array([0.1, 0.2]), y=np.zeros(2))
     design = build_design(sample, BasisSpec(Family.TRIG_ODD, 3))
-    verdict = stability_check(design, 2)
+    verdict = stability_check(design, 2, default_d_constant(sample.x))
     assert not verdict.in_lambda and not verdict.in_collection
     assert math.isinf(verdict.op_norm_psi_inv)
 
@@ -130,7 +131,7 @@ def test_stability_membership_monotone_in_m(family):
     rng = np.random.default_rng(123)
     n = 250
     sample = Sample(x=rng.standard_normal(n), y=np.zeros(n))
-    d_const = default_d_constant(sample.x, n)
+    d_const = default_d_constant(sample.x)
     flags_lambda, flags_coll = [], []
     for m in range(1, 22):
         spec = (BasisSpec(family, m, (-2.0, 2.0)) if family is Family.HALF_TRIG
@@ -156,7 +157,7 @@ def test_variance_trace_monotone():
     for m in range(1, 11):
         design = build_design(sample, BasisSpec(Family.HERMITE, m))
         psi_prime = design.phi_prime.T @ design.phi_prime / n
-        w = design.whitener()
+        w = whitener(design)
         traces.append(np.trace(w @ psi_prime @ w))
     diffs = np.diff(traces)
     assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(traces[:-1])))

@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from derivfit.basis import BasisSpec, Family, eval_basis, eval_basis_derivative
-from derivfit.design import Sample, build_design, empirical_norm, stability_check
+from derivfit.basis import BasisSpec, Family, eval_basis
+from derivfit.design import Sample, build_design, default_d_constant, stability_check
 from derivfit.errors import SingularGramError
 from derivfit.estimators import (DerivativeFit, Strategy, evaluate_fit,
-                                 fit_derivative_1, fit_derivative_2,
-                                 fit_regression, fitted_derivative_at_sample,
-                                 truncate_fit)
-from derivfit.theory import projection_coefficients
+                                 fit_derivative_1, fit_derivative_2, truncate_fit)
+from oracles import (derivative_recursion, empirical_norm, fit_regression,
+                     fitted_derivative_at_sample, projection_coefficients)
 
 
 def uniform_sample(rng, n, y=None):
@@ -177,7 +176,7 @@ def test_strategies_agree_for_periodic_function():
 
 def _verdicts(sample, spec):
     design_ext = build_design(sample, spec.extended())
-    return stability_check(design_ext, sample.n)
+    return stability_check(design_ext, sample.n, default_d_constant(sample.x))
 
 
 def test_truncation_behavior():
@@ -209,7 +208,7 @@ def test_evaluate_fit_unit_vectors():
     np.testing.assert_allclose(evaluate_fit(s2, grid), eval_basis(spec, grid)[:, 0])
     s1 = DerivativeFit(theta=theta, strategy=Strategy.DERIV_OF_PROJECTION, spec=spec)
     np.testing.assert_allclose(evaluate_fit(s1, grid),
-                               eval_basis_derivative(spec, grid)[:, 0])
+                               derivative_recursion(spec, grid)[:, 0])
 
 
 def test_evaluate_fit_outside_support_is_zero():

@@ -109,7 +109,7 @@ def test_bisected_bounds_match_the_full_scan(family, n, m_hi, log_d, shuffle, se
     m_grid = admissible_dims(family, m_hi)
     if shuffle:  # an unsorted user grid: members keep its order
         m_grid = [int(m) for m in np.random.default_rng(seed).permutation(m_grid)]
-    d = default_d_constant(cache.sample.x, n) if log_d is None else 10.0 ** log_d
+    d = default_d_constant(cache.sample.x) if log_d is None else 10.0 ** log_d
     assert collection_members(cache, m_grid, n, d) == \
         _scan_members(cache, top_gram, m_grid, n, d)
 
@@ -137,7 +137,7 @@ def test_one_factorization_and_logarithmically_many_probes(family, monkeypatch):
     assert 1 <= counts["design"] <= bound
     searched = counts["design"]
     collection_members(cache, admissible_dims(family, 40), 4000,
-                       default_d_constant(cache.sample.x, 4000))
+                       default_d_constant(cache.sample.x))
     assert counts["design"] - searched <= bound
     assert counts["factor"] == 1
 

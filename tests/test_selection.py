@@ -205,7 +205,7 @@ def test_reuse_selected_m_in_collection():
     m, _ = reuse_select(sample, Family.HALF_TRIG, m_grid, sigma2=0.0625)
     cache = DesignCache(sample, Family.HALF_TRIG, max(m_grid))
     members = collection_members(cache, m_grid, 600,
-                                 default_d_constant(sample.x, 600))
+                                 default_d_constant(sample.x))
     assert m in members
 
 

@@ -7,10 +7,9 @@ import pytest
 
 from derivfit.basis import BasisSpec, Family, delta_matrix, eval_basis
 from derivfit.design import Sample, build_design
-from derivfit.theory import (DensitySpec, derivative_coefficients,
-                             projection_coefficients, projection_gap,
-                             theoretical_gram, theoretical_penalty,
-                             weighted_delta)
+from oracles import (DensitySpec, TheoreticalGram, derivative_coefficients,
+                     projection_coefficients, projection_gap, theoretical_gram,
+                     theoretical_penalty, weighted_delta)
 
 UNIFORM01 = DensitySpec(lambda x: np.ones_like(np.asarray(x, dtype=float)),
                         (0.0, 1.0), 1.0)
@@ -95,13 +94,12 @@ def test_weighted_delta_identity_gram():
     gram = _identity_gram(spec)
     d1 = weighted_delta(spec, gram, 1)
     d2 = weighted_delta(spec, gram, 2)
-    delta_t = delta_matrix(spec).entries.T
+    delta_t = delta_matrix(spec).T
     np.testing.assert_allclose(d1, delta_t, atol=1e-12)
     np.testing.assert_allclose(d2, delta_t, atol=1e-12)
 
 
 def _identity_gram(spec):
-    from derivfit.theory import TheoreticalGram
     ext = spec.extended()
     return TheoreticalGram(psi=np.eye(ext.m), spec=ext, density=UNIFORM01)
 
