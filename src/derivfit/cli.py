@@ -66,6 +66,8 @@ def _trim(sample: Sample, purpose: str) -> tuple[float, float]:
 
 def _grid_for(args, sample: Sample) -> np.ndarray:
     """The output grid; resolve it before any fit, so a bad one fails first."""
+    if args.grid_points < 1:
+        raise ValueError(f"--grid-points must be >= 1, got {args.grid_points}")
     lo, hi = args.grid_lo, args.grid_hi
     if lo is None or hi is None:
         tlo, thi = _trim(sample, "an output grid; pass --grid-lo and --grid-hi")

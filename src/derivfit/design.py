@@ -1,11 +1,12 @@
 """Empirical design matrices and stability checks.
 
 For a sample (X_1..X_n) and a basis spec of dimension m this module builds
-the n-by-m value and derivative matrices, the m-by-m empirical Gram
-(the matrix of empirical scalar products), and evaluates the two
-conditioning gates used downstream.  The basis is evaluated once per
-design, at m+p columns: the derivative columns are those values times
-the transposed link matrix, never a second recursion.  The Gram and the
+the n-by-m value matrix, the m-by-m empirical Gram (the matrix of
+empirical scalar products), and evaluates the two conditioning gates
+used downstream.  No derivative columns are formed: the derivatives of
+the first m elements are the link matrix Delta applied to the first m+p
+elements, so everything a derivative needs is in coefficient space
+(the derivative Gram is Delta Gram_{m+p} Delta^T).  The Gram and the
 moments Phi^T y / n are products of fixed-width column panels, so those
 of the first m columns are bitwise the leading blocks of those of all
 columns, and the Gram's Cholesky factor is built row by row, so the
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .basis import BasisSpec, delta_matrix, eval_basis, l_factor
+from .basis import BasisSpec, eval_basis, l_factor
 from .errors import SingularGramError
 
 # c = (3 log(3/2) - 1)/9, approx 0.0240439
@@ -73,7 +74,7 @@ class Sample:
 
 @dataclass(frozen=True)
 class DesignSet:
-    """Value matrix, derivative matrix and Gram for one (sample, spec) pair.
+    """Value matrix and Gram for one (sample, spec) pair.
 
     The Gram eigenvalues (values only) are computed at construction and
     decide singularity and the inverse's norm; solves go through the
@@ -81,7 +82,6 @@ class DesignSet:
     """
 
     phi: np.ndarray
-    phi_prime: np.ndarray
     psi_hat: np.ndarray
     spec: BasisSpec
     eigvals: np.ndarray = field(repr=False)
@@ -177,34 +177,19 @@ def prefix_cholesky(psi_hat: np.ndarray) -> np.ndarray:
     return factor
 
 
-def design_from_matrices(phi: np.ndarray, phi_prime: np.ndarray,
-                         spec: BasisSpec,
+def design_from_matrices(phi: np.ndarray, spec: BasisSpec,
                          psi_hat: np.ndarray | None = None) -> DesignSet:
-    """Assemble a DesignSet from precomputed value/derivative columns;
-    psi_hat, when given, stands for gram(phi), e.g. the leading block of
-    a wider Gram."""
+    """Assemble a DesignSet from precomputed value columns; psi_hat, when
+    given, stands for gram(phi), e.g. the leading block of a wider Gram."""
     if psi_hat is None:
         psi_hat = gram(phi)
     eigvals = scipy.linalg.eigh(psi_hat, eigvals_only=True)
-    return DesignSet(phi=phi, phi_prime=phi_prime, psi_hat=psi_hat, spec=spec,
-                     eigvals=eigvals)
-
-
-def basis_matrices(spec: BasisSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Basis values Phi and derivatives Phi' at the points x.
-
-    The values are evaluated once, at the m+p columns of the extended
-    spec; Phi is the first m of them and Phi' = Phi_{m+p} Delta^T through
-    the exact link matrix.  Value rows are zero outside the support, so
-    the derivative rows are zero there too.
-    """
-    ext = eval_basis(spec.extended(), x)
-    return ext[:, :spec.m], ext @ delta_matrix(spec).T
+    return DesignSet(phi=phi, psi_hat=psi_hat, spec=spec, eigvals=eigvals)
 
 
 def build_design(sample: Sample, spec: BasisSpec) -> DesignSet:
-    """Evaluate the basis and its derivatives at the sample points."""
-    return design_from_matrices(*basis_matrices(spec, sample.x), spec)
+    """Evaluate the basis at the sample points."""
+    return design_from_matrices(eval_basis(spec, sample.x), spec)
 
 
 def trim_interval(sample: Sample) -> tuple[float, float]:

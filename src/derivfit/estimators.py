@@ -2,11 +2,13 @@
 
 Strategy 1 differentiates the regression fit: the coefficient vector of
 the m-dimensional least-squares fit is evaluated against the basis
-derivatives.  Strategy 2 estimates the projection of the derivative
-directly: integration by parts turns the derivative's projection
-coefficients into minus the link matrix applied to the (m+p)-dimensional
-regression coefficients, and the result is evaluated against the basis
-functions themselves.
+derivatives, which are the first m+p basis functions times the
+transposed link matrix, so the curve is Phi_{m+p} (Delta^T theta).
+Strategy 2 estimates the projection of the derivative directly:
+integration by parts turns the derivative's projection coefficients into
+minus the link matrix applied to the (m+p)-dimensional regression
+coefficients, and the result is evaluated against the basis functions
+themselves.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import BasisSpec, delta_matrix, eval_basis, eval_basis_derivative
+from .basis import BasisSpec, delta_matrix, eval_basis
 from .design import DesignSet, Sample, StabilityVerdict, build_design, moments
 
 
@@ -80,15 +82,13 @@ def truncate_fit(fit: DerivativeFit, verdict: StabilityVerdict) -> DerivativeFit
 
 
 def evaluate_fit(fit: DerivativeFit, grid) -> np.ndarray:
-    """Pointwise values on the grid; zero outside the support or when truncated."""
+    """Pointwise values on the grid; zero outside the support or when
+    truncated.  Strategy 2 is Phi_m theta; strategy 1 is
+    Phi_{m+p} (Delta^T theta), the basis values' zero rows outside the
+    support included."""
     pts = np.atleast_1d(np.asarray(grid, dtype=float))
     if fit.truncated_to_zero:
         return np.zeros(pts.shape)
     if fit.strategy is Strategy.PROJECTION_OF_DERIV:
         return eval_basis(fit.spec, pts) @ fit.theta
-    lo, hi = fit.spec.support
-    inside = (pts >= lo) & (pts <= hi)
-    out = np.zeros(pts.shape)
-    if inside.any():
-        out[inside] = eval_basis_derivative(fit.spec, pts[inside]) @ fit.theta
-    return out
+    return eval_basis(fit.spec.extended(), pts) @ (delta_matrix(fit.spec).T @ fit.theta)

@@ -4,19 +4,21 @@ The data-driven selector compares every pair of candidate fits through
 their empirical-norm distance at the sample points, penalized by a
 variance proxy, and restricts candidates to the collection whose Gram
 conditioning passes the squared-norm gate.  Both live in coefficient
-space: a fit's derivative at the sample points is Phi' theta, so the
-distance of two fits is the quadratic form of their (zero-padded)
-coefficient difference in the derivative Gram Psi' = Phi'^T Phi' / n,
-and each member's penalty reads the leading block of that one matrix.
+space and no derivative columns are formed: the derivatives of the
+first m elements are the link matrix Delta applied to the first m+p, so
+the derivative Gram is Psi' = Delta Gram_{m+p} Delta^T, the distance of
+two fits at the sample points is the quadratic form of their
+(zero-padded) coefficient difference in Psi', and each member's penalty
+reads the leading block of that one matrix.
 The oracle selector uses the known target (simulation only); the reuse
 selector picks the dimension by a penalized least-squares contrast on
 the regression fit and reuses it for the derivative.
 
-Each sample gets one sweep: a DesignCache evaluates the basis once (the
-derivative columns come from the link matrix), builds one panel Gram,
-one Phi^T y and one prefix Cholesky factor of the Gram at the top
-dimension, whose leading blocks are every dimension's Gram, moments and
-factor, builds Psi' once when gl needs it, and memoizes every
+Each sample gets one sweep: a DesignCache evaluates the basis once,
+builds one panel Gram, one Phi^T y and one prefix Cholesky factor of the
+Gram at the top dimension, whose leading blocks are every dimension's
+Gram, moments and factor, builds Psi' from the Gram once when gl needs
+it, and memoizes every
 coefficient vector.  No dimension's Gram is eigendecomposed for a solve
 or a penalty: the first singular dimension and the edge of the
 collection are monotone in m (Cauchy interlacing), so both are found by
@@ -24,10 +26,11 @@ bisection, with one values-only eigendecomposition per probed dimension.
 The collection gate, the noise estimate and the gl and reuse choices are
 private cores that read that cache; the public selectors build one cache
 and call them, and the simulation harness calls them on the cache of
-each draw.  Grid scoring evaluates all dimensions' curves in one product
-per target.  Every selector, the oracle included, scans its candidates
-in order and keeps the earlier one unless a later one is better by more
-than CRITERION_TIE_TOL.
+each draw.  Grid scoring evaluates the basis once on the grid and all
+dimensions' curves in one product per target, the derivative curves as
+Phi_{m+p} (Delta^T theta).  Every selector, the oracle included, scans
+its candidates in order and keeps the earlier one unless a later one is
+better by more than CRITERION_TIE_TOL.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import trapezoid
 
-from .basis import BasisSpec, Family, admissible_dims
-from .design import (DesignSet, Sample, basis_matrices, default_d_constant,
-                     design_from_matrices, gram, moments, prefix_cholesky,
-                     stability_check, trim_interval)
+from .basis import BasisSpec, Family, admissible_dims, delta_matrix, eval_basis
+from .design import (DesignSet, Sample, default_d_constant, design_from_matrices,
+                     gram, moments, prefix_cholesky, stability_check,
+                     trim_interval)
 from .errors import EmptyCollectionError, SingularGramError
 from .estimators import DerivativeFit, Strategy
 
@@ -67,8 +70,9 @@ class GlConfig:
     m_grid: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kappa0 <= 0 or self.kappa1 < self.kappa0:
-            raise ValueError("require 0 < kappa0 <= kappa1")
+        if not (math.isfinite(self.kappa1) and 0 < self.kappa0 <= self.kappa1):
+            raise ValueError(f"require finite 0 < kappa0 <= kappa1, got kappa0 = "
+                             f"{self.kappa0}, kappa1 = {self.kappa1}")
         if isinstance(self.sigma2, str):
             if self.sigma2 != "estimate":
                 raise ValueError(f"sigma2 must be a float or 'estimate', got {self.sigma2!r}")
@@ -102,21 +106,22 @@ class SelectionTrace:
 class DesignCache:
     """The one sweep over nested dimensions that a sample gets.
 
-    The basis and its derivatives are evaluated once at the top (extended)
-    dimension; every design in the sweep is a column slice of that
-    evaluation.  The Gram, Phi^T y / n and the Gram's prefix Cholesky
-    factor are built once there: dimension m's Gram is the leading m-by-m
-    block (a view), its right-hand side the first m moments and its
-    factor the leading m-by-m block of the factor, bitwise what a direct
-    build at m computes, so theta(m) is two triangular solves.  The
+    The basis is evaluated once, at the top dimension's m+p columns;
+    every design in the sweep is a column slice of that evaluation.  The
+    Gram, Phi^T y / n and the Gram's prefix Cholesky factor are built
+    once there: dimension m's Gram is the leading m-by-m block (a view),
+    its right-hand side the first m moments and its factor the leading
+    m-by-m block of the factor, bitwise what a direct build at m
+    computes, so theta(m) is two triangular solves.  The
     singular dimensions form a suffix of 1..K (the Gram's smallest
     eigenvalue does not grow with m, its largest does not shrink), so
     m_singular, the first of them, is found by bisection; designs (one
     values-only eigendecomposition each) are built only for such probes
     and for the collection gate.  The coefficients are memoized, so the
     gate, the noise estimate, every selector and the error scoring share
-    one cache.  The derivative Gram psi_prime is built on first use; its
-    leading m-by-m block is the derivative Gram of dimension m.
+    one cache.  The derivative Gram psi_prime = Delta Gram Delta^T of the
+    top dimension is built on first use from the Gram alone; its leading
+    m-by-m block is the derivative Gram of dimension m.
     """
 
     def __init__(self, sample: Sample, family: Family, m_hi: int,
@@ -126,8 +131,8 @@ class DesignCache:
         self.sample = sample
         self.family = family
         self.interval = interval
-        self._phi, self._phi_prime = basis_matrices(self.spec_for(m_hi).extended(),
-                                                    sample.x)
+        self._m_hi = m_hi
+        self._phi = eval_basis(self.spec_for(m_hi).extended(), sample.x)
         self._gram = gram(self._phi)
         self._rhs = moments(self._phi, sample.y)
         self.factor = prefix_cholesky(self._gram)
@@ -145,8 +150,7 @@ class DesignCache:
                              f"{self._phi.shape[1]}")
         if m not in self._designs:
             self._designs[m] = design_from_matrices(
-                self._phi[:, :m], self._phi_prime[:, :m], self.spec_for(m),
-                self._gram[:m, :m])
+                self._phi[:, :m], self.spec_for(m), self._gram[:m, :m])
         return self._designs[m]
 
     @functools.cached_property
@@ -178,8 +182,11 @@ class DesignCache:
 
     @functools.cached_property
     def psi_prime(self) -> np.ndarray:
-        """The derivative Gram Phi'^T Phi' / n at the top dimension."""
-        return self._phi_prime.T @ self._phi_prime / self.sample.n
+        """The derivative Gram Phi'^T Phi' / n at the top dimension, as
+        Delta Gram Delta^T (exactly symmetric)."""
+        delta = delta_matrix(self.spec_for(self._m_hi))
+        raw = delta @ self._gram @ delta.T
+        return (raw + raw.T) / 2.0
 
     def residual_ms(self, m: int) -> float:
         """Residual mean square (1/n)|y - Phi theta|^2 of the dimension-m fit."""
@@ -196,19 +203,13 @@ def default_m_grid(family: Family, n: int, m_max: int | None = None) -> tuple[in
     return tuple(admissible_dims(family, m_max))
 
 
-def penalty_v_hat(design: DesignSet | np.ndarray, sigma2: float, n: int) -> float:
+def penalty_v_hat(whitened: np.ndarray, sigma2: float, n: int) -> float:
     """Variance proxy: (sigma^2 m / n) times the top eigenvalue of the
-    derivative Gram in the Gram's metric, L^-1 Psi' L^-T with L L^T the
-    Gram (the spectrum of Gram^-1 Psi').  design is a DesignSet, whose
-    Psi' is built from its derivative columns, or that m-by-m matrix
-    itself (see _whitened_derivative_gram)."""
-    if isinstance(design, DesignSet):
-        if design.is_singular:
-            raise SingularGramError(f"Gram matrix singular at m={design.m}")
-        psi_prime = design.phi_prime.T @ design.phi_prime / design.n
-        design = _whitened_derivative_gram(design.factor, psi_prime)
-    lam = np.linalg.eigvalsh(design)
-    return sigma2 * len(design) / n * max(lam[-1], 0.0)
+    m-by-m derivative Gram in the Gram's metric, whitened = L^-1 Psi' L^-T
+    with L L^T the Gram (the spectrum of Gram^-1 Psi'; see
+    _whitened_derivative_gram)."""
+    lam = np.linalg.eigvalsh(whitened)
+    return sigma2 * len(whitened) / n * max(lam[-1], 0.0)
 
 
 def _whitened_derivative_gram(factor: np.ndarray, psi_prime: np.ndarray) -> np.ndarray:
@@ -396,15 +397,19 @@ def _oracle_error_sweep(cache: DesignCache, m_grid, grid: np.ndarray,
                         targets: dict[str, np.ndarray]
                         ) -> dict[int, dict[str, float]]:
     """Trapezoid-rule squared errors per non-singular dimension for each
-    named target: one curve product and one trapezoid call per target."""
+    named target: one basis evaluation on the grid at the top dimension's
+    m+p columns, then one curve product and one trapezoid call per
+    target; derivative curves are Phi_{m+p} (Delta^T theta)."""
     dims = [m for m in m_grid if m < cache.m_singular]
     if not dims:
         return {}
     thetas = cache.thetas(dims)
-    basis_grid, deriv_grid = basis_matrices(cache.spec_for(thetas.shape[0]), grid)
+    spec = cache.spec_for(thetas.shape[0])
+    ext = eval_basis(spec.extended(), grid)
     errors = {}
     for kind, target in targets.items():
-        curves = (basis_grid if kind == "regression" else deriv_grid) @ thetas
+        curves = (ext[:, :spec.m] @ thetas if kind == "regression"
+                  else ext @ (delta_matrix(spec).T @ thetas))
         errors[kind] = trapezoid((curves - target[:, None]) ** 2, grid, axis=0)
     return {m: {kind: float(err[col]) for kind, err in errors.items()}
             for col, m in enumerate(dims)}

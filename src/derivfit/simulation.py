@@ -233,6 +233,8 @@ def calibrate_kappa(function: str, family_name: str, n: int,
     """Sweep the selector constant (kappa0 = kappa1 = kappa) on simulated
     data and report the risk ratio of the selected fit to the full-sweep
     oracle, per kappa."""
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got seeds = {seeds}")
     fn = TEST_FUNCTIONS[function]
     family = parse_family(family_name)
     kappas = [float(k) for k in kappas]

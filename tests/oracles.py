@@ -179,12 +179,26 @@ def fit_regression(sample: Sample, spec: BasisSpec,
                          spec=spec)
 
 
-def fitted_derivative_at_sample(fit: DerivativeFit, design: DesignSet) -> np.ndarray:
-    """Values at the design points, from the design's value or derivative columns."""
+def derivative_columns(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
+    """The (n, m) derivative columns at the points x from the derivative
+    recursion, zero outside the support like the values."""
+    lo, hi = spec.support
+    inside = (x >= lo) & (x <= hi)
+    out = np.zeros((x.size, spec.m))
+    if inside.any():
+        out[inside] = derivative_recursion(spec, x[inside])
+    return out
+
+
+def fitted_derivative_at_sample(fit: DerivativeFit, design: DesignSet,
+                                x: np.ndarray) -> np.ndarray:
+    """Values at the design points x, from the design's value columns
+    (strategy 2) or the recursion's derivative columns (strategy 1)."""
     if fit.truncated_to_zero:
         return np.zeros(design.n)
-    mat = design.phi if fit.strategy is Strategy.PROJECTION_OF_DERIV else design.phi_prime
-    return mat[:, :fit.m] @ fit.theta
+    if fit.strategy is Strategy.PROJECTION_OF_DERIV:
+        return design.phi[:, :fit.m] @ fit.theta
+    return derivative_columns(fit.spec, x) @ fit.theta
 
 
 # ---------------------------------------------------------------------------

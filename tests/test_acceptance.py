@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from derivfit.basis import BasisSpec, Family, eval_basis, eval_basis_derivative
-from derivfit.design import (Sample, build_design, default_d_constant,
-                             trim_interval)
+from derivfit.design import Sample, default_d_constant, trim_interval
 from derivfit.dataio import save_report
 from derivfit.estimators import evaluate_fit, fit_derivative_1
 from derivfit.selection import (DesignCache, GlConfig, _oracle_error_sweep,
-                                collection_members, default_m_grid,
-                                estimate_sigma2, eval_on_grid, gl_select,
+                                _whitened_derivative_gram, collection_members,
+                                default_m_grid, eval_on_grid, gl_select,
                                 penalty_v_hat)
 from derivfit.simulation import (ExperimentConfig, TEST_FUNCTIONS, best_kappa,
                                  calibrate_kappa, generate_sample, rng_for,
@@ -86,11 +85,11 @@ def test_criterion_1_basis_correctness():
                     else BasisSpec(family, m + 1 if family is Family.TRIG_ODD and m % 2 == 0 else m))
             lo, hi = quad_domain(spec)
             pts = np.clip(rng.uniform(lo, hi, 1000), lo + 1e-6, hi - 1e-6)
-            design = build_design(Sample(x=pts, y=np.zeros(pts.size)), spec)
-            # the design's derivative columns come through the link matrix;
-            # the recursion evaluates the derivatives without it
+            # eval_basis_derivative goes through the link matrix; the
+            # recursion evaluates the derivatives without it
+            linked = eval_basis_derivative(spec, pts)
             recursion = derivative_recursion(spec, pts)
-            rel = (np.abs(design.phi_prime - recursion).max()
+            rel = (np.abs(linked - recursion).max()
                    / (1.0 + np.abs(recursion).max()))
             worst_link = max(worst_link, rel)
 
@@ -165,13 +164,16 @@ def test_criterion_3_monotonicity():
         cache = DesignCache(sample, family, max(m_grid))
         members = collection_members(cache, m_grid, 600,
                                      default_d_constant(sample.x))
+        k = max(members)
+        whitened = _whitened_derivative_gram(cache.factor[:k, :k],
+                                             cache.psi_prime[:k, :k])
         traces, penalties = [], []
         for m in members:
-            design = cache.design(m)
-            w = whitener(design)
-            psi_prime = design.phi_prime.T @ design.phi_prime / design.n
+            w = whitener(cache.design(m))
+            phi_prime = derivative_recursion(cache.spec_for(m), sample.x)
+            psi_prime = phi_prime.T @ phi_prime / sample.n
             traces.append(float(np.trace(w @ psi_prime @ w)))
-            penalties.append(penalty_v_hat(design, 1.0, 600))
+            penalties.append(penalty_v_hat(whitened[:m, :m], 1.0, 600))
         for series in (traces, penalties):
             diffs = np.diff(series)
             checked += len(diffs)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import derivfit.cli
 import derivfit.selection
 from derivfit.basis import Family
 from derivfit.cli import main
@@ -202,6 +203,10 @@ def _refuse_caches(monkeypatch):
     monkeypatch.setattr(derivfit.selection.DesignCache, "__init__", refuse)
 
 
+def _refuse_fit(*args, **kwargs):
+    raise AssertionError("a fit was made")
+
+
 @pytest.mark.parametrize("d", ["-1", "0", "nan"])
 def test_bad_collection_constant_fails_before_any_work(tmp_path, capsys, monkeypatch,
                                                        sample_csv, d):
@@ -266,6 +271,58 @@ def test_negative_sigma_fails_before_any_work(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "sigma must be nonnegative, got sigma = -0.5" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf"])
+def test_non_finite_comparison_constant_fails_before_any_work(tmp_path, capsys,
+                                                              monkeypatch, sample_csv,
+                                                              kappa):
+    _refuse_caches(monkeypatch)
+    capsys.readouterr()  # the fixture's output
+    assert run_cli("select", str(sample_csv), "--family", "hermite",
+                   "--kappa0", kappa, "--kappa1", kappa) == 1
+    captured = capsys.readouterr()
+    assert f"kappa0 = {kappa}, kappa1 = {kappa}" in captured.err and captured.out == ""
+    calib = tmp_path / "calib.csv"
+    assert run_cli("calibrate", "--function", "b1", "--n", "250", "--kappas",
+                   f"{kappa},1", "--seeds", "2", "--out", str(calib)) == 1
+    captured = capsys.readouterr()
+    assert f"kappa0 = {kappa}, kappa1 = {kappa}" in captured.err and captured.out == ""
+    cfg, out = tmp_path / "bench.cfg", tmp_path / "report.csv"
+    cfg.write_text(f"functions = b1\nfamilies = hermite\nn = 250\nmode = gl\n"
+                   f"repetitions = 2\nkappa0 = {kappa}\nkappa1 = {kappa}\n")
+    assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 2
+    assert f"kappa0 = {kappa}, kappa1 = {kappa}" in capsys.readouterr().err
+    assert not calib.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_calibrate_without_draws_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       seeds):
+    _refuse_caches(monkeypatch)
+    calib = tmp_path / "calib.csv"
+    assert run_cli("calibrate", "--function", "b1", "--n", "250", "--kappas", "1",
+                   "--seeds", seeds, "--out", str(calib)) == 1
+    captured = capsys.readouterr()
+    assert f"seeds must be >= 1, got seeds = {seeds}" in captured.err
+    assert captured.out == ""
+    assert not calib.exists()
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_grid_points_below_one_fail_before_the_fit(tmp_path, capsys, monkeypatch,
+                                                   sample_csv, points):
+    _refuse_caches(monkeypatch)
+    monkeypatch.setattr(derivfit.cli, "fit_derivative_1", _refuse_fit)
+    capsys.readouterr()  # the fixture's output
+    curve = tmp_path / "c.csv"
+    for argv in (["fit", "--m", "3"], ["select", "--sigma2", "0.1"]):
+        command, *options = argv
+        assert run_cli(command, str(sample_csv), "--family", "hermite", *options,
+                       "--grid-points", points, "--out", str(curve)) == 1
+        captured = capsys.readouterr()
+        assert f"--grid-points must be >= 1, got {points}" in captured.err
+        assert captured.out == "" and not curve.exists()
 
 
 def test_bench_names_both_exclusion_causes(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """The gl sweep in coefficient space agrees with the n-space computation.
 
-The derivative columns come from the link matrix, the pair distances and
-the penalties from one derivative Gram, and the grid scoring from one
-product per target.  The n-space oracle below is the direct computation:
-derivative columns from the derivative recursion, one fit vector per
-member at the sample points, the pairwise loop over those vectors, the
-penalty on each member's own design, and one trapezoid call per
+The derivative Gram is Delta Gram Delta^T through the link matrix, the
+pair distances and the penalties come from it, and the grid scoring from
+one product per target.  The n-space oracle below is the direct
+computation: derivative columns from the derivative recursion, one fit
+vector per member at the sample points, the pairwise loop over those
+vectors, the penalty as a generalized eigenvalue of each member's own
+derivative Gram against its Gram, and one trapezoid call per
 (dimension, target).
 """
 
@@ -13,20 +14,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from derivfit import simulation
 from derivfit.basis import BasisSpec, Family, eval_basis, parse_family
-from derivfit.design import Sample, basis_matrices, design_from_matrices, trim_interval
+from derivfit.design import Sample, design_from_matrices, trim_interval
 from derivfit.estimators import fit_derivative_1
 from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, GlConfig, _gate,
                                 _oracle_error_sweep, _sigma2, default_m_grid,
-                                gl_select, penalty_v_hat, reuse_select)
+                                gl_select, reuse_select)
 from derivfit.simulation import (TEST_FUNCTIONS, calibrate_kappa, generate_sample,
                                  rng_for)
-from oracles import derivative_recursion
+from oracles import derivative_columns
 
 
 # ---------------------------------------------------------------------------
@@ -36,27 +38,25 @@ from oracles import derivative_recursion
 def recursion_matrices(spec, x):
     """Values, and derivatives from the derivative recursion (zero outside
     the support)."""
-    phi = eval_basis(spec, x)
-    lo, hi = spec.support
-    inside = (x >= lo) & (x <= hi)
-    phi_prime = np.zeros_like(phi)
-    if inside.any():
-        phi_prime[inside] = derivative_recursion(spec, x[inside])
-    return phi, phi_prime
+    return eval_basis(spec, x), derivative_columns(spec, x)
 
 
 def n_space_design(sample, spec):
-    return design_from_matrices(*recursion_matrices(spec, sample.x), spec)
+    return design_from_matrices(eval_basis(spec, sample.x), spec)
 
 
 def n_space_gl(sample, spec_for, members, sigma2, kappa0, kappa1):
-    """(m_hat, V-hat per member, A per member) from fit vectors at the sample."""
+    """(m_hat, V-hat per member, A per member) from fit vectors at the sample;
+    V-hat(m) = sigma^2 m / n times the top eigenvalue of Psi' x = lambda Gram x."""
     n = sample.n
     fits, v_hat = {}, {}
     for m in members:
         design = n_space_design(sample, spec_for(m))
-        fits[m] = design.phi_prime @ fit_derivative_1(sample, design.spec, design).theta
-        v_hat[m] = penalty_v_hat(design, sigma2, n)
+        phi_prime = derivative_columns(design.spec, sample.x)
+        fits[m] = phi_prime @ fit_derivative_1(sample, design.spec, design).theta
+        lam = scipy.linalg.eigh(phi_prime.T @ phi_prime / n, design.psi_hat,
+                                eigvals_only=True)
+        v_hat[m] = sigma2 * m / n * max(lam[-1], 0.0)
     a_value = {}
     for m in members:
         best = 0.0
@@ -132,13 +132,13 @@ def test_basis_matrices_take_derivatives_through_the_link_matrix(family, m, a, w
     centre = 0.5 * (min(ends) + max(ends))
     x = np.concatenate([centre + (max(ends) - min(ends) + 2.0) * rng.uniform(-1, 1, 40),
                         rng.standard_normal(20) * 3.0, ends])
-    phi, phi_prime = basis_matrices(spec, x)
-    assert np.array_equal(phi, eval_basis(spec, x))
-    inside = (x >= lo) & (x <= hi)
-    reference = derivative_recursion(spec, x[inside])
-    scale = np.abs(reference).max(axis=0)
-    assert np.all(np.abs(phi_prime[inside] - reference) <= 1e-12 * scale)
-    assert not phi_prime[~inside].any()
+    cache = DesignCache(Sample(x=x, y=np.zeros(x.size)), family, m, spec.interval)
+    assert np.array_equal(cache.design(m).phi, eval_basis(spec, x))
+    # the recursion's columns, zero outside the support
+    phi_prime = derivative_columns(spec, x)
+    reference = phi_prime.T @ phi_prime / x.size
+    assert np.all(np.abs(cache.psi_prime - reference)
+                  <= 1e-12 * np.abs(reference).max())
 
 
 @pytest.mark.parametrize("family,centre", [(Family.LEGENDRE, 0.0),
@@ -152,8 +152,11 @@ def test_designs_beyond_a_bounded_support(family, centre):
     assert 50 < outside.sum() < 350
     cache = DesignCache(sample, family, 12)
     for m in (1, 5, 12):
-        design = cache.design(m)
-        assert not design.phi[outside].any() and not design.phi_prime[outside].any()
+        assert not cache.design(m).phi[outside].any()
+        phi_prime = derivative_columns(cache.spec_for(m), x)
+        reference = phi_prime.T @ phi_prime / sample.n
+        assert (np.abs(cache.psi_prime[:m, :m] - reference).max()
+                <= 1e-12 * np.abs(reference).max())
     trace, fit = gl_select(sample, family, GlConfig(m_grid=tuple(range(1, 13))))
     assert trace.m_hat in trace.members and fit.m == trace.m_hat
     m_reuse, _ = reuse_select(sample, family, range(1, 13))
@@ -225,3 +228,19 @@ def test_batched_grid_scoring_matches_per_dimension_calls(family_name):
         for m, cell in errors.items():
             for kind in targets:
                 assert cell[kind] == pytest.approx(expected[m][kind], rel=1e-10)
+
+
+@pytest.mark.parametrize("family_name", ["hermite", "half-trig"])
+def test_gl_choice_is_invariant_under_permuting_the_sample(family_name):
+    for i, (family, sample, interval) in enumerate(draws(family_name)):
+        perm = np.random.default_rng(i).permutation(sample.n)
+        shuffled = Sample(x=sample.x[perm], y=sample.y[perm])
+        trace, _ = gl_select(sample, family, interval=interval)
+        trace_p, _ = gl_select(shuffled, family, interval=interval)
+        assert trace_p.members == trace.members and trace_p.m_hat == trace.m_hat
+        rows = [r for r in trace.rows if r.in_collection]
+        rows_p = [r for r in trace_p.rows if r.in_collection]
+        np.testing.assert_allclose([r.v_hat for r in rows_p],
+                                   [r.v_hat for r in rows], rtol=1e-10)
+        np.testing.assert_allclose([r.a_value for r in rows_p],
+                                   [r.a_value for r in rows], rtol=1e-10)

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from derivfit.basis import BasisSpec, Family, delta_matrix
+from derivfit.basis import BasisSpec, Family
 from derivfit.design import (STABILITY_C, Sample, build_design, default_d_constant,
                              stability_check, trim_interval)
-from oracles import (empirical_inner, empirical_norm, frobenius_norm, operator_norm,
-                     whitener)
+from derivfit.selection import DesignCache
+from oracles import (derivative_recursion, empirical_inner, empirical_norm,
+                     frobenius_norm, operator_norm, whitener)
 
 
 def test_sample_validation():
@@ -63,14 +64,13 @@ def test_phi_prime_consistency_with_link(family, xgen):
     rng = np.random.default_rng(11)
     sample = Sample(x=xgen(rng, 300), y=np.zeros(300))
     m = 7 if family is Family.TRIG_ODD else 8
-    spec = (BasisSpec(family, m, (-0.5, 1.5)) if family is Family.HALF_TRIG
-            else BasisSpec(family, m))
-    design = build_design(sample, spec)
-    design_ext = build_design(sample, spec.extended())
-    delta = delta_matrix(spec)
-    linked = design_ext.phi @ delta.T
-    scale = 1.0 + np.abs(linked).max()
-    assert np.abs(design.phi_prime - linked).max() <= 1e-9 * scale
+    cache = DesignCache(sample, family, m,
+                        (-0.5, 1.5) if family is Family.HALF_TRIG else None)
+    # the cache's derivative Gram comes through the link matrix; the
+    # recursion evaluates the derivative columns without it
+    phi_prime = derivative_recursion(cache.spec_for(m), sample.x)
+    reference = phi_prime.T @ phi_prime / sample.n
+    assert np.abs(cache.psi_prime - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_operator_and_frobenius_norms():
@@ -155,8 +155,10 @@ def test_variance_trace_monotone():
     sample = Sample(x=rng.standard_normal(n), y=np.zeros(n))
     traces = []
     for m in range(1, 11):
-        design = build_design(sample, BasisSpec(Family.HERMITE, m))
-        psi_prime = design.phi_prime.T @ design.phi_prime / n
+        spec = BasisSpec(Family.HERMITE, m)
+        design = build_design(sample, spec)
+        phi_prime = derivative_recursion(spec, sample.x)
+        psi_prime = phi_prime.T @ phi_prime / n
         w = whitener(design)
         traces.append(np.trace(w @ psi_prime @ w))
     diffs = np.diff(traces)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from derivfit.basis import BasisSpec, Family, eval_basis
-from derivfit.design import Sample, build_design, default_d_constant, trim_interval
+from derivfit.design import Sample, default_d_constant, trim_interval
 from derivfit.errors import EmptyCollectionError
-from derivfit.selection import (GlConfig, default_m_grid, estimate_sigma2,
-                                gl_select, oracle_select, penalty_v_hat,
-                                reuse_select)
+from derivfit.selection import (DesignCache, GlConfig, _whitened_derivative_gram,
+                                default_m_grid, estimate_sigma2, gl_select,
+                                oracle_select, penalty_v_hat, reuse_select)
 from derivfit.simulation import TEST_FUNCTIONS, generate_sample, rng_for
 
 
@@ -20,19 +20,24 @@ def normal_sample(seed, n, fn=None, sigma=0.25):
     return Sample(x=x, y=y)
 
 
+def whitened_block(cache, m):
+    """The m-by-m whitened derivative Gram L^-1 Psi' L^-T of the cache."""
+    return _whitened_derivative_gram(cache.factor[:m, :m], cache.psi_prime[:m, :m])
+
+
 def test_penalty_zero_for_constant_basis():
     rng = np.random.default_rng(0)
     sample = Sample(x=rng.uniform(0, 1, 100), y=np.zeros(100))
-    design = build_design(sample, BasisSpec(Family.TRIG_ODD, 1))
-    assert penalty_v_hat(design, sigma2=1.0, n=100) == 0.0
+    whitened = whitened_block(DesignCache(sample, Family.TRIG_ODD, 1), 1)
+    assert penalty_v_hat(whitened, sigma2=1.0, n=100) == 0.0
 
 
 def test_penalty_linear_in_sigma2():
     rng = np.random.default_rng(1)
     sample = Sample(x=rng.uniform(0, 1, 300), y=np.zeros(300))
-    design = build_design(sample, BasisSpec(Family.TRIG_ODD, 5))
-    v1 = penalty_v_hat(design, 1.0, 300)
-    assert penalty_v_hat(design, 2.0, 300) == pytest.approx(2 * v1, rel=1e-12)
+    whitened = whitened_block(DesignCache(sample, Family.TRIG_ODD, 5), 5)
+    v1 = penalty_v_hat(whitened, 1.0, 300)
+    assert penalty_v_hat(whitened, 2.0, 300) == pytest.approx(2 * v1, rel=1e-12)
 
 
 def test_penalty_monotone_in_m():
@@ -41,10 +46,9 @@ def test_penalty_monotone_in_m():
                        (Family.HERMITE, rng.standard_normal(600))]:
         sample = Sample(x=xs, y=np.zeros(600))
         grid = default_m_grid(family, 600, 9)
-        values = []
-        for m in grid:
-            design = build_design(sample, BasisSpec(family, m))
-            values.append(penalty_v_hat(design, 1.0, 600))
+        # the members' blocks of one whitened matrix, as the selector reads them
+        whitened = whitened_block(DesignCache(sample, family, max(grid)), max(grid))
+        values = [penalty_v_hat(whitened[:m, :m], 1.0, 600) for m in grid]
         diffs = np.diff(values)
         assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(values[:-1])))
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derivfit.basis import Family, parse_family
+from derivfit.basis import Family, admissible_dims, parse_family
 from derivfit.cli import main
 from derivfit.design import Sample, build_design, trim_interval
 from derivfit.estimators import fit_derivative_1
@@ -92,3 +92,28 @@ def test_cache_slices_match_direct_builds(family, m, seed):
                                build_design(sample, spec).psi_hat, rtol=1e-12)
     np.testing.assert_allclose(cache.theta(m), fit_derivative_1(sample, spec).theta,
                                rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(list(Family)), m=st.integers(1, 15),
+       a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 16))
+def test_theta_is_linear_in_y(family, m, a, b, seed):
+    rng = np.random.default_rng(seed)
+    if family is Family.TRIG_ODD:
+        x, m = rng.uniform(0, 1, 300), m | 1
+    elif family is Family.LEGENDRE:
+        x = rng.uniform(-1, 1, 300)
+    elif family is Family.LAGUERRE:
+        x = rng.exponential(1.0, 300)
+    else:
+        x = rng.standard_normal(300)
+    y1, y2 = rng.standard_normal(300), np.sin(3 * x) + rng.standard_normal(300)
+    interval = (-1.5, 1.5) if family is Family.HALF_TRIG else None
+    caches = [DesignCache(Sample(x=x, y=y), family, m, interval)
+              for y in (y1, y2, a * y1 + b * y2)]
+    # the Gram, and so its singular dimensions, does not depend on y
+    m = max(d for d in admissible_dims(family, m) if d < caches[0].m_singular)
+    theta = [cache.theta(m) for cache in caches]
+    scale = abs(a) * np.linalg.norm(theta[0]) + abs(b) * np.linalg.norm(theta[1])
+    assert (np.linalg.norm(theta[2] - (a * theta[0] + b * theta[1]))
+            <= 1e-10 * scale)
