@@ -12,12 +12,19 @@ Five families are supported:
 * ``HERMITE`` on the real line: normalized Hermite functions.
 * ``LEGENDRE`` on [-1, 1]: normalized Legendre polynomials.
 
-All polynomial families are evaluated through normalized three-term
-recurrences with the weights folded in, so values stay O(1) up to large
-degree.  Each family's derivatives lie in the span of the first m+p
-elements; ``delta_matrix`` returns that exact expansion, row j holding the
-coefficients of the j-th element's derivative, and ``eval_basis_derivative``
-evaluates the derivatives through it.
+Every family is evaluated by a recurrence, one vector step per column.
+The polynomial families use normalized three-term recurrences with the
+weights folded in, so values stay O(1) up to large degree.  The
+trigonometric families take the sin/cos pair of frequency j from the
+power z^j of z = e^{i theta}, one complex product per frequency, whose
+rounding drift grows linearly in j.  ``eval_basis`` runs the recurrence
+at the points clipped to the support, zeroes the rows of points outside
+it and returns C-ordered (n, m) values.
+
+Each family's derivatives lie in the span of the first m+p elements;
+``delta_matrix`` returns that exact expansion, row j holding the
+coefficients of the j-th element's derivative, and
+``eval_basis_derivative`` evaluates the derivatives through it.
 """
 
 from __future__ import annotations
@@ -146,41 +153,34 @@ def admissible_dims(family: Family, m_max: int) -> list[int]:
 def eval_basis(spec: BasisSpec, x) -> np.ndarray:
     """Values (phi_1(x), ..., phi_m(x)); zero outside the support.
 
-    Accepts a scalar (returns shape (m,)) or a 1-D array (returns (n, m)).
+    Accepts a scalar (returns shape (m,)) or a 1-D array (returns a
+    C-ordered (n, m) array).  The recurrences run at the points clipped to
+    the support, and the rows of points outside it are zeroed afterwards.
     """
     scalar = np.ndim(x) == 0
     pts = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = spec.support
-    inside = (pts >= lo) & (pts <= hi)
-    out = np.zeros((pts.size, spec.m))
-    if inside.any():
-        out[inside] = _eval_inside(spec, pts[inside])
+    out = np.ascontiguousarray(_eval_rows(spec, np.clip(pts, lo, hi)).T)
+    out[~((pts >= lo) & (pts <= hi))] = 0.0
     return out[0] if scalar else out
 
 
-def _eval_inside(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
-    """The (n, m) values, as the transpose of an (m, n) array: row j holds
-    phi_j at every point, so each step of a recursion is contiguous."""
+def _eval_rows(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
+    """The values as an (m, n) array: row j holds phi_j at every point, so
+    each step of a recurrence writes one contiguous row."""
     m = spec.m
     fam = spec.family
     out = np.empty((m, x.size))
     if fam is Family.TRIG_ODD:
         # order: 1, sqrt2 cos(2pi x), sqrt2 sin(2pi x), sqrt2 cos(4pi x), ...
         out[0] = 1.0
-        for col in range(1, m):
-            j = (col + 1) // 2
-            phase = 2.0 * np.pi * j * x
-            out[col] = np.sqrt(2.0) * (np.cos(phase) if col % 2 == 1 else np.sin(phase))
+        _trig_pairs(out, 2.0 * np.pi * x, np.sqrt(2.0), sine_first=False)
     elif fam is Family.HALF_TRIG:
+        # order: 1/sqrt(w), then amp sin(pi j u), amp cos(pi j u) pairs
         a, b = spec.interval  # type: ignore[misc]
         w = b - a
-        u = (x - a) / w
         out[0] = 1.0 / np.sqrt(w)
-        amp = np.sqrt(2.0 / w)
-        for col in range(1, m):
-            j = (col + 1) // 2
-            phase = np.pi * j * u
-            out[col] = amp * (np.sin(phase) if col % 2 == 1 else np.cos(phase))
+        _trig_pairs(out, np.pi * ((x - a) / w), np.sqrt(2.0 / w), sine_first=True)
     elif fam is Family.LAGUERRE:
         # l_j(x) = sqrt2 L_j(2x) e^{-x}; weight folded into the start values.
         e = np.exp(-x)
@@ -203,7 +203,35 @@ def _eval_inside(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
             a_j = np.sqrt((2 * j + 1) * (2 * j - 1)) / j
             c_j = (j - 1) / j * np.sqrt((2 * j + 1) / (2 * j - 3))
             out[j] = a_j * x * out[j - 1] - c_j * out[j - 2]
-    return out.T
+    return out
+
+
+def _trig_pairs(out: np.ndarray, theta: np.ndarray, amp: float,
+                sine_first: bool) -> None:
+    """Fill rows 1, 2, ... of out with amp sin(j theta), amp cos(j theta)
+    for j = 1, 2, ... (the cosine first unless sine_first).
+
+    The pair of frequency j is the power p = z^j of z = e^{i theta}, one
+    complex product p <- p z per frequency (two np.sin/np.cos calls in
+    all).  Its rounding drift grows linearly in j, where the three-term
+    form sin((j+1)t) = 2 cos t sin(jt) - sin((j-1)t) amplifies errors near
+    t = 0, pi.  Row j depends only on the rows before it, so a leading
+    block of rows is what a smaller dimension evaluates.
+    """
+    z = np.empty(theta.size, dtype=complex)
+    z.real = np.cos(theta)
+    z.imag = np.sin(theta)
+    p = z
+    for row in range(1, out.shape[0], 2):
+        if row > 1:
+            # not in place: numpy rounds an in-place product of one element
+            # differently, and a point's values must not depend on how many
+            # points are evaluated with it
+            p = p * z
+        first, second = (p.imag, p.real) if sine_first else (p.real, p.imag)
+        np.multiply(first, amp, out=out[row])
+        if row + 1 < out.shape[0]:
+            np.multiply(second, amp, out=out[row + 1])
 
 
 def eval_basis_derivative(spec: BasisSpec, x) -> np.ndarray:
@@ -282,7 +310,7 @@ def _hermite_sup_factor(m: int) -> float:
     spec = BasisSpec(Family.HERMITE, m)
     # a tenth of the grid at a time bounds the memory; the squares are in C
     # order, so each point's sum runs over its contiguous values
-    return max(float(np.square(_eval_inside(spec, part), order="C").sum(axis=1).max())
+    return max(float(np.square(_eval_rows(spec, part).T, order="C").sum(axis=1).max())
                for part in np.array_split(grid, 10))
 
 

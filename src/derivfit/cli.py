@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -48,9 +49,14 @@ def _spec_for(family: Family, m: int, sample: Sample,
     return BasisSpec(family, m)
 
 
-def _parse_interval(text: str | None) -> tuple[float, float] | None:
+def _parse_interval(text: str | None, family: Family) -> tuple[float, float] | None:
+    """The half-trig rescaling interval; the other families have a fixed
+    support, so an --interval for them is a usage error."""
     if text is None:
         return None
+    if family is not Family.HALF_TRIG:
+        raise ValueError(f"--interval applies to half-trig only; {family.value} "
+                         f"has a fixed support")
     parts = text.split(",")
     if len(parts) != 2:
         raise DataFormatError(f"--interval expects 'a,b', got {text!r}")
@@ -69,6 +75,9 @@ def _grid_for(args, sample: Sample) -> np.ndarray:
     if args.grid_points < 1:
         raise ValueError(f"--grid-points must be >= 1, got {args.grid_points}")
     lo, hi = args.grid_lo, args.grid_hi
+    for flag, bound in (("--grid-lo", lo), ("--grid-hi", hi)):
+        if bound is not None and not math.isfinite(bound):
+            raise ValueError(f"{flag} must be finite, got {bound}")
     if lo is None or hi is None:
         tlo, thi = _trim(sample, "an output grid; pass --grid-lo and --grid-hi")
         lo = tlo if lo is None else lo
@@ -89,7 +98,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     sample = dataio.load_csv(args.data)
     family = parse_family(args.family)
-    spec = _spec_for(family, args.m, sample, _parse_interval(args.interval))
+    spec = _spec_for(family, args.m, sample, _parse_interval(args.interval, family))
     grid = _grid_for(args, sample)
     fit = (fit_derivative_1 if args.strategy == 1 else fit_derivative_2)(sample, spec)
     if args.truncate:
@@ -105,7 +114,7 @@ def _cmd_fit(args) -> int:
 def _cmd_select(args) -> int:
     sample = dataio.load_csv(args.data)
     family = parse_family(args.family)
-    interval = _parse_interval(args.interval)
+    interval = _parse_interval(args.interval, family)
     if family is Family.HALF_TRIG and interval is None:
         interval = _design_interval(sample)
     m_grid = default_m_grid(family, sample.n, args.m_max)

@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import derivfit.design
 from derivfit.basis import (BasisSpec, Family, admissible_dims, delta_matrix,
                             eval_basis, eval_basis_derivative, l_factor,
                             parse_family)
+from derivfit.design import Sample
+from derivfit.selection import DesignCache
 from oracles import derivative_recursion, l_prime_factor
 
 ALL_FAMILIES = [Family.TRIG_ODD, Family.HALF_TRIG, Family.LAGUERRE,
@@ -82,6 +87,78 @@ def test_outside_support_is_zero_vector():
         for x in ([lo - 0.5] if math.isfinite(lo) else []) + \
                  ([hi + 0.5] if math.isfinite(hi) else []):
             assert np.all(eval_basis(spec, x) == 0.0)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_values_are_c_ordered_with_zero_rows_outside_the_support(family):
+    spec = make_spec(family, 12)
+    lo, hi = spec.support
+    inside = interior_points(spec, np.random.default_rng(5), 40)
+    beyond = [b for b in (lo - 0.5, hi + 0.5) if math.isfinite(b)] + [math.nan]
+    mixed = np.concatenate([beyond[:1], inside[:20], beyond[1:], inside[20:]])
+    for x in (inside, mixed):
+        vals = eval_basis(spec, x)
+        assert vals.shape == (x.size, spec.m) and vals.flags.c_contiguous
+        outside = ~((x >= lo) & (x <= hi))
+        assert np.all(vals[outside] == 0.0) and not np.signbit(vals[outside]).any()
+        assert np.isfinite(vals[~outside]).all()
+        # column j depends only on the columns before it
+        narrow = eval_basis(spec.with_m(spec.m - 2), x)
+        assert narrow.tobytes() == np.ascontiguousarray(vals[:, :spec.m - 2]).tobytes()
+        for point, row in zip(x, vals):
+            value = eval_basis(spec, point)
+            assert value.shape == (spec.m,) and value.tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_cache_panels_are_views_of_the_cache_values(family):
+    rng = np.random.default_rng(8)
+    spec = make_spec(family, 3)
+    x = interior_points(spec, rng, 300)
+    cache = DesignCache(Sample(x, rng.standard_normal(300)), family, 21,
+                        spec.interval)
+    panels = derivfit.design._panels(cache._phi)
+    full = cache._phi.shape[1] // derivfit.design.PANEL_WIDTH
+    assert cache._phi.flags.c_contiguous and len(panels) > full >= 1
+    assert all(panel.base is cache._phi for panel in panels[:full])
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="the reference needs an extended-precision long double")
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from([Family.HALF_TRIG, Family.TRIG_ODD]),
+       m=st.integers(1, 81), log_width=st.floats(-3.0, 3.0),
+       shift=st.floats(-10.0, 10.0),
+       u=st.lists(st.floats(-3.0, 4.0), min_size=1, max_size=40))
+def test_trig_recurrence_drift_grows_linearly_in_the_frequency(family, m, log_width,
+                                                               shift, u):
+    """The pair of frequency j stays within 2 j eps amp of amp sin(j theta),
+    amp cos(j theta), the reference taken in extended precision at the
+    double angle theta the basis forms, so the bound measures the drift of
+    the powers of e^{i theta} alone.  Half-trig points reach three widths
+    beyond [a, b], where the functions extend periodically.  j theta is
+    exact in a 64-bit mantissa for j < 2^11."""
+    u = np.asarray(u)
+    if family is Family.HALF_TRIG:
+        width = 10.0 ** log_width
+        spec = BasisSpec(family, m, (shift * width, shift * width + width))
+        a, b = spec.interval
+        x = a + (b - a) * u
+        theta, amp, sine_first = np.pi * ((x - a) / (b - a)), math.sqrt(2.0 / (b - a)), True
+    else:
+        spec = make_spec(family, m)
+        x = (u + 3.0) / 7.0
+        theta, amp, sine_first = 2.0 * np.pi * x, math.sqrt(2.0), False
+    vals = eval_basis(spec, x)
+    theta = theta.astype(np.longdouble)
+    for col in range(1, spec.m):
+        j = (col + 1) // 2
+        ref = np.sin(j * theta) if (col % 2 == 1) == sine_first else np.cos(j * theta)
+        drift = float(np.abs(vals[:, col] - np.longdouble(amp) * ref).max())
+        assert drift <= 2.0 * j * EPS * amp, (col, drift / (j * EPS * amp))
 
 
 def test_spec_validation():

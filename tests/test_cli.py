@@ -325,6 +325,46 @@ def test_grid_points_below_one_fail_before_the_fit(tmp_path, capsys, monkeypatch
         assert captured.out == "" and not curve.exists()
 
 
+@pytest.mark.parametrize("flag", ["--grid-lo", "--grid-hi"])
+@pytest.mark.parametrize("bound", ["inf", "-inf", "nan"])
+def test_non_finite_grid_bound_fails_before_the_fit(tmp_path, capsys, monkeypatch,
+                                                    sample_csv, flag, bound):
+    _refuse_caches(monkeypatch)
+    monkeypatch.setattr(derivfit.cli, "fit_derivative_1", _refuse_fit)
+    capsys.readouterr()  # the fixture's output
+    curve = tmp_path / "c.csv"
+    for argv in (["fit", "--m", "3"], ["select", "--sigma2", "0.1"]):
+        command, *options = argv
+        assert run_cli(command, str(sample_csv), "--family", "hermite", *options,
+                       "--grid-lo=-1", "--grid-hi=1", f"{flag}={bound}",
+                       "--out", str(curve)) == 1
+        captured = capsys.readouterr()
+        assert f"{flag} must be finite, got {float(bound)}" in captured.err
+        assert captured.out == "" and not curve.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--family", "hermite", "--interval", "5,6"],
+    ["select", "--family", "laguerre", "--mode", "reuse", "--interval", "0,1"],
+    ["fit", "--family", "legendre", "--m", "3", "--interval", "0,1"],
+    ["fit", "--family", "trig", "--m", "3", "--strategy", "2", "--interval", "0,1"],
+])
+def test_interval_for_a_fixed_support_fails_before_any_work(tmp_path, capsys,
+                                                            monkeypatch, sample_csv,
+                                                            argv):
+    _refuse_caches(monkeypatch)
+    monkeypatch.setattr(derivfit.cli, "fit_derivative_1", _refuse_fit)
+    monkeypatch.setattr(derivfit.cli, "fit_derivative_2", _refuse_fit)
+    capsys.readouterr()  # the fixture's output
+    curve = tmp_path / "c.csv"
+    command, *options = argv
+    assert run_cli(command, str(sample_csv), *options, "--out", str(curve)) == 1
+    captured = capsys.readouterr()
+    assert "--interval applies to half-trig only" in captured.err
+    assert "has a fixed support" in captured.err
+    assert captured.out == "" and not curve.exists()
+
+
 def test_bench_names_both_exclusion_causes(tmp_path, capsys):
     cfg, out = tmp_path / "bench.cfg", tmp_path / "report.csv"
     # a tiny collection constant empties every repetition's collection
