@@ -44,19 +44,15 @@ def _design_interval(sample: Sample) -> tuple[float, float]:
 
 def _spec_for(family: Family, m: int, sample: Sample,
               interval: tuple[float, float] | None) -> BasisSpec:
-    if family is Family.HALF_TRIG:
-        return BasisSpec(family, m, interval or _design_interval(sample))
-    return BasisSpec(family, m)
+    """The basis spec; BasisSpec rejects an interval for a fixed-support family."""
+    if family is Family.HALF_TRIG and interval is None:
+        interval = _design_interval(sample)
+    return BasisSpec(family, m, interval)
 
 
-def _parse_interval(text: str | None, family: Family) -> tuple[float, float] | None:
-    """The half-trig rescaling interval; the other families have a fixed
-    support, so an --interval for them is a usage error."""
+def _parse_interval(text: str | None) -> tuple[float, float] | None:
     if text is None:
         return None
-    if family is not Family.HALF_TRIG:
-        raise ValueError(f"--interval applies to half-trig only; {family.value} "
-                         f"has a fixed support")
     parts = text.split(",")
     if len(parts) != 2:
         raise DataFormatError(f"--interval expects 'a,b', got {text!r}")
@@ -98,7 +94,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     sample = dataio.load_csv(args.data)
     family = parse_family(args.family)
-    spec = _spec_for(family, args.m, sample, _parse_interval(args.interval, family))
+    spec = _spec_for(family, args.m, sample, _parse_interval(args.interval))
     grid = _grid_for(args, sample)
     fit = (fit_derivative_1 if args.strategy == 1 else fit_derivative_2)(sample, spec)
     if args.truncate:
@@ -114,10 +110,10 @@ def _cmd_fit(args) -> int:
 def _cmd_select(args) -> int:
     sample = dataio.load_csv(args.data)
     family = parse_family(args.family)
-    interval = _parse_interval(args.interval, family)
-    if family is Family.HALF_TRIG and interval is None:
-        interval = _design_interval(sample)
     m_grid = default_m_grid(family, sample.n, args.m_max)
+    # one spec before any cache, so a bad --interval fails first
+    interval = _spec_for(family, m_grid[-1], sample,
+                         _parse_interval(args.interval)).interval
     if args.mode == "oracle":
         if args.function is None:
             raise DataFormatError("--mode oracle needs --function for the true target")

@@ -360,8 +360,7 @@ def test_interval_for_a_fixed_support_fails_before_any_work(tmp_path, capsys,
     command, *options = argv
     assert run_cli(command, str(sample_csv), *options, "--out", str(curve)) == 1
     captured = capsys.readouterr()
-    assert "--interval applies to half-trig only" in captured.err
-    assert "has a fixed support" in captured.err
+    assert "has a fixed support; interval not allowed" in captured.err
     assert captured.out == "" and not curve.exists()
 
 
