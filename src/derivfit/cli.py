@@ -55,7 +55,7 @@ def _parse_interval(text: str | None) -> tuple[float, float] | None:
         return None
     parts = text.split(",")
     if len(parts) != 2:
-        raise DataFormatError(f"--interval expects 'a,b', got {text!r}")
+        raise ValueError(f"--interval expects 'a,b', got {text!r}")
     return float(parts[0]), float(parts[1])
 
 

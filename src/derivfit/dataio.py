@@ -21,9 +21,6 @@ from .simulation import CalibrationRow, ExperimentConfig, ExperimentReport
 REPORT_COLUMNS = ("function", "family", "n", "target", "mse100_mean",
                   "mse100_std", "dim_mean", "dim_std", "K")
 
-# data rows converted per numpy call; bounds the cell strings alive at once
-_CHUNK_ROWS = 4096
-
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
@@ -32,10 +29,11 @@ def _fmt(value: float) -> str:
 def load_csv(path) -> Sample:
     """Read a two-column numeric CSV; header row "x,y" is optional.
 
-    The cells are converted by numpy, with float()'s rules, a chunk of
-    rows at a time; only a file with a row that is not two cells, a cell
-    that conversion rejects or a non-finite value goes through the
-    per-row checks that name the offending line.
+    The data lines go through numpy's C reader, whose values are
+    float()'s bit for bit; it is stricter than float() (no "1_0", no
+    non-ASCII digits), so a file it rejects, one whose rows do not come
+    out as two cells each, or one with a non-finite value goes through
+    the per-row checks, which name the offending line.
     """
     lines = Path(path).read_text().splitlines()
     start = 0
@@ -54,14 +52,12 @@ def load_csv(path) -> Sample:
             f"expected two columns (x,y); extra column {header[2]!r}", line=start)
     data = [line for line in lines[start:] if line.strip()]
     values = None
-    if all(line.count(",") == 1 for line in data):
+    if data:  # numpy warns on no rows; _checked_rows names that error
         try:
-            values = np.concatenate([
-                np.array(",".join(data[i:i + _CHUNK_ROWS]).split(","), dtype=float)
-                for i in range(0, len(data), _CHUNK_ROWS)]).reshape(-1, 2)
-        except ValueError:  # a cell float() rejects, or no rows
+            values = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # a cell numpy rejects, or a row of another width
             pass
-    if values is None or not np.isfinite(values).all():
+    if values is None or values.shape != (len(data), 2) or not np.isfinite(values).all():
         values = _checked_rows(lines, start, header)
     x, y = values.T.copy()
     return Sample(x=x, y=y)

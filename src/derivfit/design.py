@@ -47,6 +47,10 @@ SINGULAR_RTOL = 1e-10
 # total width, so the products of a column prefix are leading blocks
 PANEL_WIDTH = 8
 
+# rows per block of gram's panel products: a block of every panel stays
+# in cache while all panel pairs use it; bounds depend on n only
+ROW_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -137,15 +141,22 @@ def _panels(phi: np.ndarray) -> list[np.ndarray]:
 
 def gram(phi: np.ndarray) -> np.ndarray:
     """The empirical Gram phi^T phi / n from panel products, exactly
-    symmetric; gram(phi[:, :m]) is bitwise gram(phi)[:m, :m]."""
+    symmetric; gram(phi[:, :m]) is bitwise gram(phi)[:m, :m].
+
+    Each panel pair's product is summed over ROW_BLOCK-row blocks in
+    row order, the first block assigned and later ones added, so for
+    n <= ROW_BLOCK it is one full-height product."""
     panels = _panels(phi)
-    p, w, k = len(panels), PANEL_WIDTH, phi.shape[1]
+    (n, k), p, w = phi.shape, len(panels), PANEL_WIDTH
     blocks = np.empty((p, w, p, w))
-    for a in range(p):
-        for b in range(a, p):
-            blocks[a, :, b] = panels[a].T @ panels[b]  # numpy: syrk if a == b
-            blocks[b, :, a] = blocks[a, :, b].T
-    raw = blocks.reshape(p * w, p * w)[:k, :k] / phi.shape[0]
+    for r in range(0, n, ROW_BLOCK):
+        rows = [panel[r:r + ROW_BLOCK] for panel in panels]
+        for a in range(p):
+            for b in range(a, p):
+                product = rows[a].T @ rows[b]  # numpy: syrk if a == b
+                blocks[a, :, b] = blocks[a, :, b] + product if r else product
+                blocks[b, :, a] = blocks[a, :, b].T
+    raw = blocks.reshape(p * w, p * w)[:k, :k] / n
     return (raw + raw.T) / 2.0  # exact symmetry by construction
 
 

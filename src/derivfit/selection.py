@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import trapezoid
 
 from .basis import BasisSpec, Family, admissible_dims, delta_matrix, eval_basis
 from .design import (DesignSet, Sample, default_d_constant, design_from_matrices,
@@ -410,7 +409,7 @@ def _oracle_error_sweep(cache: DesignCache, m_grid, grid: np.ndarray,
     for kind, target in targets.items():
         curves = (ext[:, :spec.m] @ thetas if kind == "regression"
                   else ext @ (delta_matrix(spec).T @ thetas))
-        errors[kind] = trapezoid((curves - target[:, None]) ** 2, grid, axis=0)
+        errors[kind] = np.trapezoid((curves - target[:, None]) ** 2, grid, axis=0)
     return {m: {kind: float(err[col]) for kind, err in errors.items()}
             for col, m in enumerate(dims)}
 

@@ -1,5 +1,10 @@
 """End-to-end command-line behavior and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -362,6 +367,32 @@ def test_interval_for_a_fixed_support_fails_before_any_work(tmp_path, capsys,
     captured = capsys.readouterr()
     assert "has a fixed support; interval not allowed" in captured.err
     assert captured.out == "" and not curve.exists()
+
+
+@pytest.mark.parametrize("interval", ["1,2,3", "1"])
+def test_malformed_interval_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                             sample_csv, interval):
+    _refuse_caches(monkeypatch)
+    monkeypatch.setattr(derivfit.cli, "fit_derivative_1", _refuse_fit)
+    capsys.readouterr()  # the fixture's output
+    curve = tmp_path / "c.csv"
+    for argv in (["fit", "--m", "3"], ["select", "--sigma2", "0.1"]):
+        command, *options = argv
+        assert run_cli(command, str(sample_csv), "--family", "half-trig", *options,
+                       "--interval", interval, "--out", str(curve)) == 1
+        captured = capsys.readouterr()
+        assert f"--interval expects 'a,b', got {interval!r}" in captured.err
+        assert captured.out == "" and not curve.exists()
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    code = "import sys, derivfit.cli; print('scipy.integrate' in sys.modules)"
+    src = str(Path(derivfit.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_bench_names_both_exclusion_causes(tmp_path, capsys):

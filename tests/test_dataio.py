@@ -1,8 +1,13 @@
 """CSV round trips, malformed-input reporting, config parsing."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import derivfit.dataio
 from derivfit.dataio import (load_csv, parse_config_text, read_config,
                              save_report, save_sample, emit_curve)
 from derivfit.design import Sample
@@ -156,3 +161,54 @@ def test_values_parse_as_python_float_parses_them(tmp_path):
     np.testing.assert_array_equal(sample.x, [float(a) for a, _ in cells])
     np.testing.assert_array_equal(sample.y, [float(b) for _, b in cells])
     assert np.signbit(sample.x[3])
+
+
+_GOOD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: f" {v:.6g}\t"),
+    st.integers(-10 ** 25, 10 ** 25).map(str))
+_ODD = st.sampled_from(["1_0", "１２.5", "٣.٥", "inf", "-inf", "nan", "1e400",
+                        "-1e400", "4.9e-324", "2e-324", "2 # c", "", " "])
+_PAIR = st.tuples(_GOOD, _GOOD).map(",".join)
+_ODD_LINE = st.one_of(
+    st.tuples(st.one_of(_GOOD, _ODD), _ODD).map(",".join),
+    st.tuples(_ODD, _GOOD).map(",".join),
+    _GOOD, st.tuples(_GOOD, _GOOD, _GOOD).map(",".join),
+    _PAIR.map(lambda row: row + ","), _PAIR.map(lambda row: row + " # c"),
+    st.sampled_from(["", "   ", "\t"]))
+
+
+@st.composite
+def _csv_text(draw):
+    """Mostly good two-cell rows, with odd cells, rows of other widths,
+    blank lines, line breaks inside a line and any header."""
+    line = st.integers(0, 7).flatmap(lambda i: _PAIR if i else _ODD_LINE)
+    lines = draw(st.lists(line, max_size=8))
+    for _ in range(draw(st.sampled_from([0] * 6 + [1, 2]))):
+        if lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            cut = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:cut] + draw(st.sampled_from("\x1c\x0c\r")) + lines[i][cut:]
+    header = draw(st.sampled_from([[], [], ["x,y"], ["x,y"], ["x,y,z"], ["", "x,y"]]))
+    return "\n".join(header + lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(path):
+    try:
+        sample = load_csv(path)
+    except DataFormatError as err:
+        return str(err), err.line
+    return sample.x.tobytes(), sample.y.tobytes()
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_csv_text())
+def test_numpy_reader_agrees_with_the_per_row_checks(tmp_path, text):
+    """Every file gives the values, or the error and line, of the per-row
+    path, which load_csv takes when numpy's reader rejects the rows."""
+    path = tmp_path / "sample.csv"
+    path.write_text(text)
+    with mock.patch.object(derivfit.dataio.np, "loadtxt", side_effect=ValueError):
+        per_row = _outcome(path)
+    assert _outcome(path) == per_row

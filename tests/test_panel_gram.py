@@ -52,6 +52,26 @@ def test_panel_products_are_prefix_exact(n, k, data, seed):
         assert _same_bits(moments(layout[:, :m], y), top_rhs[:m]), name
 
 
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8195, 20_000])
+def test_row_blocked_gram_is_prefix_exact(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    k = 21
+    phi = rng.standard_normal((n, k)) * rng.uniform(0.1, 10.0, k)
+    y = rng.standard_normal(n)
+    ref = phi.T @ phi / n
+    monkeypatch.setattr(derivfit.design, "ROW_BLOCK", n)
+    full_height = gram(phi)
+    monkeypatch.undo()
+    for name, layout in _layouts(phi, rng).items():
+        top_gram, top_rhs = gram(layout), moments(layout, y)
+        assert np.linalg.norm(top_gram - ref) <= 1e-14 * np.linalg.norm(ref), name
+        if n <= derivfit.design.ROW_BLOCK:
+            assert _same_bits(top_gram, full_height), name
+        for m in range(1, k + 1):
+            assert _same_bits(gram(layout[:, :m]), top_gram[:m, :m]), (name, m)
+            assert _same_bits(moments(layout[:, :m], y), top_rhs[:m]), (name, m)
+
+
 @settings(max_examples=30, deadline=None)
 @given(family=st.sampled_from([Family.HERMITE, Family.HALF_TRIG]),
        n=st.sampled_from([250, 300, 1000]), m=st.integers(1, 16),
