@@ -17,11 +17,11 @@ import numpy as np
 
 from . import dataio, simulation
 from .basis import BasisSpec, Family, parse_family
-from .design import (Sample, build_design, default_d_constant, stability_check,
-                     trim_interval)
+from .design import Sample, default_d_constant, stability_check, trim_interval
 from .errors import DataFormatError, EmptyCollectionError, SingularGramError
-from .estimators import fit_derivative_1, fit_derivative_2, truncate_fit
-from .selection import GlConfig, default_m_grid, gl_select, oracle_select, reuse_select
+from .estimators import Strategy, truncate_fit
+from .selection import (DesignCache, GlConfig, default_m_grid, fit_derivative_1,
+                        gl_select, oracle_select, reuse_select)
 
 USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 1, 2, 3
 
@@ -96,11 +96,11 @@ def _cmd_fit(args) -> int:
     family = parse_family(args.family)
     spec = _spec_for(family, args.m, sample, _parse_interval(args.interval))
     grid = _grid_for(args, sample)
-    fit = (fit_derivative_1 if args.strategy == 1 else fit_derivative_2)(sample, spec)
+    cache = DesignCache(sample, family, spec.m, spec.interval)
+    fit = cache.fit(spec.m, Strategy(args.strategy))
     if args.truncate:
-        ext_design = build_design(sample, spec.extended())
-        fit = truncate_fit(fit, stability_check(ext_design, sample.n,
-                                                default_d_constant(sample.x)))
+        fit = truncate_fit(fit, stability_check(cache.design(spec.extended().m),
+                                                sample.n, default_d_constant(sample.x)))
     dataio.emit_curve(fit, grid, args.out)
     status = " (truncated to zero)" if fit.truncated_to_zero else ""
     print(f"strategy-{args.strategy} derivative fit at m={args.m}{status} -> {args.out}")

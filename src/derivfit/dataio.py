@@ -1,7 +1,8 @@
 """CSV input/output and the flat key=value config format.
 
-Samples are two-column CSV (optional "x,y" header); floats are written
-with 17 significant digits so a save/load round trip is exact.  Report
+Samples are two-column CSV (optional "x,y" header; a leading UTF-8
+byte-order mark, as Excel's "CSV UTF-8" writes, is skipped); floats are
+written with 17 significant digits so a save/load round trip is exact.  Report
 and curve writers use a fixed column order so identical runs produce
 byte-identical files.
 """
@@ -35,7 +36,7 @@ def load_csv(path) -> Sample:
     out as two cells each, or one with a non-finite value goes through
     the per-row checks, which name the offending line.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     start = 0
     header: list[str] | None = None
     for i, line in enumerate(lines):

@@ -12,8 +12,11 @@ of the first m columns are bitwise the leading blocks of those of all
 columns, and the Gram's Cholesky factor is built row by row, so the
 factor of a leading block is bitwise the leading block of the factor:
 one top-dimension product and one factorization serve every nested
-dimension.  A design's eigenvalues (values only) decide whether its Gram
-is singular and give the inverse's operator norm.  The gates:
+dimension.  A DesignSet is the eigenvalue record of one Gram: its
+eigenvalues (values only) decide whether the Gram is singular and give
+the inverse's operator norm.  It solves nothing; every least-squares
+coefficient vector comes from selection.DesignCache, which owns the
+factor.  The gates:
 
 * the truncation gate: L(m) * (||Gram^-1||_op or 1) <= c * n/log(n) with
   the fixed constant c = (3 log(3/2) - 1)/9;
@@ -26,7 +29,6 @@ fit under consideration; singular Grams fail both.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,7 +36,6 @@ import numpy as np
 import scipy.linalg
 
 from .basis import BasisSpec, eval_basis, l_factor
-from .errors import SingularGramError
 
 # c = (3 log(3/2) - 1)/9, approx 0.0240439
 STABILITY_C = (3.0 * math.log(1.5) - 1.0) / 9.0
@@ -81,8 +82,8 @@ class DesignSet:
     """Value matrix and Gram for one (sample, spec) pair.
 
     The Gram eigenvalues (values only) are computed at construction and
-    decide singularity and the inverse's norm; solves go through the
-    Gram's prefix Cholesky factor, built on first use.
+    decide singularity and the inverse's norm.  Least-squares
+    coefficients come from a DesignCache.
     """
 
     phi: np.ndarray
@@ -109,19 +110,6 @@ class DesignSet:
         if self.is_singular:
             return math.inf
         return 1.0 / self.eigvals[0]
-
-    @functools.cached_property
-    def factor(self) -> np.ndarray:
-        """The Gram's prefix Cholesky factor (see prefix_cholesky)."""
-        return prefix_cholesky(self.psi_hat)
-
-    def solve_psi(self, rhs: np.ndarray) -> np.ndarray:
-        """Gram^-1 @ rhs through the prefix Cholesky factor."""
-        if self.is_singular or len(self.factor) < self.m:
-            raise SingularGramError(
-                f"Gram matrix is numerically singular at m={self.m} "
-                f"(family {self.spec.family.value})")
-        return scipy.linalg.cho_solve((self.factor, True), rhs, check_finite=False)
 
 
 def _panels(phi: np.ndarray) -> list[np.ndarray]:

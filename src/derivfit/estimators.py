@@ -1,14 +1,20 @@
-"""The two derivative estimators, both built on the least-squares fit.
+"""What a derivative fit is, and how its curve is drawn.
 
-Strategy 1 differentiates the regression fit: the coefficient vector of
-the m-dimensional least-squares fit is evaluated against the basis
+Two strategies build a derivative estimate from the least-squares fit.
+Strategy 1 differentiates the regression fit: the coefficient vector
+theta_m of the m-dimensional fit is evaluated against the basis
 derivatives, which are the first m+p basis functions times the
 transposed link matrix, so the curve is Phi_{m+p} (Delta^T theta).
 Strategy 2 estimates the projection of the derivative directly:
 integration by parts turns the derivative's projection coefficients into
 minus the link matrix applied to the (m+p)-dimensional regression
-coefficients, and the result is evaluated against the basis functions
-themselves.
+coefficients, -Delta theta_{m+p}, and the result is evaluated against
+the basis functions themselves.
+
+This module holds the fit record (DerivativeFit and its Strategy), the
+truncation rule and the curve evaluation.  The fits themselves come from
+the one least-squares solve, selection.DesignCache.fit; the
+fixed-dimension fit_derivative_1/2 live beside it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import BasisSpec, delta_matrix, eval_basis
-from .design import DesignSet, Sample, StabilityVerdict, build_design, moments
+from .design import StabilityVerdict
 
 
 class Strategy(enum.Enum):
@@ -39,38 +45,6 @@ class DerivativeFit:
     @property
     def m(self) -> int:
         return self.spec.m
-
-
-def _solve_theta(design: DesignSet, y: np.ndarray) -> np.ndarray:
-    """theta = Gram^-1 (1/n) Phi^T y (raises SingularGramError)."""
-    return design.solve_psi(moments(design.phi, y))
-
-
-def fit_derivative_1(sample: Sample, spec: BasisSpec,
-                     design: DesignSet | None = None) -> DerivativeFit:
-    """Derivative of the regression fit (same coefficients, derivative basis)."""
-    if design is None:
-        design = build_design(sample, spec)
-    theta = _solve_theta(design, sample.y)
-    return DerivativeFit(theta=theta, strategy=Strategy.DERIV_OF_PROJECTION, spec=spec)
-
-
-def fit_derivative_2(sample: Sample, spec: BasisSpec,
-                     design_ext: DesignSet | None = None) -> DerivativeFit:
-    """Projection estimator of the derivative.
-
-    theta = -(1/n) Delta Gram_{m+p}^-1 Phi_{m+p}^T y, evaluated against
-    (phi_1..phi_m).  design_ext, when given, must be the design at the
-    extended dimension m+p.
-    """
-    ext = spec.extended()
-    if design_ext is None:
-        design_ext = build_design(sample, ext)
-    elif design_ext.spec.m != ext.m:
-        raise ValueError(f"extended design has m={design_ext.spec.m}, expected {ext.m}")
-    theta_ext = _solve_theta(design_ext, sample.y)
-    return DerivativeFit(theta=-(delta_matrix(spec) @ theta_ext),
-                         strategy=Strategy.PROJECTION_OF_DERIV, spec=spec)
 
 
 def truncate_fit(fit: DerivativeFit, verdict: StabilityVerdict) -> DerivativeFit:

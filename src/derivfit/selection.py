@@ -1,4 +1,5 @@
-"""Dimension selection: data-driven, oracle, and reuse strategies.
+"""The one least-squares sweep, the fits it gives, and dimension selection
+(data-driven, oracle and reuse).
 
 The data-driven selector compares every pair of candidate fits through
 their empirical-norm distance at the sample points, penalized by a
@@ -26,9 +27,14 @@ bisection, with one values-only eigendecomposition per probed dimension.
 The collection gate, the noise estimate and the gl and reuse choices are
 private cores that read that cache; the public selectors build one cache
 and call them, and the simulation harness calls them on the cache of
-each draw.  Grid scoring evaluates the basis once on the grid and all
-dimensions' curves in one product per target, the derivative curves as
-Phi_{m+p} (Delta^T theta).  Every selector, the oracle included, scans
+each draw.  The cache is the package's one least-squares solve: every
+theta, the fixed-dimension fits included, is one of its leading-block
+solves, and DesignCache.fit turns theta_m into the strategy-1 fit and
+theta_{m+p} into the strategy-2 fit -Delta theta_{m+p}.
+fit_derivative_1/2 are that call on a cache of their own, built at the
+fit's dimension.  Grid scoring evaluates the basis once on the grid and
+all dimensions' curves in one product per target, the derivative curves
+as Phi_{m+p} (Delta^T theta).  Every selector, the oracle included, scans
 its candidates in order and keeps the earlier one unless a later one is
 better by more than CRITERION_TIE_TOL.
 """
@@ -111,7 +117,8 @@ class DesignCache:
     once there: dimension m's Gram is the leading m-by-m block (a view),
     its right-hand side the first m moments and its factor the leading
     m-by-m block of the factor, bitwise what a direct build at m
-    computes, so theta(m) is two triangular solves.  The
+    computes, so theta(m) is two triangular solves, and fit(m, strategy)
+    is either strategy's derivative fit from those coefficients.  The
     singular dimensions form a suffix of 1..K (the Gram's smallest
     eigenvalue does not grow with m, its largest does not shrink), so
     m_singular, the first of them, is found by bisection; designs (one
@@ -172,6 +179,16 @@ class DesignCache:
                 (self.factor[:m, :m], True), self._rhs[:m], check_finite=False)
         return self._thetas[m]
 
+    def fit(self, m: int, strategy: Strategy) -> DerivativeFit:
+        """The derivative fit at dimension m: theta_m for strategy 1,
+        -Delta theta_{m+p} for strategy 2 (raises SingularGramError)."""
+        spec = self.spec_for(m)
+        if strategy is Strategy.DERIV_OF_PROJECTION:
+            theta = self.theta(m)
+        else:
+            theta = -(delta_matrix(spec) @ self.theta(spec.extended().m))
+        return DerivativeFit(theta=theta, strategy=strategy, spec=spec)
+
     def thetas(self, dims) -> np.ndarray:
         """The coefficient vectors of dims as columns, zero-padded to max(dims)."""
         out = np.zeros((max(dims), len(dims)))
@@ -191,6 +208,20 @@ class DesignCache:
         """Residual mean square (1/n)|y - Phi theta|^2 of the dimension-m fit."""
         resid = self.sample.y - self._phi[:, :m] @ self.theta(m)
         return float(resid @ resid / self.sample.n)
+
+
+def fit_derivative_1(sample: Sample, spec: BasisSpec) -> DerivativeFit:
+    """Derivative of the regression fit (same coefficients, derivative basis)."""
+    cache = DesignCache(sample, spec.family, spec.m, spec.interval)
+    return cache.fit(spec.m, Strategy.DERIV_OF_PROJECTION)
+
+
+def fit_derivative_2(sample: Sample, spec: BasisSpec) -> DerivativeFit:
+    """Projection estimator of the derivative: theta =
+    -(1/n) Delta Gram_{m+p}^-1 Phi_{m+p}^T y, evaluated against
+    (phi_1..phi_m)."""
+    cache = DesignCache(sample, spec.family, spec.m, spec.interval)
+    return cache.fit(spec.m, Strategy.PROJECTION_OF_DERIV)
 
 
 def default_m_grid(family: Family, n: int, m_max: int | None = None) -> tuple[int, ...]:
@@ -311,11 +342,6 @@ def _reuse_choice(cache: DesignCache, members: list[int], sigma2: float) -> int:
                                     for m in members])
 
 
-def _derivative_fit(cache: DesignCache, m: int) -> DerivativeFit:
-    return DerivativeFit(theta=cache.theta(m), strategy=Strategy.DERIV_OF_PROJECTION,
-                         spec=cache.spec_for(m))
-
-
 def estimate_sigma2(sample: Sample, family: Family,
                     m_grid=None, d_constant: float | None = None,
                     interval: tuple[float, float] | None = None) -> float:
@@ -350,7 +376,7 @@ def gl_select(sample: Sample, family: Family, config: GlConfig | None = None,
     rows = tuple(TraceRow(m, m in v_hat, v_hat.get(m), a_value.get(m))
                  for m in m_grid)
     trace = SelectionTrace(rows=rows, m_hat=m_hat, strategy="gl")
-    return trace, _derivative_fit(cache, m_hat)
+    return trace, cache.fit(m_hat, Strategy.DERIV_OF_PROJECTION)
 
 
 def oracle_select(sample: Sample, family: Family, m_grid, truth,
@@ -429,4 +455,4 @@ def reuse_select(sample: Sample, family: Family, m_grid=None,
     cache = DesignCache(sample, family, max(m_grid), interval)
     members = _gate(cache, m_grid, d_constant)
     best_m = _reuse_choice(cache, members, _sigma2(cache, m_grid, members, sigma2))
-    return best_m, _derivative_fit(cache, best_m)
+    return best_m, cache.fit(best_m, Strategy.DERIV_OF_PROJECTION)

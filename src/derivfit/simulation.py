@@ -241,6 +241,9 @@ def calibrate_kappa(function: str, family_name: str, n: int,
     for kappa in kappas:  # rejects a bad constant before the sweep
         GlConfig(kappa0=kappa, kappa1=kappa, d_constant=d_constant)
     m_grid = default_m_grid(family, n, m_max)
+    if n <= 2 * max(m_grid):  # every draw estimates sigma2
+        raise ValueError(f"estimating sigma2 needs n > 2*m_max, but n = {n} with "
+                         f"m_max = {max(m_grid)}; raise n or lower m_max")
     ratios: dict[float, list[float]] = {k: [] for k in kappas}
     dims: dict[float, list[int]] = {k: [] for k in kappas}
     for i in range(seeds):
@@ -257,7 +260,7 @@ def calibrate_kappa(function: str, family_name: str, n: int,
         try:
             members = _gate(cache, m_grid, d_constant)
             sigma2_hat = _sigma2(cache, m_grid, members)
-        except (EmptyCollectionError, ValueError):
+        except EmptyCollectionError:
             continue
         for kappa in kappas:
             m_hat = _gl_choice(cache, members, sigma2_hat, kappa, kappa)[0]

@@ -6,10 +6,12 @@ the link matrix; the quadrature oracles compute projection coefficients,
 population Grams, density-weighted link matrices, the
 projection/derivative commutation gap with its per-family closed forms
 and the population penalty from integrals, never from the empirical
-machinery.  The remaining helpers (matrix and empirical norms, the
-regression fit, the Gram's symmetric inverse square root, fitted
-derivatives at the design points, the derivative sup factor) are direct
-n-space or dense forms of quantities the package computes another way.
+machinery.  The remaining helpers (matrix and empirical norms, the Gram's
+symmetric inverse square root, fitted derivatives at the design points,
+the derivative sup factor) are direct n-space or dense forms of
+quantities the package computes another way.  The regression fit is the
+exception: it wraps the package's one least-squares solve, so the tests
+of its residual orthogonality and optimality check that solve.
 
 Tests import them as ``from oracles import ...``.
 """
@@ -24,9 +26,10 @@ import scipy.linalg
 from scipy.integrate import quad
 
 from derivfit.basis import BasisSpec, Family, delta_matrix, eval_basis
-from derivfit.design import DesignSet, Sample, build_design, moments
+from derivfit.design import DesignSet, Sample
 from derivfit.errors import DerivfitError, SingularGramError
 from derivfit.estimators import DerivativeFit, Strategy
+from derivfit.selection import DesignCache
 
 
 class QuadratureError(DerivfitError):
@@ -170,13 +173,11 @@ class RegressionFit:
         return eval_basis(self.spec, np.asarray(grid, dtype=float)) @ self.theta
 
 
-def fit_regression(sample: Sample, spec: BasisSpec,
-                   design: DesignSet | None = None) -> RegressionFit:
-    """Least-squares fit of the responses on the m-dimensional span."""
-    if design is None:
-        design = build_design(sample, spec)
-    return RegressionFit(theta=design.solve_psi(moments(design.phi, sample.y)),
-                         spec=spec)
+def fit_regression(sample: Sample, spec: BasisSpec) -> RegressionFit:
+    """Least-squares fit of the responses on the m-dimensional span,
+    through the package's one solve (DesignCache.theta)."""
+    cache = DesignCache(sample, spec.family, spec.m, spec.interval)
+    return RegressionFit(theta=cache.theta(spec.m), spec=spec)
 
 
 def derivative_columns(spec: BasisSpec, x: np.ndarray) -> np.ndarray:

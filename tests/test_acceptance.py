@@ -14,11 +14,11 @@ import pytest
 from derivfit.basis import BasisSpec, Family, eval_basis, eval_basis_derivative
 from derivfit.design import Sample, default_d_constant, trim_interval
 from derivfit.dataio import save_report
-from derivfit.estimators import evaluate_fit, fit_derivative_1
+from derivfit.estimators import evaluate_fit
 from derivfit.selection import (DesignCache, GlConfig, _oracle_error_sweep,
                                 _whitened_derivative_gram, collection_members,
-                                default_m_grid, eval_on_grid, gl_select,
-                                penalty_v_hat)
+                                default_m_grid, eval_on_grid, fit_derivative_1,
+                                gl_select, penalty_v_hat)
 from derivfit.simulation import (ExperimentConfig, TEST_FUNCTIONS, best_kappa,
                                  calibrate_kappa, generate_sample, rng_for,
                                  run_experiment)

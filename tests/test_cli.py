@@ -314,6 +314,18 @@ def test_calibrate_without_draws_fails_before_any_work(tmp_path, capsys, monkeyp
     assert not calib.exists()
 
 
+def test_calibrate_without_room_for_sigma2_fails_before_any_work(tmp_path, capsys,
+                                                                 monkeypatch):
+    _refuse_caches(monkeypatch)
+    calib = tmp_path / "calib.csv"
+    assert run_cli("calibrate", "--function", "b1", "--n", "20", "--m-max", "15",
+                   "--seeds", "5", "--kappas", "0.5,1", "--out", str(calib)) == 1
+    captured = capsys.readouterr()
+    assert "needs n > 2*m_max, but n = 20 with m_max = 15" in captured.err
+    assert captured.out == ""
+    assert not calib.exists()
+
+
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_grid_points_below_one_fail_before_the_fit(tmp_path, capsys, monkeypatch,
                                                    sample_csv, points):
@@ -359,7 +371,6 @@ def test_interval_for_a_fixed_support_fails_before_any_work(tmp_path, capsys,
                                                             argv):
     _refuse_caches(monkeypatch)
     monkeypatch.setattr(derivfit.cli, "fit_derivative_1", _refuse_fit)
-    monkeypatch.setattr(derivfit.cli, "fit_derivative_2", _refuse_fit)
     capsys.readouterr()  # the fixture's output
     curve = tmp_path / "c.csv"
     command, *options = argv

@@ -22,10 +22,9 @@ from scipy.integrate import trapezoid
 from derivfit import simulation
 from derivfit.basis import BasisSpec, Family, eval_basis, parse_family
 from derivfit.design import Sample, design_from_matrices, trim_interval
-from derivfit.estimators import fit_derivative_1
 from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, GlConfig, _gate,
                                 _oracle_error_sweep, _sigma2, default_m_grid,
-                                gl_select, reuse_select)
+                                fit_derivative_1, gl_select, reuse_select)
 from derivfit.simulation import (TEST_FUNCTIONS, calibrate_kappa, generate_sample,
                                  rng_for)
 from oracles import derivative_columns
@@ -53,7 +52,7 @@ def n_space_gl(sample, spec_for, members, sigma2, kappa0, kappa1):
     for m in members:
         design = n_space_design(sample, spec_for(m))
         phi_prime = derivative_columns(design.spec, sample.x)
-        fits[m] = phi_prime @ fit_derivative_1(sample, design.spec, design).theta
+        fits[m] = phi_prime @ fit_derivative_1(sample, design.spec).theta
         lam = scipy.linalg.eigh(phi_prime.T @ phi_prime / n, design.psi_hat,
                                 eigvals_only=True)
         v_hat[m] = sigma2 * m / n * max(lam[-1], 0.0)
@@ -81,7 +80,7 @@ def n_space_reuse(sample, spec_for, members, sigma2):
     best_m, best_crit = members[0], math.inf
     for m in members:
         design = n_space_design(sample, spec_for(m))
-        resid = sample.y - design.phi @ fit_derivative_1(sample, design.spec, design).theta
+        resid = sample.y - design.phi @ fit_derivative_1(sample, design.spec).theta
         crit = float(resid @ resid / n) + 2.0 * sigma2 * m / n
         if crit < best_crit - CRITERION_TIE_TOL:
             best_m, best_crit = m, crit
@@ -93,7 +92,7 @@ def n_space_errors(sample, spec_for, dims, grid, targets):
     out = {}
     for m in dims:
         design = n_space_design(sample, spec_for(m))
-        theta = fit_derivative_1(sample, design.spec, design).theta
+        theta = fit_derivative_1(sample, design.spec).theta
         phi, phi_prime = recursion_matrices(spec_for(m), grid)
         out[m] = {kind: float(trapezoid(((phi if kind == "regression" else phi_prime)
                                          @ theta - target) ** 2, grid))

@@ -35,6 +35,16 @@ def test_header_optional(tmp_path):
     assert load_csv(path2).n == 1
 
 
+@pytest.mark.parametrize("header", ["", "x,y\n"])
+def test_byte_order_mark_is_not_a_header(tmp_path, header):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeff" + header + "0.5,1.0\n0.7,2.0\n0.9,3.0\n", encoding="utf-8")
+    sample = load_csv(path)
+    np.testing.assert_array_equal(sample.x, [0.5, 0.7, 0.9])
+    np.testing.assert_array_equal(sample.y, [1.0, 2.0, 3.0])
+
+
 def test_empty_file_reports_line_zero(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

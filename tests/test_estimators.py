@@ -8,8 +8,8 @@ import pytest
 from derivfit.basis import BasisSpec, Family, eval_basis
 from derivfit.design import Sample, build_design, default_d_constant, stability_check
 from derivfit.errors import SingularGramError
-from derivfit.estimators import (DerivativeFit, Strategy, evaluate_fit,
-                                 fit_derivative_1, fit_derivative_2, truncate_fit)
+from derivfit.estimators import DerivativeFit, Strategy, evaluate_fit, truncate_fit
+from derivfit.selection import fit_derivative_1, fit_derivative_2
 from oracles import (derivative_recursion, empirical_norm, fit_regression,
                      fitted_derivative_at_sample, projection_coefficients)
 
@@ -53,7 +53,7 @@ def test_residual_orthogonality():
     sample = uniform_sample(rng, 300, lambda x: np.sin(7 * x) + 0.1 * rng.standard_normal(300))
     spec = BasisSpec(Family.TRIG_ODD, 7)
     design = build_design(sample, spec)
-    fit = fit_regression(sample, spec, design)
+    fit = fit_regression(sample, spec)
     resid = sample.y - design.phi @ fit.theta
     assert np.abs(design.phi.T @ resid / sample.n).max() <= 1e-12
 
@@ -63,7 +63,7 @@ def test_least_squares_optimality_under_perturbation():
     sample = uniform_sample(rng, 200, lambda x: x + 0.2 * rng.standard_normal(200))
     spec = BasisSpec(Family.TRIG_ODD, 5)
     design = build_design(sample, spec)
-    fit = fit_regression(sample, spec, design)
+    fit = fit_regression(sample, spec)
     base = empirical_norm(sample.y - design.phi @ fit.theta) ** 2
     for _ in range(20):
         delta = 1e-3 * rng.standard_normal(5)
@@ -116,7 +116,7 @@ def test_derivative_1_sample_point_identity():
     sample = uniform_sample(rng, 200, lambda x: np.cos(3 * x))
     spec = BasisSpec(Family.TRIG_ODD, 9)
     design = build_design(sample, spec)
-    fit = fit_derivative_1(sample, spec, design)
+    fit = fit_derivative_1(sample, spec)
     direct = evaluate_fit(fit, sample.x)
     via_matrix = derivative_recursion(spec, sample.x) @ fit.theta
     scale = np.abs(via_matrix).max()

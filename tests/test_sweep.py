@@ -1,18 +1,22 @@
-"""One sweep per sample: the harness, the selectors and the noise estimate
-share a single DesignCache, and the cache agrees with direct builds."""
+"""One sweep per sample: the harness, the selectors, the noise estimate and
+the fixed-dimension fits share a single DesignCache, and the cache agrees
+with direct builds."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import derivfit.cli
+import derivfit.design
+import derivfit.estimators
+import derivfit.selection
 from derivfit.basis import Family, admissible_dims, parse_family
 from derivfit.cli import main
 from derivfit.design import Sample, build_design, trim_interval
-from derivfit.estimators import fit_derivative_1
 from derivfit.selection import (DesignCache, GlConfig, _oracle_error_sweep,
-                                default_m_grid, eval_on_grid, gl_select,
-                                reuse_select)
+                                default_m_grid, eval_on_grid, fit_derivative_1,
+                                gl_select, reuse_select)
 from derivfit.simulation import (ExperimentConfig, TEST_FUNCTIONS, _run_repetition,
                                  generate_sample, rng_for, run_experiment)
 
@@ -77,6 +81,41 @@ def test_one_cache_per_select_call(tmp_path, cache_builds, family):
     assert main(["select", str(data), "--family", family, "--mode", "gl",
                  "--out", str(tmp_path / "curve.csv")]) == 0
     assert len(cache_builds) == 1
+
+
+@pytest.fixture()
+def design_calls(monkeypatch):
+    """Counts gram, moments and build_design calls under every module binding."""
+    calls = {"gram": 0, "moments": 0, "build_design": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        original = getattr(derivfit.design, name)
+        for module in (derivfit.design, derivfit.selection, derivfit.estimators,
+                       derivfit.cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, original))
+    return calls
+
+
+@pytest.mark.parametrize("family", ["hermite", "half-trig"])
+@pytest.mark.parametrize("strategy", ["1", "2"])
+@pytest.mark.parametrize("truncate", [[], ["--truncate"]], ids=["plain", "truncate"])
+def test_one_sweep_per_fit_call(tmp_path, cache_builds, design_calls, family,
+                                strategy, truncate):
+    data = tmp_path / "sample.csv"
+    assert main(["simulate", "--function", "b3", "--n", "500", "--seed", "4",
+                 "--out", str(data)]) == 0
+    assert main(["fit", str(data), "--family", family, "--m", "6",
+                 "--strategy", strategy, *truncate,
+                 "--out", str(tmp_path / "curve.csv")]) == 0
+    assert len(cache_builds) == 1
+    assert design_calls == {"gram": 1, "moments": 1, "build_design": 0}
 
 
 @settings(max_examples=40, deadline=None)
