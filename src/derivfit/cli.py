@@ -20,8 +20,8 @@ from .basis import BasisSpec, Family, parse_family
 from .design import Sample, default_d_constant, stability_check, trim_interval
 from .errors import DataFormatError, EmptyCollectionError, SingularGramError
 from .estimators import Strategy, truncate_fit
-from .selection import (DesignCache, GlConfig, default_m_grid, fit_derivative_1,
-                        gl_select, oracle_select, reuse_select)
+from .selection import (DesignCache, GlConfig, default_m_grid, gl_select,
+                        oracle_select, reuse_select)
 
 USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 1, 2, 3
 
@@ -132,10 +132,8 @@ def _cmd_select(args) -> int:
         print(f"selected m = {m_hat} (dimension chosen for the regression fit)")
     else:  # oracle
         fn = simulation.TEST_FUNCTIONS[args.function]
-        m_hat, err = oracle_select(sample, family, m_grid, fn.b_prime, eval_iv,
-                                   interval=interval)
-        spec = _spec_for(family, m_hat, sample, interval)
-        fit = fit_derivative_1(sample, spec)
+        m_hat, err, fit = oracle_select(sample, family, m_grid, fn.b_prime, eval_iv,
+                                        interval=interval)
         print(f"oracle m = {m_hat} (squared L2 error {err:.6g})")
     if args.out:
         dataio.emit_curve(fit, grid, args.out)
@@ -195,7 +193,8 @@ def build_parser() -> _Parser:
     p.add_argument("--strategy", type=int, choices=(1, 2), default=1)
     p.add_argument("--truncate", action="store_true",
                    help="zero the fit when the conditioning gate fails")
-    p.add_argument("--interval", help="half-trig rescaling interval 'a,b'")
+    p.add_argument("--interval", help="half-trig rescaling interval 'a,b'; "
+                   "write --interval=a,b when a is negative")
     p.add_argument("--grid-lo", type=float)
     p.add_argument("--grid-hi", type=float)
     p.add_argument("--grid-points", type=int, default=512)
@@ -213,7 +212,8 @@ def build_parser() -> _Parser:
     p.add_argument("--m-max", type=int)
     p.add_argument("--function", choices=sorted(simulation.TEST_FUNCTIONS),
                    help="true target for --mode oracle")
-    p.add_argument("--interval", help="half-trig rescaling interval 'a,b'")
+    p.add_argument("--interval", help="half-trig rescaling interval 'a,b'; "
+                   "write --interval=a,b when a is negative")
     p.add_argument("--grid-lo", type=float)
     p.add_argument("--grid-hi", type=float)
     p.add_argument("--grid-points", type=int, default=512)

@@ -1,9 +1,10 @@
 """CSV input/output and the flat key=value config format.
 
-Samples are two-column CSV (optional "x,y" header; a leading UTF-8
-byte-order mark, as Excel's "CSV UTF-8" writes, is skipped); floats are
-written with 17 significant digits so a save/load round trip is exact.  Report
-and curve writers use a fixed column order so identical runs produce
+Samples are two-column CSV (optional "x,y" header) and configs flat
+"key = value" lines, both UTF-8; a leading byte-order mark, as Excel's
+"CSV UTF-8" and some editors write, is skipped.  Floats are written with
+17 significant digits so a save/load round trip is exact.  Report and
+curve writers use a fixed column order so identical runs produce
 byte-identical files.
 """
 
@@ -125,20 +126,10 @@ def save_calibration(rows: list[CalibrationRow], path) -> None:
     Path(path).write_text("\n".join(out) + "\n")
 
 
-def emit_curve(fit, grid, path) -> None:
-    """Write (x, estimate) pairs for plotting.
-
-    fit may be a DerivativeFit, any callable evaluated on the grid, or a
-    precomputed value array matching the grid.
-    """
-    if isinstance(fit, DerivativeFit):
-        values = evaluate_fit(fit, grid)
-    elif callable(fit):
-        values = fit(grid)
-    else:
-        values = np.asarray(fit, dtype=float)
+def emit_curve(fit: DerivativeFit, grid, path) -> None:
+    """Write the fit's (x, estimate) pairs on the grid, for plotting."""
     rows = ["x,estimate"]
-    rows += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(grid, values)]
+    rows += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(grid, evaluate_fit(fit, grid))]
     Path(path).write_text("\n".join(rows) + "\n")
 
 
@@ -169,7 +160,7 @@ def parse_config_text(text: str) -> dict:
 
 def read_config(path) -> tuple[ExperimentConfig, str | None]:
     """Parse an experiment config file.  Returns (config, output path)."""
-    values = parse_config_text(Path(path).read_text())
+    values = parse_config_text(Path(path).read_text(encoding="utf-8-sig"))
     kwargs: dict = {}
     try:
         if "functions" in values:

@@ -1,22 +1,23 @@
-"""Empirical design matrices and stability checks.
+"""Empirical Grams, their eigenvalue records and the stability checks.
 
-For a sample (X_1..X_n) and a basis spec of dimension m this module builds
-the n-by-m value matrix, the m-by-m empirical Gram (the matrix of
-empirical scalar products), and evaluates the two conditioning gates
-used downstream.  No derivative columns are formed: the derivatives of
-the first m elements are the link matrix Delta applied to the first m+p
-elements, so everything a derivative needs is in coefficient space
-(the derivative Gram is Delta Gram_{m+p} Delta^T).  The Gram and the
-moments Phi^T y / n are products of fixed-width column panels, so those
-of the first m columns are bitwise the leading blocks of those of all
-columns, and the Gram's Cholesky factor is built row by row, so the
-factor of a leading block is bitwise the leading block of the factor:
-one top-dimension product and one factorization serve every nested
-dimension.  A DesignSet is the eigenvalue record of one Gram: its
-eigenvalues (values only) decide whether the Gram is singular and give
-the inverse's operator norm.  It solves nothing; every least-squares
-coefficient vector comes from selection.DesignCache, which owns the
-factor.  The gates:
+For a sample (X_1..X_n) and basis values at its points this module
+builds the m-by-m empirical Gram (the matrix of empirical scalar
+products) and the moments Phi^T y / n, factors the Gram, and evaluates
+the two conditioning gates used downstream.  No derivative columns are
+formed: the derivatives of the first m elements are the link matrix
+Delta applied to the first m+p elements, so everything a derivative
+needs is in coefficient space (the derivative Gram is
+Delta Gram_{m+p} Delta^T).  The Gram and the moments are products of
+fixed-width column panels, so those of the first m columns are bitwise
+the leading blocks of those of all columns, and the Gram's Cholesky
+factor is built row by row, so the factor of a leading block is bitwise
+the leading block of the factor: one top-dimension product and one
+factorization serve every nested dimension.  A DesignSet is the
+eigenvalue record of one Gram: its eigenvalues (values only) decide
+whether the Gram is singular and give the inverse's operator norm.  It
+holds no values and solves nothing; the basis values, the Gram and
+every least-squares coefficient vector belong to selection.DesignCache,
+which owns the factor.  The gates:
 
 * the truncation gate: L(m) * (||Gram^-1||_op or 1) <= c * n/log(n) with
   the fixed constant c = (3 log(3/2) - 1)/9;
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .basis import BasisSpec, eval_basis, l_factor
+from .basis import BasisSpec, l_factor
 
 # c = (3 log(3/2) - 1)/9, approx 0.0240439
 STABILITY_C = (3.0 * math.log(1.5) - 1.0) / 9.0
@@ -79,25 +80,15 @@ class Sample:
 
 @dataclass(frozen=True)
 class DesignSet:
-    """Value matrix and Gram for one (sample, spec) pair.
+    """The eigenvalue record of one (sample, spec) Gram.
 
-    The Gram eigenvalues (values only) are computed at construction and
-    decide singularity and the inverse's norm.  Least-squares
-    coefficients come from a DesignCache.
+    The Gram's eigenvalues (values only, ascending) decide singularity
+    and the inverse's norm.  Least-squares coefficients come from a
+    DesignCache.
     """
 
-    phi: np.ndarray
-    psi_hat: np.ndarray
     spec: BasisSpec
     eigvals: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.phi.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.spec.m
 
     @property
     def is_singular(self) -> bool:
@@ -176,19 +167,10 @@ def prefix_cholesky(psi_hat: np.ndarray) -> np.ndarray:
     return factor
 
 
-def design_from_matrices(phi: np.ndarray, spec: BasisSpec,
-                         psi_hat: np.ndarray | None = None) -> DesignSet:
-    """Assemble a DesignSet from precomputed value columns; psi_hat, when
-    given, stands for gram(phi), e.g. the leading block of a wider Gram."""
-    if psi_hat is None:
-        psi_hat = gram(phi)
-    eigvals = scipy.linalg.eigh(psi_hat, eigvals_only=True)
-    return DesignSet(phi=phi, psi_hat=psi_hat, spec=spec, eigvals=eigvals)
-
-
-def build_design(sample: Sample, spec: BasisSpec) -> DesignSet:
-    """Evaluate the basis at the sample points."""
-    return design_from_matrices(eval_basis(spec, sample.x), spec)
+def design_from_matrices(psi_hat: np.ndarray, spec: BasisSpec) -> DesignSet:
+    """The eigenvalue record of the Gram psi_hat of spec's m columns,
+    e.g. the leading block of a wider Gram."""
+    return DesignSet(spec=spec, eigvals=scipy.linalg.eigh(psi_hat, eigvals_only=True))
 
 
 def trim_interval(sample: Sample) -> tuple[float, float]:

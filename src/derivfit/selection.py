@@ -112,7 +112,7 @@ class DesignCache:
     """The one sweep over nested dimensions that a sample gets.
 
     The basis is evaluated once, at the top dimension's m+p columns;
-    every design in the sweep is a column slice of that evaluation.  The
+    every dimension's values are a column slice of that evaluation.  The
     Gram, Phi^T y / n and the Gram's prefix Cholesky factor are built
     once there: dimension m's Gram is the leading m-by-m block (a view),
     its right-hand side the first m moments and its factor the leading
@@ -151,12 +151,13 @@ class DesignCache:
         return BasisSpec(self.family, m)
 
     def design(self, m: int) -> DesignSet:
-        if m > self._phi.shape[1]:
+        """The eigenvalue record of dimension m's Gram, the leading m-by-m
+        block of the cache's Gram."""
+        if m > len(self._gram):
             raise ValueError(f"dimension {m} exceeds the cache's top dimension "
-                             f"{self._phi.shape[1]}")
+                             f"{len(self._gram)}")
         if m not in self._designs:
-            self._designs[m] = design_from_matrices(
-                self._phi[:, :m], self.spec_for(m), self._gram[:m, :m])
+            self._designs[m] = design_from_matrices(self._gram[:m, :m], self.spec_for(m))
         return self._designs[m]
 
     @functools.cached_property
@@ -383,7 +384,7 @@ def oracle_select(sample: Sample, family: Family, m_grid, truth,
                   eval_interval: tuple[float, float],
                   fit_kind: str = "derivative",
                   interval: tuple[float, float] | None = None,
-                  grid_points: int = 512) -> tuple[int, float]:
+                  grid_points: int = 512) -> tuple[int, float, DerivativeFit]:
     """Dimension minimizing the true squared L2 error (simulation only).
 
     truth is the target function (the regression function for
@@ -391,7 +392,9 @@ def oracle_select(sample: Sample, family: Family, m_grid, truth,
     a trapezoid-rule integral on a uniform grid over eval_interval.
     Singular dimensions are skipped; if every fit is singular a
     SingularGramError is raised.  Errors within CRITERION_TIE_TOL of
-    each other tie, and ties go to the smaller dimension.
+    each other tie, and ties go to the smaller dimension.  Returns
+    (chosen m, its error, strategy-1 derivative fit at m), the fit from
+    the same cache as the errors, as gl_select and reuse_select do.
     """
     if fit_kind not in ("derivative", "regression"):
         raise ValueError(f"fit_kind must be 'derivative' or 'regression', got {fit_kind!r}")
@@ -404,7 +407,7 @@ def oracle_select(sample: Sample, family: Family, m_grid, truth,
         raise SingularGramError("every candidate dimension has a singular Gram")
     dims = sorted(errors)
     best_m = _first_minimum(dims, [errors[m][fit_kind] for m in dims])
-    return best_m, errors[best_m][fit_kind]
+    return best_m, errors[best_m][fit_kind], cache.fit(best_m, Strategy.DERIV_OF_PROJECTION)
 
 
 def eval_on_grid(fn, grid: np.ndarray) -> np.ndarray:

@@ -129,12 +129,6 @@ class ExperimentReport:
     rows: tuple[ReportRow, ...]
     excluded: dict[tuple[str, str, int], int]
 
-    def row(self, function: str, family: str, n: int, target: str) -> ReportRow:
-        for r in self.rows:
-            if (r.function, r.family, r.n, r.target) == (function, family, n, target):
-                return r
-        raise KeyError((function, family, n, target))
-
 
 def _run_repetition(config: ExperimentConfig, fn: TestFunction, family: Family,
                     n: int, rng: np.random.Generator):

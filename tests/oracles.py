@@ -2,16 +2,18 @@
 
 Nothing here runs in the package's pipeline.  The derivative recursion
 evaluates each family's derivatives from its own formulas, never through
-the link matrix; the quadrature oracles compute projection coefficients,
-population Grams, density-weighted link matrices, the
-projection/derivative commutation gap with its per-family closed forms
-and the population penalty from integrals, never from the empirical
-machinery.  The remaining helpers (matrix and empirical norms, the Gram's
+the link matrix.  The quadrature oracles compute
+projection coefficients, population Grams, density-weighted link
+matrices, the projection/derivative commutation gap with its per-family
+closed forms and the population penalty from integrals, never from the
+empirical machinery.  The remaining helpers (a design built from a basis
+evaluation and Gram of its own, matrix and empirical norms, the Gram's
 symmetric inverse square root, fitted derivatives at the design points,
 the derivative sup factor) are direct n-space or dense forms of
 quantities the package computes another way.  The regression fit is the
 exception: it wraps the package's one least-squares solve, so the tests
 of its residual orthogonality and optimality check that solve.
+report_row looks up one cell of an experiment report.
 
 Tests import them as ``from oracles import ...``.
 """
@@ -26,10 +28,12 @@ import scipy.linalg
 from scipy.integrate import quad
 
 from derivfit.basis import BasisSpec, Family, delta_matrix, eval_basis
-from derivfit.design import DesignSet, Sample
+from derivfit.design import (SINGULAR_RTOL, DesignSet, Sample, design_from_matrices,
+                             gram)
 from derivfit.errors import DerivfitError, SingularGramError
 from derivfit.estimators import DerivativeFit, Strategy
 from derivfit.selection import DesignCache
+from derivfit.simulation import ExperimentReport, ReportRow
 
 
 class QuadratureError(DerivfitError):
@@ -121,8 +125,14 @@ def l_prime_factor(spec: BasisSpec, probe_grid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Norms, the regression fit and fitted values at the sample
+# Direct designs, norms, the regression fit and fitted values at the sample
 # ---------------------------------------------------------------------------
+
+def build_design(sample: Sample, spec: BasisSpec) -> DesignSet:
+    """The eigenvalue record of spec's Gram at the sample points, from a
+    basis evaluation and a Gram of its own (no DesignCache)."""
+    return design_from_matrices(gram(eval_basis(spec, sample.x)), spec)
+
 
 def operator_norm(matrix) -> float:
     """Largest singular value, via the symmetric eigensolver on M*M."""
@@ -154,11 +164,11 @@ def empirical_inner(u, v) -> float:
     return float((a * b).mean())
 
 
-def whitener(design: DesignSet) -> np.ndarray:
-    """Symmetric inverse square root of the design's Gram."""
-    if design.is_singular:
-        raise SingularGramError(f"Gram matrix is numerically singular at m={design.m}")
-    lam, u = scipy.linalg.eigh(design.psi_hat)
+def whitener(psi_hat: np.ndarray) -> np.ndarray:
+    """Symmetric inverse square root of a Gram."""
+    lam, u = scipy.linalg.eigh(psi_hat)
+    if lam[0] <= SINGULAR_RTOL * max(lam[-1], 0.0) or lam[-1] <= 0.0:
+        raise SingularGramError(f"Gram matrix is numerically singular at m={len(lam)}")
     return (u * lam ** -0.5) @ u.T
 
 
@@ -191,15 +201,23 @@ def derivative_columns(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def fitted_derivative_at_sample(fit: DerivativeFit, design: DesignSet,
-                                x: np.ndarray) -> np.ndarray:
-    """Values at the design points x, from the design's value columns
-    (strategy 2) or the recursion's derivative columns (strategy 1)."""
+def fitted_derivative_at_sample(fit: DerivativeFit, x: np.ndarray) -> np.ndarray:
+    """Values at the design points x, from the value columns (strategy 2)
+    or the recursion's derivative columns (strategy 1)."""
     if fit.truncated_to_zero:
-        return np.zeros(design.n)
+        return np.zeros(x.size)
     if fit.strategy is Strategy.PROJECTION_OF_DERIV:
-        return design.phi[:, :fit.m] @ fit.theta
+        return eval_basis(fit.spec, x) @ fit.theta
     return derivative_columns(fit.spec, x) @ fit.theta
+
+
+def report_row(report: ExperimentReport, function: str, family: str, n: int,
+               target: str) -> ReportRow:
+    """The report's row for one (function, family, n, target) cell."""
+    for r in report.rows:
+        if (r.function, r.family, r.n, r.target) == (function, family, n, target):
+            return r
+    raise KeyError((function, family, n, target))
 
 
 # ---------------------------------------------------------------------------

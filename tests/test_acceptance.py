@@ -22,7 +22,7 @@ from derivfit.selection import (DesignCache, GlConfig, _oracle_error_sweep,
 from derivfit.simulation import (ExperimentConfig, TEST_FUNCTIONS, best_kappa,
                                  calibrate_kappa, generate_sample, rng_for,
                                  run_experiment)
-from oracles import derivative_recursion, projection_gap, whitener
+from oracles import derivative_recursion, projection_gap, report_row, whitener
 
 SEED = 20250
 
@@ -169,7 +169,7 @@ def test_criterion_3_monotonicity():
                                              cache.psi_prime[:k, :k])
         traces, penalties = [], []
         for m in members:
-            w = whitener(cache.design(m))
+            w = whitener(cache._gram[:m, :m])
             phi_prime = derivative_recursion(cache.spec_for(m), sample.x)
             psi_prime = phi_prime.T @ phi_prime / sample.n
             traces.append(float(np.trace(w @ psi_prime @ w)))
@@ -203,9 +203,9 @@ def table_report(tmp_path_factory):
 
 def test_criterion_4_benchmark_cells(table_report):
     result, elapsed = table_report
-    r1 = result.row("b1", "half-trig", 250, "b'")
-    r2 = result.row("b2", "hermite", 250, "b")
-    r3 = result.row("b3", "hermite", 4000, "b'")
+    r1 = report_row(result, "b1", "half-trig", 250, "b'")
+    r2 = report_row(result, "b2", "hermite", 250, "b")
+    r3 = report_row(result, "b3", "hermite", 4000, "b'")
 
     checks = [
         ("b1/half-trig n=250 100MSE(b')", 6.0 <= r1.mse100_mean <= 12.0,
@@ -229,7 +229,7 @@ def test_criterion_4_risk_decreases_in_n(table_report):
     for fn in ("b1", "b2", "b3", "b4"):
         for fam in ("hermite", "half-trig"):
             for target in ("b", "b'"):
-                series = [result.row(fn, fam, n, target).mse100_mean
+                series = [report_row(result, fn, fam, n, target).mse100_mean
                           for n in (250, 1000, 4000)]
                 if not (series[0] > series[1] > series[2]):
                     failures.append((fn, fam, target, series))

@@ -21,7 +21,7 @@ from scipy.integrate import trapezoid
 
 from derivfit import simulation
 from derivfit.basis import BasisSpec, Family, eval_basis, parse_family
-from derivfit.design import Sample, design_from_matrices, trim_interval
+from derivfit.design import Sample, gram, trim_interval
 from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, GlConfig, _gate,
                                 _oracle_error_sweep, _sigma2, default_m_grid,
                                 fit_derivative_1, gl_select, reuse_select)
@@ -40,21 +40,17 @@ def recursion_matrices(spec, x):
     return eval_basis(spec, x), derivative_columns(spec, x)
 
 
-def n_space_design(sample, spec):
-    return design_from_matrices(eval_basis(spec, sample.x), spec)
-
-
 def n_space_gl(sample, spec_for, members, sigma2, kappa0, kappa1):
     """(m_hat, V-hat per member, A per member) from fit vectors at the sample;
     V-hat(m) = sigma^2 m / n times the top eigenvalue of Psi' x = lambda Gram x."""
     n = sample.n
     fits, v_hat = {}, {}
     for m in members:
-        design = n_space_design(sample, spec_for(m))
-        phi_prime = derivative_columns(design.spec, sample.x)
-        fits[m] = phi_prime @ fit_derivative_1(sample, design.spec).theta
-        lam = scipy.linalg.eigh(phi_prime.T @ phi_prime / n, design.psi_hat,
-                                eigvals_only=True)
+        spec = spec_for(m)
+        phi_prime = derivative_columns(spec, sample.x)
+        fits[m] = phi_prime @ fit_derivative_1(sample, spec).theta
+        lam = scipy.linalg.eigh(phi_prime.T @ phi_prime / n,
+                                gram(eval_basis(spec, sample.x)), eigvals_only=True)
         v_hat[m] = sigma2 * m / n * max(lam[-1], 0.0)
     a_value = {}
     for m in members:
@@ -79,8 +75,9 @@ def n_space_reuse(sample, spec_for, members, sigma2):
     n = sample.n
     best_m, best_crit = members[0], math.inf
     for m in members:
-        design = n_space_design(sample, spec_for(m))
-        resid = sample.y - design.phi @ fit_derivative_1(sample, design.spec).theta
+        spec = spec_for(m)
+        theta = fit_derivative_1(sample, spec).theta
+        resid = sample.y - eval_basis(spec, sample.x) @ theta
         crit = float(resid @ resid / n) + 2.0 * sigma2 * m / n
         if crit < best_crit - CRITERION_TIE_TOL:
             best_m, best_crit = m, crit
@@ -91,8 +88,7 @@ def n_space_errors(sample, spec_for, dims, grid, targets):
     """One curve and one trapezoid call per (dimension, target)."""
     out = {}
     for m in dims:
-        design = n_space_design(sample, spec_for(m))
-        theta = fit_derivative_1(sample, design.spec).theta
+        theta = fit_derivative_1(sample, spec_for(m)).theta
         phi, phi_prime = recursion_matrices(spec_for(m), grid)
         out[m] = {kind: float(trapezoid(((phi if kind == "regression" else phi_prime)
                                          @ theta - target) ** 2, grid))
@@ -132,7 +128,7 @@ def test_basis_matrices_take_derivatives_through_the_link_matrix(family, m, a, w
     x = np.concatenate([centre + (max(ends) - min(ends) + 2.0) * rng.uniform(-1, 1, 40),
                         rng.standard_normal(20) * 3.0, ends])
     cache = DesignCache(Sample(x=x, y=np.zeros(x.size)), family, m, spec.interval)
-    assert np.array_equal(cache.design(m).phi, eval_basis(spec, x))
+    assert np.array_equal(cache._phi[:, :m], eval_basis(spec, x))
     # the recursion's columns, zero outside the support
     phi_prime = derivative_columns(spec, x)
     reference = phi_prime.T @ phi_prime / x.size
@@ -151,7 +147,7 @@ def test_designs_beyond_a_bounded_support(family, centre):
     assert 50 < outside.sum() < 350
     cache = DesignCache(sample, family, 12)
     for m in (1, 5, 12):
-        assert not cache.design(m).phi[outside].any()
+        assert not cache._phi[outside, :m].any()
         phi_prime = derivative_columns(cache.spec_for(m), x)
         reference = phi_prime.T @ phi_prime / sample.n
         assert (np.abs(cache.psi_prime[:m, :m] - reference).max()

@@ -81,15 +81,15 @@ def test_curve_writer(tmp_path):
     from derivfit.basis import BasisSpec, Family, eval_basis
     from derivfit.estimators import DerivativeFit, Strategy
 
+    spec = BasisSpec(Family.LEGENDRE, 2)
+    fit = DerivativeFit(theta=np.array([1.0, 0.0]),
+                        strategy=Strategy.PROJECTION_OF_DERIV, spec=spec)
     path = tmp_path / "curve.csv"
-    emit_curve(np.array([1.0, -1.0]), np.array([0.0, 0.5]), path)
+    emit_curve(fit, np.array([0.0, 0.5]), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "x,estimate"
     assert len(lines) == 3
 
-    spec = BasisSpec(Family.LEGENDRE, 2)
-    fit = DerivativeFit(theta=np.array([1.0, 0.0]),
-                        strategy=Strategy.PROJECTION_OF_DERIV, spec=spec)
     grid = np.linspace(-1, 1, 5)
     path2 = tmp_path / "fit_curve.csv"
     emit_curve(fit, grid, path2)
@@ -147,6 +147,16 @@ def test_read_config_builds_experiment(tmp_path):
     bad.write_text("n = two hundred\n")
     with pytest.raises(DataFormatError):
         read_config(bad)
+
+
+def test_read_config_skips_a_byte_order_mark(tmp_path):
+    # editors that save "UTF-8 with BOM" start the file with U+FEFF
+    path = tmp_path / "bom.cfg"
+    path.write_text("\ufefffunctions = b2\nn = 250\noutput = r.csv\n", encoding="utf-8")
+    config, out = read_config(path)
+    assert config.functions == ("b2",)
+    assert config.n_list == (250,)
+    assert out == "r.csv"
 
 
 @pytest.mark.parametrize("bad, message", [

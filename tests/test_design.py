@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from derivfit.basis import BasisSpec, Family
-from derivfit.design import (STABILITY_C, Sample, build_design, default_d_constant,
+from derivfit.basis import BasisSpec, Family, eval_basis
+from derivfit.design import (STABILITY_C, Sample, default_d_constant, gram,
                              stability_check, trim_interval)
 from derivfit.selection import DesignCache
-from oracles import (derivative_recursion, empirical_inner, empirical_norm,
-                     frobenius_norm, operator_norm, whitener)
+from oracles import (build_design, derivative_recursion, empirical_inner,
+                     empirical_norm, frobenius_norm, operator_norm, whitener)
 
 
 def test_sample_validation():
@@ -26,31 +26,31 @@ def test_sample_validation():
 
 def test_build_design_single_point_constant():
     sample = Sample(x=np.array([0.5]), y=np.array([2.0]))
-    design = build_design(sample, BasisSpec(Family.TRIG_ODD, 1))
-    np.testing.assert_allclose(design.phi, [[1.0]])
-    np.testing.assert_allclose(design.psi_hat, [[1.0]])
+    phi = eval_basis(BasisSpec(Family.TRIG_ODD, 1), sample.x)
+    np.testing.assert_allclose(phi, [[1.0]])
+    np.testing.assert_allclose(gram(phi), [[1.0]])
 
 
 def test_build_design_constant_gram_any_n():
     rng = np.random.default_rng(0)
     sample = Sample(x=rng.uniform(0, 1, 2), y=np.zeros(2))
-    design = build_design(sample, BasisSpec(Family.TRIG_ODD, 1))
-    np.testing.assert_allclose(design.psi_hat, [[1.0]])
+    psi_hat = gram(eval_basis(BasisSpec(Family.TRIG_ODD, 1), sample.x))
+    np.testing.assert_allclose(psi_hat, [[1.0]])
 
 
 def test_gram_concentration_uniform_trig():
     rng = np.random.default_rng(7)
     n = 500
     sample = Sample(x=rng.uniform(0, 1, n), y=np.zeros(n))
-    design = build_design(sample, BasisSpec(Family.TRIG_ODD, 5))
-    assert np.abs(design.psi_hat - np.eye(5)).max() <= 5 / math.sqrt(n)
+    psi_hat = gram(eval_basis(BasisSpec(Family.TRIG_ODD, 5), sample.x))
+    assert np.abs(psi_hat - np.eye(5)).max() <= 5 / math.sqrt(n)
 
 
 def test_gram_exactly_symmetric():
     rng = np.random.default_rng(3)
     sample = Sample(x=rng.standard_normal(200), y=np.zeros(200))
-    design = build_design(sample, BasisSpec(Family.HERMITE, 8))
-    assert np.abs(design.psi_hat - design.psi_hat.T).max() == 0.0
+    psi_hat = gram(eval_basis(BasisSpec(Family.HERMITE, 8), sample.x))
+    assert np.abs(psi_hat - psi_hat.T).max() == 0.0
 
 
 @pytest.mark.parametrize("family,xgen", [
@@ -156,10 +156,9 @@ def test_variance_trace_monotone():
     traces = []
     for m in range(1, 11):
         spec = BasisSpec(Family.HERMITE, m)
-        design = build_design(sample, spec)
         phi_prime = derivative_recursion(spec, sample.x)
         psi_prime = phi_prime.T @ phi_prime / n
-        w = whitener(design)
+        w = whitener(gram(eval_basis(spec, sample.x)))
         traces.append(np.trace(w @ psi_prime @ w))
     diffs = np.diff(traces)
     assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(traces[:-1])))

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 import derivfit.design
 import derivfit.estimators
 import derivfit.selection
-from derivfit.basis import Family, delta_matrix
-from derivfit.design import Sample, build_design, gram, moments
+from derivfit.basis import Family, delta_matrix, eval_basis
+from derivfit.design import Sample, gram, moments
 from derivfit.selection import (DesignCache, _gate, _gl_choice, _reuse_choice, _sigma2,
                                 fit_derivative_1, fit_derivative_2)
+from oracles import build_design
 
 
 def _same_bits(a, b):
@@ -84,7 +85,8 @@ def test_cache_and_direct_builds_agree_bitwise(family, n, m, seed):
     spec = cache.spec_for(m)
     for dim in (m, spec.extended().m):
         direct = build_design(sample, cache.spec_for(dim))
-        assert _same_bits(cache.design(dim).psi_hat, direct.psi_hat)
+        assert _same_bits(cache._gram[:dim, :dim],
+                          gram(eval_basis(cache.spec_for(dim), x)))
         assert cache.design(dim).is_singular == direct.is_singular
         if not direct.is_singular:
             assert _same_bits(cache.theta(dim),
@@ -114,7 +116,15 @@ def product_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("family", [Family.HERMITE, Family.HALF_TRIG])
-def test_one_tall_product_per_cache(product_calls, family):
+def test_one_tall_product_per_cache(product_calls, monkeypatch, family):
+    blocks = []  # the Grams that the cache's designs are built from
+    original = derivfit.selection.design_from_matrices
+
+    def recording(psi_hat, spec):
+        blocks.append(psi_hat)
+        return original(psi_hat, spec)
+
+    monkeypatch.setattr(derivfit.selection, "design_from_matrices", recording)
     rng = np.random.default_rng(8)
     x = rng.standard_normal(1000)
     sample = Sample(x=x, y=x * x + 0.25 * rng.standard_normal(1000))
@@ -127,7 +137,10 @@ def test_one_tall_product_per_cache(product_calls, family):
     _gl_choice(cache, members, sigma2, 0.5, 0.5)
     cache.thetas(members)
     assert product_calls == {"gram": 1, "moments": 1}
-    top = cache.design(cache.spec_for(max(m_grid)).extended().m)
     for m in members:
-        assert np.shares_memory(cache.design(m).psi_hat, top.psi_hat)
-        assert _same_bits(cache.design(m).psi_hat, top.psi_hat[:m, :m])
+        cache.design(m)
+    assert len(blocks) >= len(members)
+    for block in blocks:
+        k = len(block)
+        assert np.shares_memory(block, cache._gram)
+        assert _same_bits(block, cache._gram[:k, :k])

@@ -7,9 +7,10 @@ import pytest
 from derivfit.basis import BasisSpec, Family, eval_basis
 from derivfit.design import Sample, default_d_constant, trim_interval
 from derivfit.errors import EmptyCollectionError
+from derivfit.estimators import Strategy
 from derivfit.selection import (DesignCache, GlConfig, _whitened_derivative_gram,
-                                default_m_grid, estimate_sigma2, gl_select,
-                                oracle_select, penalty_v_hat, reuse_select)
+                                default_m_grid, estimate_sigma2, fit_derivative_1,
+                                gl_select, oracle_select, penalty_v_hat, reuse_select)
 from derivfit.simulation import TEST_FUNCTIONS, generate_sample, rng_for
 
 
@@ -140,18 +141,21 @@ def test_oracle_zeroes_in_on_exact_representation():
     y = eval_basis(spec3, x)[:, 1]  # noiseless second element
     sample = Sample(x=x, y=y)
     truth_deriv = lambda t: -2 * np.pi * np.sqrt(2) * np.sin(2 * np.pi * t)
-    m, err = oracle_select(sample, Family.TRIG_ODD, (1, 3, 5, 7), truth_deriv,
-                           (0.05, 0.95))
+    m, err, fit = oracle_select(sample, Family.TRIG_ODD, (1, 3, 5, 7), truth_deriv,
+                                (0.05, 0.95))
     assert m == 3
     assert err <= 1e-18
+    # the strategy-1 fit at the chosen m, from the cache that scored it
+    assert fit.m == m and fit.strategy is Strategy.DERIV_OF_PROJECTION
+    assert np.array_equal(fit.theta, fit_derivative_1(sample, fit.spec).theta)
 
 
 def test_oracle_regression_kind():
     fn = TEST_FUNCTIONS["b2"]
     sample = normal_sample(9, 250, fn.b)
     interval = trim_interval(sample)
-    m, err = oracle_select(sample, Family.HERMITE, range(1, 26), fn.b,
-                           interval, fit_kind="regression")
+    m, err, _ = oracle_select(sample, Family.HERMITE, range(1, 26), fn.b,
+                              interval, fit_kind="regression")
     assert 1 <= m <= 3
     assert err < 0.01
 
@@ -164,10 +168,10 @@ def test_oracle_error_stable_under_grid_doubling():
         rng = rng_for(2024, 1, seed)
         sample = generate_sample(fn, 500, 0.25, rng)
         interval = trim_interval(sample)
-        m512, e512 = oracle_select(sample, Family.HERMITE, range(1, 26),
-                                   fn.b_prime, interval, grid_points=512)
-        m1024, e1024 = oracle_select(sample, Family.HERMITE, range(1, 26),
-                                     fn.b_prime, interval, grid_points=1024)
+        m512, e512, _ = oracle_select(sample, Family.HERMITE, range(1, 26),
+                                      fn.b_prime, interval, grid_points=512)
+        m1024, e1024, _ = oracle_select(sample, Family.HERMITE, range(1, 26),
+                                        fn.b_prime, interval, grid_points=1024)
         assert m512 == m1024
         assert abs(e1024 - e512) <= 0.01 * e512
 
@@ -180,8 +184,8 @@ def test_oracle_dimension_matches_benchmark_for_in_span_target():
         rng = rng_for(31337, 0, seed)
         sample = generate_sample(fn, 250, 0.25, rng)
         interval = trim_interval(sample)
-        m, _ = oracle_select(sample, Family.HERMITE, range(1, 26), fn.b,
-                             interval, fit_kind="regression")
+        m, _, _ = oracle_select(sample, Family.HERMITE, range(1, 26), fn.b,
+                                interval, fit_kind="regression")
         dims.append(m)
     assert 1.0 <= np.mean(dims) <= 1.3
 
@@ -221,8 +225,9 @@ def test_reuse_tracks_derivative_oracle_dimension():
         sample = generate_sample(fn, 1000, 0.25, rng)
         interval = trim_interval(sample)
         m_reuse, _ = reuse_select(sample, Family.HERMITE, sigma2=0.0625)
-        m_orc, _ = oracle_select(sample, Family.HERMITE, default_m_grid(Family.HERMITE, 1000),
-                                 fn.b_prime, interval)
+        m_orc, _, _ = oracle_select(sample, Family.HERMITE,
+                                    default_m_grid(Family.HERMITE, 1000),
+                                    fn.b_prime, interval)
         if abs(m_reuse - m_orc) <= 2:
             hits += 1
     assert hits >= 0.7 * seeds

@@ -8,6 +8,7 @@ import pytest
 from derivfit.simulation import (ExperimentConfig, TEST_FUNCTIONS, best_kappa,
                                  calibrate_kappa, generate_sample, rng_for,
                                  run_experiment)
+from oracles import report_row
 
 
 def test_function_derivatives_match_finite_differences():
@@ -88,8 +89,8 @@ def test_noiseless_in_span_oracle_run():
                               n_list=(400,), sigma=0.0, repetitions=1,
                               seed=42, mode="oracle")
     report = run_experiment(config)
-    row_b = report.row("b2", "hermite", 400, "b")
-    row_bp = report.row("b2", "hermite", 400, "b'")
+    row_b = report_row(report, "b2", "hermite", 400, "b")
+    row_bp = report_row(report, "b2", "hermite", 400, "b'")
     assert row_b.mse100_mean <= 1e-12
     assert row_bp.mse100_mean <= 1e-12
     assert row_b.dim_mean == 1.0  # the target is the first basis element

@@ -2,18 +2,18 @@
 the fixed-dimension fits share a single DesignCache, and the cache agrees
 with direct builds."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import derivfit.cli
 import derivfit.design
-import derivfit.estimators
-import derivfit.selection
-from derivfit.basis import Family, admissible_dims, parse_family
+import oracles
+from derivfit.basis import Family, admissible_dims, eval_basis, parse_family
 from derivfit.cli import main
-from derivfit.design import Sample, build_design, trim_interval
+from derivfit.design import Sample, gram, trim_interval
 from derivfit.selection import (DesignCache, GlConfig, _oracle_error_sweep,
                                 default_m_grid, eval_on_grid, fit_derivative_1,
                                 gl_select, reuse_select)
@@ -78,15 +78,22 @@ def test_one_cache_per_select_call(tmp_path, cache_builds, family):
     data = tmp_path / "sample.csv"
     assert main(["simulate", "--function", "b3", "--n", "500", "--seed", "4",
                  "--out", str(data)]) == 0
-    assert main(["select", str(data), "--family", family, "--mode", "gl",
-                 "--out", str(tmp_path / "curve.csv")]) == 0
-    assert len(cache_builds) == 1
+    for mode in (["gl"], ["reuse"], ["oracle", "--function", "b3"]):
+        cache_builds.clear()
+        assert main(["select", str(data), "--family", family, "--mode", *mode,
+                     "--out", str(tmp_path / "curve.csv")]) == 0
+        assert len(cache_builds) == 1, mode
 
 
 @pytest.fixture()
 def design_calls(monkeypatch):
-    """Counts gram, moments and build_design calls under every module binding."""
+    """Counts gram and moments calls under every package binding, and
+    calls of the direct build_design, which lives with the test oracles:
+    no package module binds it, so no package code reaches it."""
     calls = {"gram": 0, "moments": 0, "build_design": 0}
+    modules = [module for name, module in sys.modules.items()
+               if name == "derivfit" or name.startswith("derivfit.")]
+    assert not any(hasattr(module, "build_design") for module in modules)
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -94,12 +101,13 @@ def design_calls(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in ("gram", "moments"):
         original = getattr(derivfit.design, name)
-        for module in (derivfit.design, derivfit.selection, derivfit.estimators,
-                       derivfit.cli):
+        for module in modules:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, original))
+    monkeypatch.setattr(oracles, "build_design",
+                        counting("build_design", oracles.build_design))
     return calls
 
 
@@ -127,8 +135,8 @@ def test_cache_slices_match_direct_builds(family, m, seed):
     sample = Sample(x=x, y=x * x + 0.25 * rng.standard_normal(300))
     cache = DesignCache(sample, family, 12)
     spec = cache.spec_for(m)
-    np.testing.assert_allclose(cache.design(m).psi_hat,
-                               build_design(sample, spec).psi_hat, rtol=1e-12)
+    np.testing.assert_allclose(cache._gram[:m, :m], gram(eval_basis(spec, x)),
+                               rtol=1e-12)
     np.testing.assert_allclose(cache.theta(m), fit_derivative_1(sample, spec).theta,
                                rtol=1e-12)
 
