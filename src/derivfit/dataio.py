@@ -143,7 +143,10 @@ _CONFIG_KEYS = {"functions", "families", "n", "sigma", "repetitions", "seed",
 
 
 def parse_config_text(text: str) -> dict:
+    """The config's key -> value strings; a malformed line, an unknown
+    key or a key set twice raises DataFormatError with its line."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for i, raw in enumerate(text.splitlines()):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -154,7 +157,10 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise DataFormatError(f"unknown config key {key!r}", line=i + 1)
-        values[key] = val.strip()
+        if key in lines:
+            raise DataFormatError(f"config key {key!r} is set twice, on lines "
+                                  f"{lines[key]} and {i + 1}", line=i + 1)
+        values[key], lines[key] = val.strip(), i + 1
     return values
 
 

@@ -18,10 +18,14 @@ the regression fit and reuses it for the derivative.
 Each sample gets one sweep: a DesignCache evaluates the basis once,
 builds one panel Gram, one Phi^T y and one prefix Cholesky factor of the
 Gram at the top dimension, whose leading blocks are every dimension's
-Gram, moments and factor, builds Psi' from the Gram once when gl needs
-it, and memoizes every
-coefficient vector.  No dimension's Gram is eigendecomposed for a solve
-or a penalty: the first singular dimension and the edge of the
+Gram, moments and factor, and builds Psi' from the Gram once when gl
+needs it.  One forward substitution z = L^-1 Phi^T y / n, prefix-exact
+like the factor, serves every member's fit without a return to n-space:
+theta_m is one back-substitution of z[:m] against the leading block of
+L^T, and the residual mean square of dimension m is |y|^2/n - |z[:m]|^2
+(formed from Phi theta_m only where the rounding of that difference is
+not negligible next to it).  No dimension's Gram is eigendecomposed for
+a solve or a penalty: the first singular dimension and the edge of the
 collection are monotone in m (Cauchy interlacing), so both are found by
 bisection, with one values-only eigendecomposition per probed dimension.
 The collection gate, the noise estimate and the gl and reuse choices are
@@ -57,6 +61,12 @@ from .errors import EmptyCollectionError, SingularGramError
 from .estimators import DerivativeFit, Strategy
 
 CRITERION_TIE_TOL = 1e-12
+
+# |y|^2/n - |z[:m]|^2 carries the rounding of the Gram and moments, about
+# m eps (|y|^2/n + (sum_i |theta_i| sqrt(Gram_ii))^2); where that estimate
+# exceeds this fraction of the difference, the residual mean square is
+# formed in n-space instead
+RESIDUAL_Z_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -117,17 +127,21 @@ class DesignCache:
     once there: dimension m's Gram is the leading m-by-m block (a view),
     its right-hand side the first m moments and its factor the leading
     m-by-m block of the factor, bitwise what a direct build at m
-    computes, so theta(m) is two triangular solves, and fit(m, strategy)
-    is either strategy's derivative fit from those coefficients.  The
+    computes.  z = L^-1 Phi^T y / n is one forward substitution, on
+    first use, and its first m entries are dimension m's, so theta(m) is
+    one back-substitution of z[:m] (memoized; the one solve behind every
+    fit, ranking and score), fit(m, strategy) is either strategy's
+    derivative fit from those coefficients, and residual_ms reads
+    |y|^2/n - |z[:m]|^2 for every m from one cumulative sum.  The
     singular dimensions form a suffix of 1..K (the Gram's smallest
     eigenvalue does not grow with m, its largest does not shrink), so
     m_singular, the first of them, is found by bisection; designs (one
     values-only eigendecomposition each) are built only for such probes
-    and for the collection gate.  The coefficients are memoized, so the
-    gate, the noise estimate, every selector and the error scoring share
-    one cache.  The derivative Gram psi_prime = Delta Gram Delta^T of the
-    top dimension is built on first use from the Gram alone; its leading
-    m-by-m block is the derivative Gram of dimension m.
+    and for the collection gate.  The gate, the noise estimate, every
+    selector and the error scoring share one cache.  The derivative
+    Gram psi_prime = Delta Gram Delta^T of the top dimension is built on
+    first use from the Gram alone; its leading m-by-m block is the
+    derivative Gram of dimension m.
     """
 
     def __init__(self, sample: Sample, family: Family, m_hi: int,
@@ -144,6 +158,7 @@ class DesignCache:
         self.factor = prefix_cholesky(self._gram)
         self._designs: dict[int, DesignSet] = {}
         self._thetas: dict[int, np.ndarray] = {}
+        self._residuals: dict[int, float] = {}
 
     def spec_for(self, m: int) -> BasisSpec:
         if self.family is Family.HALF_TRIG:
@@ -170,14 +185,15 @@ class DesignCache:
         return dims[i] if i < len(dims) else len(self.factor) + 1
 
     def theta(self, m: int) -> np.ndarray:
-        """Least-squares coefficients at dimension m (raises SingularGramError)."""
+        """Least-squares coefficients at dimension m, L_m^T theta = z[:m]
+        (raises SingularGramError)."""
         if m not in self._thetas:
             if m >= self.m_singular:
                 raise SingularGramError(
                     f"Gram matrix is numerically singular at m={m} "
                     f"(family {self.family.value})")
-            self._thetas[m] = scipy.linalg.cho_solve(
-                (self.factor[:m, :m], True), self._rhs[:m], check_finite=False)
+            self._thetas[m] = scipy.linalg.blas.dtrsv(self.factor[:m, :m], self.z[:m],
+                                                      lower=1, trans=1)
         return self._thetas[m]
 
     def fit(self, m: int, strategy: Strategy) -> DerivativeFit:
@@ -189,6 +205,13 @@ class DesignCache:
         else:
             theta = -(delta_matrix(spec) @ self.theta(spec.extended().m))
         return DerivativeFit(theta=theta, strategy=strategy, spec=spec)
+
+    @functools.cached_property
+    def z(self) -> np.ndarray:
+        """z = L^-1 Phi^T y / n, one forward substitution against the
+        factor, prefix-exact like the factor: its first m entries are
+        dimension m's, and theta_m solves L_m^T theta = z[:m]."""
+        return scipy.linalg.blas.dtrsv(self.factor, self._rhs[:len(self.factor)], lower=1)
 
     def thetas(self, dims) -> np.ndarray:
         """The coefficient vectors of dims as columns, zero-padded to max(dims)."""
@@ -205,10 +228,42 @@ class DesignCache:
         raw = delta @ self._gram @ delta.T
         return (raw + raw.T) / 2.0
 
-    def residual_ms(self, m: int) -> float:
-        """Residual mean square (1/n)|y - Phi theta|^2 of the dimension-m fit."""
-        resid = self.sample.y - self._phi[:, :m] @ self.theta(m)
-        return float(resid @ resid / self.sample.n)
+    @functools.cached_property
+    def _y_ms(self) -> float:
+        return float(self.sample.y @ self.sample.y) / self.sample.n
+
+    @functools.cached_property
+    def _explained_ms(self) -> np.ndarray:
+        """|z[:m]|^2 for every m: the mean square of dimension m's fit."""
+        return np.cumsum(self.z * self.z)
+
+    @functools.cached_property
+    def _column_rms(self) -> np.ndarray:
+        return np.sqrt(np.diag(self._gram))
+
+    def residual_ms(self, dims) -> np.ndarray:
+        """Residual mean squares (1/n)|y - Phi theta_m|^2 for m in dims
+        (memoized), as |y|^2/n - |z[:m]|^2 where that difference keeps its
+        digits (see RESIDUAL_Z_RTOL); the others (an offset on little
+        noise, a noiseless fit in span, an ill-conditioned Gram) are
+        formed in n-space, all in one product (raises SingularGramError)."""
+        todo = sorted(set(dims) - self._residuals.keys())
+        if todo:
+            thetas = self.thetas(todo)
+            m = np.asarray(todo)
+            values = self._y_ms - self._explained_ms[m - 1]
+            spread = (self._column_rms[:len(thetas)] @ np.abs(thetas)) ** 2
+            rounding = m * np.finfo(float).eps * (self._y_ms + spread)
+            direct = rounding > RESIDUAL_Z_RTOL * values
+            if direct.any():
+                values[direct] = self._direct_residual_ms(thetas[:, direct])
+            self._residuals.update(zip(todo, values.tolist()))
+        return np.array([self._residuals[m] for m in dims])
+
+    def _direct_residual_ms(self, thetas: np.ndarray) -> np.ndarray:
+        """(1/n)|y - Phi theta|^2 for each column of thetas, one product."""
+        resid = self.sample.y[:, None] - self._phi[:, :len(thetas)] @ thetas
+        return np.einsum("ij,ij->j", resid, resid) / self.sample.n
 
 
 def fit_derivative_1(sample: Sample, spec: BasisSpec) -> DerivativeFit:
@@ -288,7 +343,17 @@ def _gate(cache: DesignCache, m_grid, d_constant: float | None) -> list[int]:
     return members
 
 
-def _sigma2(cache: DesignCache, m_grid, members: list[int],
+def _check_room_for_sigma2(n: int, m_grid, family: Family) -> None:
+    """The residual estimate of sigma^2 needs n > 2 m_max: the one check
+    of that rule, made by every estimating entry point before its first
+    cache (and again by _sigma2 on the members)."""
+    m_max = max(m_grid)
+    if n <= 2 * m_max:
+        raise ValueError(f"estimating sigma2 needs n > 2*m_max, but n = {n} with "
+                         f"m_max = {m_max} ({family.value}); raise n or lower m_max")
+
+
+def _sigma2(cache: DesignCache, members: list[int],
             sigma2: float | str | None = None) -> float:
     """The given noise level, or (None / "estimate") the residual mean
     square at the largest member, corrected for the fitted degrees of
@@ -296,10 +361,9 @@ def _sigma2(cache: DesignCache, m_grid, members: list[int],
     if sigma2 is not None and sigma2 != "estimate":
         return float(sigma2)
     n = cache.sample.n
-    if n <= 2 * max(m_grid):
-        raise ValueError(f"need n > 2*m_max = {2 * max(m_grid)}, got n = {n}")
+    _check_room_for_sigma2(n, members, cache.family)
     m = members[-1]
-    return cache.residual_ms(m) * n / (n - m)
+    return float(cache.residual_ms([m])[0]) * n / (n - m)
 
 
 def _gl_choice(cache: DesignCache, members: list[int], sigma2: float,
@@ -339,8 +403,8 @@ def _first_minimum(dims, values) -> int:
 def _reuse_choice(cache: DesignCache, members: list[int], sigma2: float) -> int:
     """The member minimizing the residual empirical norm plus 2 sigma^2 m / n."""
     n = cache.sample.n
-    return _first_minimum(members, [cache.residual_ms(m) + 2.0 * sigma2 * m / n
-                                    for m in members])
+    return _first_minimum(members, cache.residual_ms(members)
+                          + 2.0 * sigma2 * np.asarray(members) / n)
 
 
 def estimate_sigma2(sample: Sample, family: Family,
@@ -351,8 +415,9 @@ def estimate_sigma2(sample: Sample, family: Family,
     GlConfig(d_constant=d_constant)  # rejects a bad d before the sweep
     if m_grid is None:
         m_grid = default_m_grid(family, sample.n)
+    _check_room_for_sigma2(sample.n, m_grid, family)
     cache = DesignCache(sample, family, max(m_grid), interval)
-    return _sigma2(cache, m_grid, _gate(cache, m_grid, d_constant))
+    return _sigma2(cache, _gate(cache, m_grid, d_constant))
 
 
 def gl_select(sample: Sample, family: Family, config: GlConfig | None = None,
@@ -369,9 +434,11 @@ def gl_select(sample: Sample, family: Family, config: GlConfig | None = None,
     if config is None:
         config = GlConfig()
     m_grid = config.m_grid or default_m_grid(family, sample.n)
+    if config.sigma2 == "estimate":
+        _check_room_for_sigma2(sample.n, m_grid, family)
     cache = DesignCache(sample, family, max(m_grid), interval)
     members = _gate(cache, m_grid, config.d_constant)
-    sigma2 = _sigma2(cache, m_grid, members, config.sigma2)
+    sigma2 = _sigma2(cache, members, config.sigma2)
     m_hat, v_hat, a_value = _gl_choice(cache, members, sigma2,
                                        config.kappa0, config.kappa1)
     rows = tuple(TraceRow(m, m in v_hat, v_hat.get(m), a_value.get(m))
@@ -455,7 +522,9 @@ def reuse_select(sample: Sample, family: Family, m_grid=None,
     GlConfig(sigma2="estimate" if sigma2 is None else sigma2, d_constant=d_constant)
     if m_grid is None:
         m_grid = default_m_grid(family, sample.n)
+    if sigma2 is None:
+        _check_room_for_sigma2(sample.n, m_grid, family)
     cache = DesignCache(sample, family, max(m_grid), interval)
     members = _gate(cache, m_grid, d_constant)
-    best_m = _reuse_choice(cache, members, _sigma2(cache, m_grid, members, sigma2))
+    best_m = _reuse_choice(cache, members, _sigma2(cache, members, sigma2))
     return best_m, cache.fit(best_m, Strategy.DERIV_OF_PROJECTION)

@@ -22,9 +22,9 @@ import numpy as np
 from .basis import Family, parse_family
 from .design import Sample, trim_interval
 from .errors import EmptyCollectionError, SingularGramError
-from .selection import (DesignCache, GlConfig, _first_minimum, _gate, _gl_choice,
-                        _oracle_error_sweep, _reuse_choice, _sigma2, default_m_grid,
-                        eval_on_grid)
+from .selection import (DesignCache, GlConfig, _check_room_for_sigma2, _first_minimum,
+                        _gate, _gl_choice, _oracle_error_sweep, _reuse_choice, _sigma2,
+                        default_m_grid, eval_on_grid)
 
 EVAL_GRID_POINTS = 512
 
@@ -54,11 +54,18 @@ def rng_for(seed: int, cell_index: int, repetition: int) -> np.random.Generator:
     return np.random.default_rng((seed, cell_index, repetition))
 
 
+def _check_sigma(sigma: float) -> None:
+    """Reject a noise level that is not finite or is negative, naming it."""
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got sigma = {sigma}")
+    if sigma < 0:
+        raise ValueError(f"sigma must be nonnegative, got sigma = {sigma}")
+
+
 def generate_sample(fn: TestFunction, n: int, sigma: float,
                     rng: np.random.Generator) -> Sample:
     """X standard normal, independent Gaussian noise with sd sigma."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got sigma = {sigma}")
+    _check_sigma(sigma)
     x = rng.standard_normal(n)
     eps = sigma * rng.standard_normal(n) if sigma > 0 else np.zeros(n)
     return Sample(x=x, y=fn.b(x) + eps)
@@ -82,8 +89,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        _check_sigma(self.sigma)
         if self.mode not in ("oracle", "gl", "reuse"):
             raise ValueError(f"unknown selection mode {self.mode!r}")
         unknown = [f for f in self.functions if f not in TEST_FUNCTIONS]
@@ -103,12 +109,7 @@ class ExperimentConfig:
             return
         for family in families:
             for n in self.n_list:
-                m_top = max(default_m_grid(family, n, self.m_max))
-                if n <= 2 * m_top:
-                    raise ValueError(
-                        f"estimating sigma2 needs n > 2*m_max, but n = {n} with "
-                        f"m_max = {m_top} ({family.value}); raise n, lower m_max "
-                        f"or give sigma2")
+                _check_room_for_sigma2(n, default_m_grid(family, n, self.m_max), family)
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def _run_repetition(config: ExperimentConfig, fn: TestFunction, family: Family,
         scored = m_grid
     else:
         members = _gate(cache, m_grid, config.d_constant)
-        sigma2 = _sigma2(cache, m_grid, members, config.sigma2)
+        sigma2 = _sigma2(cache, members, config.sigma2)
         # regression dimension by the penalized contrast over the members
         m_b = _reuse_choice(cache, members, sigma2)
         m_bp = (_gl_choice(cache, members, sigma2, config.kappa0, config.kappa1)[0]
@@ -229,15 +230,14 @@ def calibrate_kappa(function: str, family_name: str, n: int,
     oracle, per kappa."""
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got seeds = {seeds}")
+    _check_sigma(sigma)
     fn = TEST_FUNCTIONS[function]
     family = parse_family(family_name)
     kappas = [float(k) for k in kappas]
     for kappa in kappas:  # rejects a bad constant before the sweep
         GlConfig(kappa0=kappa, kappa1=kappa, d_constant=d_constant)
     m_grid = default_m_grid(family, n, m_max)
-    if n <= 2 * max(m_grid):  # every draw estimates sigma2
-        raise ValueError(f"estimating sigma2 needs n > 2*m_max, but n = {n} with "
-                         f"m_max = {max(m_grid)}; raise n or lower m_max")
+    _check_room_for_sigma2(n, m_grid, family)  # every draw estimates sigma2
     ratios: dict[float, list[float]] = {k: [] for k in kappas}
     dims: dict[float, list[int]] = {k: [] for k in kappas}
     for i in range(seeds):
@@ -253,7 +253,7 @@ def calibrate_kappa(function: str, family_name: str, n: int,
         oracle_err = min(e["derivative"] for e in errors.values())
         try:
             members = _gate(cache, m_grid, d_constant)
-            sigma2_hat = _sigma2(cache, m_grid, members)
+            sigma2_hat = _sigma2(cache, members)
         except EmptyCollectionError:
             continue
         for kappa in kappas:

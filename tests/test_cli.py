@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import derivfit.cli
 import derivfit.selection
+import derivfit.simulation
 from derivfit.basis import BasisSpec, Family
 from derivfit.cli import main
 from derivfit.dataio import load_csv
@@ -293,6 +295,46 @@ def test_negative_sigma_fails_before_any_work(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "sigma must be nonnegative, got sigma = -0.5" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_non_finite_sigma_fails_before_any_draw(tmp_path, capsys, monkeypatch, sigma):
+    _refuse_caches(monkeypatch)
+    message = f"sigma must be finite, got sigma = {sigma}"
+    out = tmp_path / "sample.csv"
+    assert run_cli("simulate", "--n", "50", "--sigma", sigma, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == "" and not out.exists()
+
+    def refuse(*args):
+        raise AssertionError("a sample was drawn")
+    monkeypatch.setattr(derivfit.simulation, "rng_for", refuse)
+    assert run_cli("calibrate", "--function", "b1", "--n", "250", "--kappas", "1",
+                   "--seeds", "2", "--sigma", sigma) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    cfg, report = tmp_path / "bench.cfg", tmp_path / "report.csv"
+    cfg.write_text(f"functions = b1\nfamilies = hermite\nn = 250\nsigma = {sigma}\n"
+                   f"repetitions = 2\n")
+    assert run_cli("bench", "--config", str(cfg), "--out", str(report)) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == "" and not report.exists()
+
+
+@pytest.mark.parametrize("mode", ["gl", "reuse"])
+def test_no_room_for_the_noise_estimate_fails_before_any_cache(capsys, monkeypatch,
+                                                               sample_csv, mode):
+    _refuse_caches(monkeypatch)
+    capsys.readouterr()  # the fixture's output
+    # 400 observations, m_max 200: estimating sigma2 needs n > 400
+    assert run_cli("select", str(sample_csv), "--family", "hermite", "--mode", mode,
+                   "--m-max", "200") == 1
+    captured = capsys.readouterr()
+    message = "needs n > 2*m_max, but n = 400 with m_max = 200"
+    assert message in captured.err and captured.out == ""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        derivfit.selection.estimate_sigma2(load_csv(sample_csv), Family.HERMITE,
+                                           m_grid=range(1, 201))
 
 
 @pytest.mark.parametrize("kappa", ["nan", "inf"])

@@ -169,7 +169,7 @@ def test_gl_penalties_and_comparisons_match_the_n_space_loop(family_name):
             config = GlConfig(kappa0=kappa, kappa1=kappa)
             trace, _ = gl_select(sample, family, config, interval=interval)
             cache = DesignCache(sample, family, max(r.m for r in trace.rows), interval)
-            sigma2 = _sigma2(cache, [r.m for r in trace.rows], trace.members)
+            sigma2 = _sigma2(cache, trace.members)
             m_hat, v_hat, a_value = n_space_gl(sample, cache.spec_for, trace.members,
                                                sigma2, kappa, kappa)
             rows = [r for r in trace.rows if r.in_collection]
@@ -188,7 +188,7 @@ def test_reuse_choice_matches_the_n_space_loop(family_name):
         members = _gate(cache, m_grid, None)
         m_hat, _ = reuse_select(sample, family, m_grid, interval=interval)
         assert m_hat == n_space_reuse(sample, cache.spec_for, members,
-                                      _sigma2(cache, m_grid, members))
+                                      _sigma2(cache, members))
 
 
 @pytest.mark.parametrize("family_name", ["hermite", "half-trig"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import derivfit.cli
 import derivfit.dataio
 from derivfit.dataio import (load_csv, parse_config_text, read_config,
                              save_report, save_sample, emit_curve)
@@ -133,6 +134,19 @@ def test_config_rejects_unknown_key():
         parse_config_text("bandwidth = 3")
     with pytest.raises(DataFormatError, match="key = value"):
         parse_config_text("just some words")
+
+
+def test_config_rejects_a_key_set_twice(tmp_path):
+    text = "n = 250\nseed = 3\n# later\nn = 1000\n"
+    with pytest.raises(DataFormatError,
+                       match=r"line 4: config key 'n' is set twice, on lines 1 and 4"):
+        parse_config_text(text)
+    path, out = tmp_path / "twice.cfg", tmp_path / "r.csv"
+    path.write_text("functions = b2\n" + text)
+    with pytest.raises(DataFormatError, match="set twice, on lines 2 and 5"):
+        read_config(path)
+    assert derivfit.cli.main(["bench", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_read_config_builds_experiment(tmp_path):

@@ -132,7 +132,7 @@ def test_one_tall_product_per_cache(product_calls, monkeypatch, family):
     cache = DesignCache(sample, family, max(m_grid))
     assert product_calls == {"gram": 1, "moments": 1}
     members = _gate(cache, m_grid, None)
-    sigma2 = _sigma2(cache, m_grid, members)
+    sigma2 = _sigma2(cache, members)
     _reuse_choice(cache, members, sigma2)
     _gl_choice(cache, members, sigma2, 0.5, 0.5)
     cache.thetas(members)

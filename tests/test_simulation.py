@@ -62,6 +62,19 @@ def test_config_validation():
         ExperimentConfig(families=("wavelet",))
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_non_finite_sigma_is_rejected_before_any_draw(sigma):
+    with pytest.raises(ValueError, match=f"sigma must be finite, got sigma = {sigma}"):
+        ExperimentConfig(sigma=sigma)
+    rng = rng_for(7, 0, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"sigma must be finite, got sigma = {sigma}"):
+        generate_sample(TEST_FUNCTIONS["b2"], 50, sigma, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match=f"sigma must be finite, got sigma = {sigma}"):
+        calibrate_kappa("b2", "hermite", 250, [1.0], seeds=2, sigma=sigma)
+
+
 def test_config_rejects_bad_sizes_and_constants():
     with pytest.raises(ValueError, match="m_max"):
         ExperimentConfig(m_max=0)
