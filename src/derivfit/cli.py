@@ -181,7 +181,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="write a synthetic sample CSV")
     p.add_argument("--function", choices=sorted(simulation.TEST_FUNCTIONS), default="b1")
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--sigma", type=float, default=0.25)
+    p.add_argument("--sigma", type=float, default=simulation.ExperimentConfig.sigma)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
@@ -205,8 +205,8 @@ def build_parser() -> _Parser:
     p.add_argument("data")
     p.add_argument("--family", required=True)
     p.add_argument("--mode", choices=("oracle", "gl", "reuse"), default="gl")
-    p.add_argument("--kappa0", type=float, default=1.0)
-    p.add_argument("--kappa1", type=float, default=1.0)
+    p.add_argument("--kappa0", type=float, default=GlConfig.kappa0)
+    p.add_argument("--kappa1", type=float, default=GlConfig.kappa1)
     p.add_argument("--sigma2", type=float)
     p.add_argument("--d-const", type=float)
     p.add_argument("--m-max", type=int)
@@ -231,7 +231,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--kappas", default="0.05,0.1,0.2,0.5,1,2,4")
     p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--sigma", type=float, default=0.25)
+    p.add_argument("--sigma", type=float, default=simulation.ExperimentConfig.sigma)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--d-const", type=float)
     p.add_argument("--m-max", type=int)

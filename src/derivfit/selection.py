@@ -20,14 +20,14 @@ builds one panel Gram, one Phi^T y and one prefix Cholesky factor of the
 Gram at the top dimension, whose leading blocks are every dimension's
 Gram, moments and factor, and builds Psi' from the Gram once when gl
 needs it.  One forward substitution z = L^-1 Phi^T y / n, prefix-exact
-like the factor, serves every member's fit without a return to n-space:
-theta_m is one back-substitution of z[:m] against the leading block of
-L^T, and the residual mean square of dimension m is |y|^2/n - |z[:m]|^2
-(formed from Phi theta_m only where the rounding of that difference is
-not negligible next to it).  No dimension's Gram is eigendecomposed for
-a solve or a penalty: the first singular dimension and the edge of the
-collection are monotone in m (Cauchy interlacing), so both are found by
-bisection, with one values-only eigendecomposition per probed dimension.
+like the factor, serves every member's coefficients: theta_m is one
+back-substitution of z[:m] against the leading block of L^T.  The
+residual mean squares that the noise estimate and the reuse contrast
+read come from one n-space product y - Phi theta over the members.  No
+dimension's Gram is eigendecomposed for a solve or a penalty: the first
+singular dimension and the edge of the collection are monotone in m
+(Cauchy interlacing), so both are found by bisection, with one
+values-only eigendecomposition per probed dimension.
 The collection gate, the noise estimate and the gl and reuse choices are
 private cores that read that cache; the public selectors build one cache
 and call them, and the simulation harness calls them on the cache of
@@ -61,12 +61,7 @@ from .errors import EmptyCollectionError, SingularGramError
 from .estimators import DerivativeFit, Strategy
 
 CRITERION_TIE_TOL = 1e-12
-
-# |y|^2/n - |z[:m]|^2 carries the rounding of the Gram and moments, about
-# m eps (|y|^2/n + (sum_i |theta_i| sqrt(Gram_ii))^2); where that estimate
-# exceeds this fraction of the difference, the residual mean square is
-# formed in n-space instead
-RESIDUAL_Z_RTOL = 1e-12
+EVAL_GRID_POINTS = 512  # the oracle's scoring grid
 
 
 @dataclass(frozen=True)
@@ -131,8 +126,8 @@ class DesignCache:
     first use, and its first m entries are dimension m's, so theta(m) is
     one back-substitution of z[:m] (memoized; the one solve behind every
     fit, ranking and score), fit(m, strategy) is either strategy's
-    derivative fit from those coefficients, and residual_ms reads
-    |y|^2/n - |z[:m]|^2 for every m from one cumulative sum.  The
+    derivative fit from those coefficients, and residual_ms forms
+    (1/n)|y - Phi theta_m|^2 for every uncached m from one product.  The
     singular dimensions form a suffix of 1..K (the Gram's smallest
     eigenvalue does not grow with m, its largest does not shrink), so
     m_singular, the first of them, is found by bisection; designs (one
@@ -228,42 +223,18 @@ class DesignCache:
         raw = delta @ self._gram @ delta.T
         return (raw + raw.T) / 2.0
 
-    @functools.cached_property
-    def _y_ms(self) -> float:
-        return float(self.sample.y @ self.sample.y) / self.sample.n
-
-    @functools.cached_property
-    def _explained_ms(self) -> np.ndarray:
-        """|z[:m]|^2 for every m: the mean square of dimension m's fit."""
-        return np.cumsum(self.z * self.z)
-
-    @functools.cached_property
-    def _column_rms(self) -> np.ndarray:
-        return np.sqrt(np.diag(self._gram))
-
     def residual_ms(self, dims) -> np.ndarray:
         """Residual mean squares (1/n)|y - Phi theta_m|^2 for m in dims
-        (memoized), as |y|^2/n - |z[:m]|^2 where that difference keeps its
-        digits (see RESIDUAL_Z_RTOL); the others (an offset on little
-        noise, a noiseless fit in span, an ill-conditioned Gram) are
-        formed in n-space, all in one product (raises SingularGramError)."""
+        (memoized), the uncached ones from one product (raises
+        SingularGramError)."""
         todo = sorted(set(dims) - self._residuals.keys())
         if todo:
             thetas = self.thetas(todo)
-            m = np.asarray(todo)
-            values = self._y_ms - self._explained_ms[m - 1]
-            spread = (self._column_rms[:len(thetas)] @ np.abs(thetas)) ** 2
-            rounding = m * np.finfo(float).eps * (self._y_ms + spread)
-            direct = rounding > RESIDUAL_Z_RTOL * values
-            if direct.any():
-                values[direct] = self._direct_residual_ms(thetas[:, direct])
+            resid = thetas.T @ self._phi[:, :len(thetas)].T  # one fit per row
+            resid -= self.sample.y
+            values = np.einsum("ij,ij->i", resid, resid) / self.sample.n
             self._residuals.update(zip(todo, values.tolist()))
         return np.array([self._residuals[m] for m in dims])
-
-    def _direct_residual_ms(self, thetas: np.ndarray) -> np.ndarray:
-        """(1/n)|y - Phi theta|^2 for each column of thetas, one product."""
-        resid = self.sample.y[:, None] - self._phi[:, :len(thetas)] @ thetas
-        return np.einsum("ij,ij->j", resid, resid) / self.sample.n
 
 
 def fit_derivative_1(sample: Sample, spec: BasisSpec) -> DerivativeFit:
@@ -287,6 +258,16 @@ def default_m_grid(family: Family, n: int, m_max: int | None = None) -> tuple[in
     elif m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     return tuple(admissible_dims(family, m_max))
+
+
+def _checked_m_grid(m_grid, family: Family, n: int):
+    """m_grid, or default_m_grid for None; an empty grid is rejected
+    before any cache."""
+    if m_grid is None:
+        return default_m_grid(family, n)
+    if len(m_grid) == 0:
+        raise ValueError("the dimension grid m_grid is empty")
+    return m_grid
 
 
 def penalty_v_hat(whitened: np.ndarray, sigma2: float, n: int) -> float:
@@ -330,12 +311,13 @@ def collection_members(cache: DesignCache, m_grid, n: int,
 
 
 def _gate(cache: DesignCache, m_grid, d_constant: float | None) -> list[int]:
-    """The collection under d (None: the sample-dependent default); an
-    empty collection raises EmptyCollectionError."""
+    """The collection under d (None: the sample-dependent default),
+    ascending and without repeats whatever the grid's order; an empty
+    collection raises EmptyCollectionError."""
     n = cache.sample.n
     if d_constant is None:
         d_constant = default_d_constant(cache.sample.x)
-    members = collection_members(cache, m_grid, n, d_constant)
+    members = collection_members(cache, sorted(set(m_grid)), n, d_constant)
     if not members:
         raise EmptyCollectionError(
             f"no dimension in {list(m_grid)} passes the collection gate "
@@ -413,8 +395,7 @@ def estimate_sigma2(sample: Sample, family: Family,
     """Residual mean square at the largest collection member, corrected
     for the fitted degrees of freedom."""
     GlConfig(d_constant=d_constant)  # rejects a bad d before the sweep
-    if m_grid is None:
-        m_grid = default_m_grid(family, sample.n)
+    m_grid = _checked_m_grid(m_grid, family, sample.n)
     _check_room_for_sigma2(sample.n, m_grid, family)
     cache = DesignCache(sample, family, max(m_grid), interval)
     return _sigma2(cache, _gate(cache, m_grid, d_constant))
@@ -433,7 +414,7 @@ def gl_select(sample: Sample, family: Family, config: GlConfig | None = None,
     """
     if config is None:
         config = GlConfig()
-    m_grid = config.m_grid or default_m_grid(family, sample.n)
+    m_grid = _checked_m_grid(config.m_grid, family, sample.n)
     if config.sigma2 == "estimate":
         _check_room_for_sigma2(sample.n, m_grid, family)
     cache = DesignCache(sample, family, max(m_grid), interval)
@@ -451,7 +432,8 @@ def oracle_select(sample: Sample, family: Family, m_grid, truth,
                   eval_interval: tuple[float, float],
                   fit_kind: str = "derivative",
                   interval: tuple[float, float] | None = None,
-                  grid_points: int = 512) -> tuple[int, float, DerivativeFit]:
+                  grid_points: int = EVAL_GRID_POINTS
+                  ) -> tuple[int, float, DerivativeFit]:
     """Dimension minimizing the true squared L2 error (simulation only).
 
     truth is the target function (the regression function for
@@ -465,6 +447,7 @@ def oracle_select(sample: Sample, family: Family, m_grid, truth,
     """
     if fit_kind not in ("derivative", "regression"):
         raise ValueError(f"fit_kind must be 'derivative' or 'regression', got {fit_kind!r}")
+    m_grid = _checked_m_grid(m_grid, family, sample.n)
     cache = DesignCache(sample, family, max(m_grid), interval)
     lo, hi = eval_interval
     grid = np.linspace(lo, hi, grid_points)
@@ -520,8 +503,7 @@ def reuse_select(sample: Sample, family: Family, m_grid=None,
     derivative.  Returns (chosen m, strategy-1 derivative fit)."""
     # rejects a bad sigma2 or d before the sweep
     GlConfig(sigma2="estimate" if sigma2 is None else sigma2, d_constant=d_constant)
-    if m_grid is None:
-        m_grid = default_m_grid(family, sample.n)
+    m_grid = _checked_m_grid(m_grid, family, sample.n)
     if sigma2 is None:
         _check_room_for_sigma2(sample.n, m_grid, family)
     cache = DesignCache(sample, family, max(m_grid), interval)

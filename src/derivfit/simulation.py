@@ -22,11 +22,9 @@ import numpy as np
 from .basis import Family, parse_family
 from .design import Sample, trim_interval
 from .errors import EmptyCollectionError, SingularGramError
-from .selection import (DesignCache, GlConfig, _check_room_for_sigma2, _first_minimum,
-                        _gate, _gl_choice, _oracle_error_sweep, _reuse_choice, _sigma2,
-                        default_m_grid, eval_on_grid)
-
-EVAL_GRID_POINTS = 512
+from .selection import (EVAL_GRID_POINTS, DesignCache, GlConfig, _check_room_for_sigma2,
+                        _first_minimum, _gate, _gl_choice, _oracle_error_sweep,
+                        _reuse_choice, _sigma2, default_m_grid, eval_on_grid)
 
 
 @dataclass(frozen=True)
@@ -81,8 +79,8 @@ class ExperimentConfig:
     seed: int = 1
     m_max: int | None = None
     mode: str = "oracle"          # oracle | gl | reuse
-    kappa0: float = 1.0
-    kappa1: float = 1.0
+    kappa0: float = GlConfig.kappa0
+    kappa1: float = GlConfig.kappa1
     sigma2: float | str = "estimate"
     d_constant: float | None = None
 
@@ -222,7 +220,7 @@ class CalibrationRow:
 
 
 def calibrate_kappa(function: str, family_name: str, n: int,
-                    kappas, seeds: int = 20, sigma: float = 0.25,
+                    kappas, seeds: int = 20, sigma: float = ExperimentConfig.sigma,
                     seed: int = 1, d_constant: float | None = None,
                     m_max: int | None = None) -> list[CalibrationRow]:
     """Sweep the selector constant (kappa0 = kappa1 = kappa) on simulated

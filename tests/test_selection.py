@@ -267,3 +267,42 @@ def test_sigma2_requires_enough_observations():
     sample = normal_sample(14, 30)
     with pytest.raises(ValueError):
         estimate_sigma2(sample, Family.HERMITE, m_grid=range(1, 21))
+
+
+# ---------------------------------------------------------------------------
+# The caller's grid
+# ---------------------------------------------------------------------------
+
+def test_selectors_do_not_depend_on_the_grid_order():
+    """A reversed, shuffled or repeating grid gives the ascending grid's
+    sigma^2-hat, gl choice and A values, and reuse choice."""
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(1000)
+    sample = Sample(x=x, y=np.sin(2 * x) + 0.25 * rng.standard_normal(1000))
+
+    def outcome(m_grid):
+        trace, _ = gl_select(sample, Family.HERMITE, GlConfig(m_grid=m_grid))
+        return (estimate_sigma2(sample, Family.HERMITE, m_grid), trace.m_hat,
+                {r.m: r.a_value for r in trace.rows},
+                reuse_select(sample, Family.HERMITE, m_grid)[0])
+
+    grid = tuple(range(1, 21))
+    expected = outcome(grid)
+    shuffled = tuple(np.random.default_rng(0).permutation(grid).tolist())
+    for m_grid in (grid[::-1], shuffled, grid + grid[10::-2]):
+        assert outcome(m_grid) == expected, m_grid
+
+
+@pytest.mark.parametrize("select", [
+    lambda s: gl_select(s, Family.HERMITE, GlConfig(m_grid=())),
+    lambda s: reuse_select(s, Family.HERMITE, ()),
+    lambda s: estimate_sigma2(s, Family.HERMITE, ()),
+    lambda s: oracle_select(s, Family.HERMITE, (), np.cos, (-1.0, 1.0)),
+], ids=["gl", "reuse", "sigma2", "oracle"])
+def test_an_empty_grid_is_rejected_before_any_cache(monkeypatch, select):
+    def no_cache(*args, **kwargs):
+        raise AssertionError("a cache was built")
+
+    monkeypatch.setattr(DesignCache, "__init__", no_cache)
+    with pytest.raises(ValueError, match="m_grid is empty"):
+        select(normal_sample(15, 500, np.sin))
