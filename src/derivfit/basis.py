@@ -126,11 +126,6 @@ class BasisSpec:
             return (-1.0, 1.0)
         return (-math.inf, math.inf)
 
-    @property
-    def is_compact(self) -> bool:
-        lo, hi = self.support
-        return math.isfinite(lo) and math.isfinite(hi)
-
     def with_m(self, m: int) -> "BasisSpec":
         return BasisSpec(self.family, m, self.interval)
 

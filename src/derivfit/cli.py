@@ -120,8 +120,7 @@ def _cmd_select(args) -> int:
         eval_iv = _trim(sample, "the oracle's scoring interval")
     grid = _grid_for(args, sample) if args.out else None
     if args.mode == "gl":
-        sigma2 = "estimate" if args.sigma2 is None else args.sigma2
-        config = GlConfig(kappa0=args.kappa0, kappa1=args.kappa1, sigma2=sigma2,
+        config = GlConfig(kappa0=args.kappa0, kappa1=args.kappa1, sigma2=args.sigma2,
                           d_constant=args.d_const, m_grid=m_grid)
         trace, fit = gl_select(sample, family, config, interval=interval)
         m_hat = trace.m_hat

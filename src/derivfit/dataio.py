@@ -137,9 +137,26 @@ def emit_curve(fit: DerivativeFit, grid, path) -> None:
 # Config files: one "key = value" per line, lists comma-separated
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {"functions", "families", "n", "sigma", "repetitions", "seed",
-                "m_max", "mode", "kappa0", "kappa1", "sigma2", "d_constant",
-                "output"}
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(","))
+
+
+# key -> (ExperimentConfig field, parser of the value string)
+_CONFIG_FIELDS = {
+    "functions": ("functions", _names),
+    "families": ("families", _names),
+    "n": ("n_list", lambda text: tuple(int(s) for s in text.split(","))),
+    "sigma": ("sigma", float),
+    "repetitions": ("repetitions", int),
+    "seed": ("seed", int),
+    "m_max": ("m_max", int),
+    "mode": ("mode", str),
+    "kappa0": ("kappa0", float),
+    "kappa1": ("kappa1", float),
+    "sigma2": ("sigma2", lambda text: None if text == "estimate" else float(text)),
+    "d_constant": ("d_constant", float),
+}
+_CONFIG_KEYS = {*_CONFIG_FIELDS, "output"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -167,34 +184,10 @@ def parse_config_text(text: str) -> dict:
 def read_config(path) -> tuple[ExperimentConfig, str | None]:
     """Parse an experiment config file.  Returns (config, output path)."""
     values = parse_config_text(Path(path).read_text(encoding="utf-8-sig"))
-    kwargs: dict = {}
     try:
-        if "functions" in values:
-            kwargs["functions"] = tuple(s.strip() for s in values["functions"].split(","))
-        if "families" in values:
-            kwargs["families"] = tuple(s.strip() for s in values["families"].split(","))
-        if "n" in values:
-            kwargs["n_list"] = tuple(int(s) for s in values["n"].split(","))
-        if "sigma" in values:
-            kwargs["sigma"] = float(values["sigma"])
-        if "repetitions" in values:
-            kwargs["repetitions"] = int(values["repetitions"])
-        if "seed" in values:
-            kwargs["seed"] = int(values["seed"])
-        if "m_max" in values:
-            kwargs["m_max"] = int(values["m_max"])
-        if "mode" in values:
-            kwargs["mode"] = values["mode"]
-        if "kappa0" in values:
-            kwargs["kappa0"] = float(values["kappa0"])
-        if "kappa1" in values:
-            kwargs["kappa1"] = float(values["kappa1"])
-        if "sigma2" in values:
-            s = values["sigma2"]
-            kwargs["sigma2"] = s if s == "estimate" else float(s)
-        if "d_constant" in values:
-            kwargs["d_constant"] = float(values["d_constant"])
-        config = ExperimentConfig(**kwargs)
+        config = ExperimentConfig(**{field: parse(values[key])
+                                     for key, (field, parse) in _CONFIG_FIELDS.items()
+                                     if key in values})
     except ValueError as exc:
         raise DataFormatError(f"bad config value: {exc}") from exc
     return config, values.get("output")

@@ -28,10 +28,13 @@ dimension's Gram is eigendecomposed for a solve or a penalty: the first
 singular dimension and the edge of the collection are monotone in m
 (Cauchy interlacing), so both are found by bisection, with one
 values-only eigendecomposition per probed dimension.
-The collection gate, the noise estimate and the gl and reuse choices are
-private cores that read that cache; the public selectors build one cache
-and call them, and the simulation harness calls them on the cache of
-each draw.  The cache is the package's one least-squares solve: every
+The collection gate (collection_members), the noise estimate and the gl
+and reuse choices are cores that read that cache; the simulation harness
+calls them on the cache of each draw.  The public selectors resolve their
+inputs in one prologue before any cache: sigma2 (None: estimate it) and
+d are checked, the grid is taken ascending and without repeats and must
+be admissible, and an estimate of sigma2 must have room; then they build
+one cache and call the cores.  The cache is the package's one least-squares solve: every
 theta, the fixed-dimension fits included, is one of its leading-block
 solves, and DesignCache.fit turns theta_m into the strategy-1 fit and
 theta_{m+p} into the strategy-2 fit -Delta theta_{m+p}.
@@ -48,6 +51,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,18 +69,24 @@ CRITERION_TIE_TOL = 1e-12
 EVAL_GRID_POINTS = 512  # the oracle's scoring grid
 
 
+def _none_or_positive(value) -> bool:
+    return value is None or (isinstance(value, numbers.Real) and math.isfinite(value)
+                             and value > 0)
+
+
 @dataclass(frozen=True)
 class GlConfig:
     """Tuning constants for the data-driven selector.
 
-    sigma2 may be a positive finite float or the string "estimate";
-    d_constant None means the sample-dependent default.  m_grid None
-    means the family's admissible dimensions up to min(40, n // 10).
+    sigma2 None means estimate it from the residuals; d_constant None
+    means the sample-dependent default.  m_grid None means the family's
+    admissible dimensions up to min(40, n // 10); a given grid is taken
+    ascending and without repeats.
     """
 
     kappa0: float = 1.0
     kappa1: float = 1.0
-    sigma2: float | str = "estimate"
+    sigma2: float | None = None
     d_constant: float | None = None
     m_grid: tuple[int, ...] | None = None
 
@@ -83,15 +94,12 @@ class GlConfig:
         if not (math.isfinite(self.kappa1) and 0 < self.kappa0 <= self.kappa1):
             raise ValueError(f"require finite 0 < kappa0 <= kappa1, got kappa0 = "
                              f"{self.kappa0}, kappa1 = {self.kappa1}")
-        if isinstance(self.sigma2, str):
-            if self.sigma2 != "estimate":
-                raise ValueError(f"sigma2 must be a float or 'estimate', got {self.sigma2!r}")
-        elif not (math.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ValueError(f"sigma2 must be positive and finite, got sigma2 = {self.sigma2}")
-        if self.d_constant is not None and not (math.isfinite(self.d_constant)
-                                                and self.d_constant > 0):
+        if not _none_or_positive(self.sigma2):
+            raise ValueError(f"sigma2 must be positive and finite (None: estimate it), "
+                             f"got sigma2 = {self.sigma2!r}")
+        if not _none_or_positive(self.d_constant):
             raise ValueError(f"the collection constant d must be finite and "
-                             f"positive, got d = {self.d_constant}")
+                             f"positive, got d = {self.d_constant!r}")
 
 
 @dataclass(frozen=True)
@@ -260,14 +268,21 @@ def default_m_grid(family: Family, n: int, m_max: int | None = None) -> tuple[in
     return tuple(admissible_dims(family, m_max))
 
 
-def _checked_m_grid(m_grid, family: Family, n: int):
-    """m_grid, or default_m_grid for None; an empty grid is rejected
-    before any cache."""
+def _checked_m_grid(m_grid, family: Family, n: int) -> tuple[int, ...]:
+    """m_grid as ascending ints without repeats, or default_m_grid for
+    None: the one place a grid is normalized.  An empty grid, or one with
+    entries the family does not admit, is rejected before any cache (a
+    non-integer entry with a TypeError)."""
     if m_grid is None:
         return default_m_grid(family, n)
-    if len(m_grid) == 0:
+    grid = tuple(sorted({operator.index(m) for m in m_grid}))
+    if not grid:
         raise ValueError("the dimension grid m_grid is empty")
-    return m_grid
+    bad = sorted(set(grid) - set(admissible_dims(family, grid[-1])))
+    if bad:
+        raise ValueError(f"the dimension grid m_grid has entries the {family.value} "
+                         f"family does not admit: {bad}")
+    return grid
 
 
 def penalty_v_hat(whitened: np.ndarray, sigma2: float, n: int) -> float:
@@ -289,35 +304,31 @@ def _whitened_derivative_gram(factor: np.ndarray, psi_prime: np.ndarray) -> np.n
     return (s + s.T) / 2.0
 
 
-def collection_members(cache: DesignCache, m_grid, n: int,
-                       d_constant: float) -> list[int]:
-    """Dimensions whose extended-design conditioning passes the gate.
+def collection_members(cache: DesignCache, m_grid,
+                       d_constant: float | None) -> list[int]:
+    """The dimensions of the ascending grid m_grid (as _checked_m_grid
+    returns it) whose extended-design conditioning passes the gate under
+    d (None: the sample-dependent default); an empty collection raises
+    EmptyCollectionError.
 
     Membership is checked at m+p: a singular Gram there (from the cache's
     m_singular on) excludes m, and otherwise the collection gate of
     stability_check decides.  L(m+p) and ||Gram^-1|| do not decrease with
-    m, so the members are a prefix of the ascending grid, found by
-    bisection with stability_check on the probed designs only.  Members
-    keep the grid's order.
+    m, so the members are a prefix of the grid, found by bisection with
+    stability_check on the probed designs only.
     """
+    if any(a >= b for a, b in zip(m_grid, m_grid[1:])):
+        raise ValueError(f"the grid must be ascending without repeats, got {list(m_grid)}")
+    n = cache.sample.n
+    if d_constant is None:
+        d_constant = default_d_constant(cache.sample.x)
+
     def fails(m: int) -> bool:
         ext_m = cache.spec_for(m).extended().m
         return not (ext_m < cache.m_singular and stability_check(
             cache.design(ext_m), n, d_constant).in_collection)
 
-    ascending = sorted(set(m_grid))
-    admitted = set(ascending[:bisect.bisect_left(ascending, True, key=fails)])
-    return [m for m in m_grid if m in admitted]
-
-
-def _gate(cache: DesignCache, m_grid, d_constant: float | None) -> list[int]:
-    """The collection under d (None: the sample-dependent default),
-    ascending and without repeats whatever the grid's order; an empty
-    collection raises EmptyCollectionError."""
-    n = cache.sample.n
-    if d_constant is None:
-        d_constant = default_d_constant(cache.sample.x)
-    members = collection_members(cache, sorted(set(m_grid)), n, d_constant)
+    members = list(m_grid[:bisect.bisect_left(m_grid, True, key=fails)])
     if not members:
         raise EmptyCollectionError(
             f"no dimension in {list(m_grid)} passes the collection gate "
@@ -327,8 +338,9 @@ def _gate(cache: DesignCache, m_grid, d_constant: float | None) -> list[int]:
 
 def _check_room_for_sigma2(n: int, m_grid, family: Family) -> None:
     """The residual estimate of sigma^2 needs n > 2 m_max: the one check
-    of that rule, made by every estimating entry point before its first
-    cache (and again by _sigma2 on the members)."""
+    of that rule, made before the first cache by _selection_inputs, the
+    harness's config and calibrate_kappa (and again by _sigma2 on the
+    members)."""
     m_max = max(m_grid)
     if n <= 2 * m_max:
         raise ValueError(f"estimating sigma2 needs n > 2*m_max, but n = {n} with "
@@ -336,11 +348,10 @@ def _check_room_for_sigma2(n: int, m_grid, family: Family) -> None:
 
 
 def _sigma2(cache: DesignCache, members: list[int],
-            sigma2: float | str | None = None) -> float:
-    """The given noise level, or (None / "estimate") the residual mean
-    square at the largest member, corrected for the fitted degrees of
-    freedom."""
-    if sigma2 is not None and sigma2 != "estimate":
+            sigma2: float | None = None) -> float:
+    """The given noise level, or (None) the residual mean square at the
+    largest member, corrected for the fitted degrees of freedom."""
+    if sigma2 is not None:
         return float(sigma2)
     n = cache.sample.n
     _check_room_for_sigma2(n, members, cache.family)
@@ -389,16 +400,27 @@ def _reuse_choice(cache: DesignCache, members: list[int], sigma2: float) -> int:
                           + 2.0 * sigma2 * np.asarray(members) / n)
 
 
+def _selection_inputs(sample: Sample, family: Family, m_grid, sigma2: float | None,
+                      d_constant: float | None,
+                      interval: tuple[float, float] | None):
+    """The prologue of every public selector: sigma2, d and the grid are
+    checked, and the room for an estimate of sigma2 (None), before the
+    one cache is built.  Returns (cache, grid, members, sigma2)."""
+    GlConfig(sigma2=sigma2, d_constant=d_constant)
+    m_grid = _checked_m_grid(m_grid, family, sample.n)
+    if sigma2 is None:
+        _check_room_for_sigma2(sample.n, m_grid, family)
+    cache = DesignCache(sample, family, m_grid[-1], interval)
+    members = collection_members(cache, m_grid, d_constant)
+    return cache, m_grid, members, _sigma2(cache, members, sigma2)
+
+
 def estimate_sigma2(sample: Sample, family: Family,
                     m_grid=None, d_constant: float | None = None,
                     interval: tuple[float, float] | None = None) -> float:
     """Residual mean square at the largest collection member, corrected
     for the fitted degrees of freedom."""
-    GlConfig(d_constant=d_constant)  # rejects a bad d before the sweep
-    m_grid = _checked_m_grid(m_grid, family, sample.n)
-    _check_room_for_sigma2(sample.n, m_grid, family)
-    cache = DesignCache(sample, family, max(m_grid), interval)
-    return _sigma2(cache, _gate(cache, m_grid, d_constant))
+    return _selection_inputs(sample, family, m_grid, None, d_constant, interval)[3]
 
 
 def gl_select(sample: Sample, family: Family, config: GlConfig | None = None,
@@ -414,12 +436,8 @@ def gl_select(sample: Sample, family: Family, config: GlConfig | None = None,
     """
     if config is None:
         config = GlConfig()
-    m_grid = _checked_m_grid(config.m_grid, family, sample.n)
-    if config.sigma2 == "estimate":
-        _check_room_for_sigma2(sample.n, m_grid, family)
-    cache = DesignCache(sample, family, max(m_grid), interval)
-    members = _gate(cache, m_grid, config.d_constant)
-    sigma2 = _sigma2(cache, members, config.sigma2)
+    cache, m_grid, members, sigma2 = _selection_inputs(
+        sample, family, config.m_grid, config.sigma2, config.d_constant, interval)
     m_hat, v_hat, a_value = _gl_choice(cache, members, sigma2,
                                        config.kappa0, config.kappa1)
     rows = tuple(TraceRow(m, m in v_hat, v_hat.get(m), a_value.get(m))
@@ -430,34 +448,28 @@ def gl_select(sample: Sample, family: Family, config: GlConfig | None = None,
 
 def oracle_select(sample: Sample, family: Family, m_grid, truth,
                   eval_interval: tuple[float, float],
-                  fit_kind: str = "derivative",
-                  interval: tuple[float, float] | None = None,
-                  grid_points: int = EVAL_GRID_POINTS
+                  interval: tuple[float, float] | None = None
                   ) -> tuple[int, float, DerivativeFit]:
-    """Dimension minimizing the true squared L2 error (simulation only).
+    """Dimension minimizing the true squared L2 error of the derivative
+    fit (simulation only).
 
-    truth is the target function (the regression function for
-    fit_kind="regression", its derivative for "derivative"); the error is
-    a trapezoid-rule integral on a uniform grid over eval_interval.
+    truth is the target derivative; the error is a trapezoid-rule
+    integral on EVAL_GRID_POINTS uniform points over eval_interval.
     Singular dimensions are skipped; if every fit is singular a
     SingularGramError is raised.  Errors within CRITERION_TIE_TOL of
     each other tie, and ties go to the smaller dimension.  Returns
     (chosen m, its error, strategy-1 derivative fit at m), the fit from
     the same cache as the errors, as gl_select and reuse_select do.
     """
-    if fit_kind not in ("derivative", "regression"):
-        raise ValueError(f"fit_kind must be 'derivative' or 'regression', got {fit_kind!r}")
     m_grid = _checked_m_grid(m_grid, family, sample.n)
-    cache = DesignCache(sample, family, max(m_grid), interval)
-    lo, hi = eval_interval
-    grid = np.linspace(lo, hi, grid_points)
+    cache = DesignCache(sample, family, m_grid[-1], interval)
+    grid = np.linspace(*eval_interval, EVAL_GRID_POINTS)
     errors = _oracle_error_sweep(cache, m_grid, grid,
-                                 {fit_kind: eval_on_grid(truth, grid)})
+                                 {"derivative": eval_on_grid(truth, grid)})
     if not errors:
         raise SingularGramError("every candidate dimension has a singular Gram")
-    dims = sorted(errors)
-    best_m = _first_minimum(dims, [errors[m][fit_kind] for m in dims])
-    return best_m, errors[best_m][fit_kind], cache.fit(best_m, Strategy.DERIV_OF_PROJECTION)
+    best_m = _first_minimum(list(errors), [e["derivative"] for e in errors.values()])
+    return best_m, errors[best_m]["derivative"], cache.fit(best_m, Strategy.DERIV_OF_PROJECTION)
 
 
 def eval_on_grid(fn, grid: np.ndarray) -> np.ndarray:
@@ -501,12 +513,7 @@ def reuse_select(sample: Sample, family: Family, m_grid=None,
     """Select the dimension for the regression fit by penalized contrast
     (residual empirical norm plus 2 sigma^2 m / n) and reuse it for the
     derivative.  Returns (chosen m, strategy-1 derivative fit)."""
-    # rejects a bad sigma2 or d before the sweep
-    GlConfig(sigma2="estimate" if sigma2 is None else sigma2, d_constant=d_constant)
-    m_grid = _checked_m_grid(m_grid, family, sample.n)
-    if sigma2 is None:
-        _check_room_for_sigma2(sample.n, m_grid, family)
-    cache = DesignCache(sample, family, max(m_grid), interval)
-    members = _gate(cache, m_grid, d_constant)
-    best_m = _reuse_choice(cache, members, _sigma2(cache, members, sigma2))
+    cache, _, members, sigma2 = _selection_inputs(sample, family, m_grid, sigma2,
+                                                  d_constant, interval)
+    best_m = _reuse_choice(cache, members, sigma2)
     return best_m, cache.fit(best_m, Strategy.DERIV_OF_PROJECTION)

@@ -6,7 +6,9 @@ triple.  A repetition draws standard-normal design points and Gaussian
 noise, builds the draw's one dimension sweep (a DesignCache), selects a
 dimension per the configured mode for both the regression function and
 its derivative from that sweep, and scores squared L2 errors on the
-central quantile range of the design.
+central quantile range of the design.  The gl and reuse modes gate the
+default grid with collection_members and estimate sigma^2 at every draw
+unless the config gives it (sigma2 None, the default, means estimate).
 Reports aggregate means and standard deviations of 100*MSE and of the
 selected dimensions.  Everything is a pure function of the config,
 including the seed.
@@ -23,8 +25,8 @@ from .basis import Family, parse_family
 from .design import Sample, trim_interval
 from .errors import EmptyCollectionError, SingularGramError
 from .selection import (EVAL_GRID_POINTS, DesignCache, GlConfig, _check_room_for_sigma2,
-                        _first_minimum, _gate, _gl_choice, _oracle_error_sweep,
-                        _reuse_choice, _sigma2, default_m_grid, eval_on_grid)
+                        _first_minimum, _gl_choice, _oracle_error_sweep, _reuse_choice,
+                        _sigma2, collection_members, default_m_grid, eval_on_grid)
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class ExperimentConfig:
     mode: str = "oracle"          # oracle | gl | reuse
     kappa0: float = GlConfig.kappa0
     kappa1: float = GlConfig.kappa1
-    sigma2: float | str = "estimate"
+    sigma2: float | None = None   # None: estimated per draw
     d_constant: float | None = None
 
     def __post_init__(self):
@@ -103,7 +105,7 @@ class ExperimentConfig:
         # the selectors' own checks, made before any repetition runs
         GlConfig(kappa0=self.kappa0, kappa1=self.kappa1, sigma2=self.sigma2,
                  d_constant=self.d_constant)
-        if self.sigma2 != "estimate":
+        if self.sigma2 is not None:
             return
         for family in families:
             for n in self.n_list:
@@ -141,7 +143,7 @@ def _run_repetition(config: ExperimentConfig, fn: TestFunction, family: Family,
     if config.mode == "oracle":
         scored = m_grid
     else:
-        members = _gate(cache, m_grid, config.d_constant)
+        members = collection_members(cache, m_grid, config.d_constant)
         sigma2 = _sigma2(cache, members, config.sigma2)
         # regression dimension by the penalized contrast over the members
         m_b = _reuse_choice(cache, members, sigma2)
@@ -250,7 +252,7 @@ def calibrate_kappa(function: str, family_name: str, n: int,
             continue
         oracle_err = min(e["derivative"] for e in errors.values())
         try:
-            members = _gate(cache, m_grid, d_constant)
+            members = collection_members(cache, m_grid, d_constant)
             sigma2_hat = _sigma2(cache, members)
         except EmptyCollectionError:
             continue

@@ -239,7 +239,7 @@ def integration_bounds(spec: BasisSpec, margin: float = 8.0) -> tuple[float, flo
     if spec.family is Family.HALF_TRIG:
         return spec.interval  # type: ignore[return-value]
     lo, hi = spec.support
-    if spec.is_compact:
+    if math.isfinite(lo) and math.isfinite(hi):  # a compact support
         return lo, hi
     if spec.family is Family.LAGUERRE:
         return 0.0, 2.0 * spec.m + 30.0 + margin

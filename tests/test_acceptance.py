@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from derivfit.basis import BasisSpec, Family, eval_basis, eval_basis_derivative
-from derivfit.design import Sample, default_d_constant, trim_interval
+from derivfit.design import Sample, trim_interval
 from derivfit.dataio import save_report
 from derivfit.estimators import evaluate_fit
 from derivfit.selection import (DesignCache, GlConfig, _oracle_error_sweep,
@@ -162,8 +162,7 @@ def test_criterion_3_monotonicity():
             sample = Sample(x=rng.uniform(0, 1, 600), y=np.zeros(600))
         m_grid = default_m_grid(family, 600, 20)
         cache = DesignCache(sample, family, max(m_grid))
-        members = collection_members(cache, m_grid, 600,
-                                     default_d_constant(sample.x))
+        members = collection_members(cache, m_grid, None)
         k = max(members)
         whitened = _whitened_derivative_gram(cache.factor[:k, :k],
                                              cache.psi_prime[:k, :k])
@@ -275,7 +274,7 @@ def _gl_risk_ratios(function, family, n, kappa, seeds, seed_base):
         errors = _oracle_error_sweep(cache, m_grid, grid,
                                      {"derivative": eval_on_grid(fn.b_prime, grid)})
         oracle_err = min(e["derivative"] for e in errors.values())
-        config = GlConfig(kappa0=kappa, kappa1=kappa, sigma2="estimate",
+        config = GlConfig(kappa0=kappa, kappa1=kappa, sigma2=None,
                           m_grid=tuple(m_grid))
         trace, _ = gl_select(sample, family, config, interval=cache.interval)
         ratios.append(errors[trace.m_hat]["derivative"] / max(oracle_err, 1e-300))

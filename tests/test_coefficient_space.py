@@ -22,9 +22,10 @@ from scipy.integrate import trapezoid
 from derivfit import simulation
 from derivfit.basis import BasisSpec, Family, eval_basis, parse_family
 from derivfit.design import Sample, gram, trim_interval
-from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, GlConfig, _gate,
-                                _oracle_error_sweep, _sigma2, default_m_grid,
-                                fit_derivative_1, gl_select, reuse_select)
+from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, GlConfig,
+                                _oracle_error_sweep, _sigma2, collection_members,
+                                default_m_grid, fit_derivative_1, gl_select,
+                                reuse_select)
 from derivfit.simulation import (TEST_FUNCTIONS, calibrate_kappa, generate_sample,
                                  rng_for)
 from oracles import derivative_columns
@@ -185,7 +186,7 @@ def test_reuse_choice_matches_the_n_space_loop(family_name):
     for family, sample, interval in draws(family_name):
         m_grid = default_m_grid(family, sample.n)
         cache = DesignCache(sample, family, max(m_grid), interval)
-        members = _gate(cache, m_grid, None)
+        members = collection_members(cache, m_grid, None)
         m_hat, _ = reuse_select(sample, family, m_grid, interval=interval)
         assert m_hat == n_space_reuse(sample, cache.spec_for, members,
                                       _sigma2(cache, members))

@@ -163,6 +163,21 @@ def test_read_config_builds_experiment(tmp_path):
         read_config(bad)
 
 
+@pytest.mark.parametrize("sigma2, expected", [("0.05", 0.05), ("estimate", None)])
+def test_a_file_setting_every_key_builds_the_keyword_config(tmp_path, sigma2, expected):
+    path = tmp_path / "every.cfg"
+    path.write_text("functions = b1, b4\nfamilies = hermite, half-trig\nn = 300, 900\n"
+                    "sigma = 0.5\nrepetitions = 3\nseed = 11\nm_max = 12\nmode = gl\n"
+                    f"kappa0 = 0.5\nkappa1 = 2\nsigma2 = {sigma2}\nd_constant = 3.5\n"
+                    "output = r.csv\n")
+    config, out = read_config(path)
+    assert config == ExperimentConfig(
+        functions=("b1", "b4"), families=("hermite", "half-trig"), n_list=(300, 900),
+        sigma=0.5, repetitions=3, seed=11, m_max=12, mode="gl", kappa0=0.5,
+        kappa1=2.0, sigma2=expected, d_constant=3.5)
+    assert out == "r.csv"
+
+
 def test_read_config_skips_a_byte_order_mark(tmp_path):
     # editors that save "UTF-8 with BOM" start the file with U+FEFF
     path = tmp_path / "bom.cfg"

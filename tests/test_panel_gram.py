@@ -12,8 +12,8 @@ import derivfit.estimators
 import derivfit.selection
 from derivfit.basis import Family, delta_matrix, eval_basis
 from derivfit.design import Sample, gram, moments
-from derivfit.selection import (DesignCache, _gate, _gl_choice, _reuse_choice, _sigma2,
-                                fit_derivative_1, fit_derivative_2)
+from derivfit.selection import (DesignCache, _gl_choice, _reuse_choice, _sigma2,
+                                collection_members, fit_derivative_1, fit_derivative_2)
 from oracles import build_design
 
 
@@ -131,7 +131,7 @@ def test_one_tall_product_per_cache(product_calls, monkeypatch, family):
     m_grid = tuple(range(1, 31)) if family is Family.HERMITE else tuple(range(1, 31, 2))
     cache = DesignCache(sample, family, max(m_grid))
     assert product_calls == {"gram": 1, "moments": 1}
-    members = _gate(cache, m_grid, None)
+    members = collection_members(cache, m_grid, None)
     sigma2 = _sigma2(cache, members)
     _reuse_choice(cache, members, sigma2)
     _gl_choice(cache, members, sigma2, 0.5, 0.5)

@@ -20,6 +20,7 @@ import derivfit.selection
 from derivfit.basis import BasisSpec, Family, admissible_dims, eval_basis, l_factor
 from derivfit.design import (SINGULAR_RTOL, Sample, default_d_constant, gram,
                              prefix_cholesky, trim_interval)
+from derivfit.errors import EmptyCollectionError
 from derivfit.selection import DesignCache, collection_members, gl_select, oracle_select
 
 
@@ -98,8 +99,8 @@ def test_prefix_factor_through_the_singular_end(family):
 @given(family=st.sampled_from([Family.HERMITE, Family.HALF_TRIG]),
        n=st.integers(40, 600), m_hi=st.integers(1, 40),
        log_d=st.one_of(st.none(), st.floats(-2.0, 9.0)),
-       shuffle=st.booleans(), seed=st.integers(0, 2 ** 16))
-def test_bisected_bounds_match_the_full_scan(family, n, m_hi, log_d, shuffle, seed):
+       seed=st.integers(0, 2 ** 16))
+def test_bisected_bounds_match_the_full_scan(family, n, m_hi, log_d, seed):
     cache = _cache(family, n, m_hi, seed)
     k = cache.spec_for(m_hi).extended().m
     top_gram = gram(eval_basis(cache.spec_for(k), cache.sample.x))
@@ -107,11 +108,20 @@ def test_bisected_bounds_match_the_full_scan(family, n, m_hi, log_d, shuffle, se
     assert cache.m_singular == (singular[0] if singular else k + 1)
 
     m_grid = admissible_dims(family, m_hi)
-    if shuffle:  # an unsorted user grid: members keep its order
-        m_grid = [int(m) for m in np.random.default_rng(seed).permutation(m_grid)]
     d = default_d_constant(cache.sample.x) if log_d is None else 10.0 ** log_d
-    assert collection_members(cache, m_grid, n, d) == \
-        _scan_members(cache, top_gram, m_grid, n, d)
+    expected = _scan_members(cache, top_gram, m_grid, n, d)
+    if not expected:
+        with pytest.raises(EmptyCollectionError):
+            collection_members(cache, m_grid, d)
+    else:
+        assert collection_members(cache, m_grid, d) == expected
+
+
+def test_the_gate_refuses_a_grid_it_cannot_bisect():
+    cache = _cache(Family.HERMITE, 1000, 20, seed=1)
+    for m_grid in (tuple(range(20, 0, -1)), (1, 2, 2, 3)):
+        with pytest.raises(ValueError, match="ascending without repeats"):
+            collection_members(cache, m_grid, None)
 
 
 @pytest.mark.parametrize("family", [Family.HERMITE, Family.HALF_TRIG])
@@ -136,8 +146,7 @@ def test_one_factorization_and_logarithmically_many_probes(family, monkeypatch):
     assert counts == {"factor": 1, "design": counts["design"]}
     assert 1 <= counts["design"] <= bound
     searched = counts["design"]
-    collection_members(cache, admissible_dims(family, 40), 4000,
-                       default_d_constant(cache.sample.x))
+    collection_members(cache, admissible_dims(family, 40), None)
     assert counts["design"] - searched <= bound
     assert counts["factor"] == 1
 

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from derivfit.basis import BasisSpec, Family, eval_basis
-from derivfit.design import Sample, default_d_constant, trim_interval
+from derivfit.design import Sample, trim_interval
 from derivfit.errors import EmptyCollectionError
 from derivfit.estimators import Strategy
-from derivfit.selection import (DesignCache, GlConfig, _whitened_derivative_gram,
-                                default_m_grid, estimate_sigma2, fit_derivative_1,
-                                gl_select, oracle_select, penalty_v_hat, reuse_select)
-from derivfit.simulation import TEST_FUNCTIONS, generate_sample, rng_for
+from derivfit.selection import (EVAL_GRID_POINTS, DesignCache, GlConfig, _first_minimum,
+                                _oracle_error_sweep, _whitened_derivative_gram,
+                                collection_members, default_m_grid, estimate_sigma2,
+                                eval_on_grid, fit_derivative_1, gl_select, oracle_select,
+                                penalty_v_hat, reuse_select)
+from derivfit.simulation import (TEST_FUNCTIONS, ExperimentConfig, generate_sample,
+                                 rng_for)
 
 
 def normal_sample(seed, n, fn=None, sigma=0.25):
@@ -130,9 +133,39 @@ def test_gl_config_validation():
         GlConfig(sigma2="guess")
 
 
+def test_sigma2_none_means_estimate_it_everywhere():
+    sample = normal_sample(16, 1000, np.sin)
+    sigma2 = estimate_sigma2(sample, Family.HERMITE)
+    assert gl_select(sample, Family.HERMITE, GlConfig(sigma2=None))[0] == \
+        gl_select(sample, Family.HERMITE, GlConfig(sigma2=sigma2))[0]
+    assert reuse_select(sample, Family.HERMITE, sigma2=None)[0] == \
+        reuse_select(sample, Family.HERMITE, sigma2=sigma2)[0]
+    for mode in ("gl", "reuse"):
+        assert ExperimentConfig(mode=mode, sigma2=None).sigma2 is None
+    # a non-number is a bad value, not a type error
+    for bad in ("estimate", "0.0625", [0.0625]):
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            GlConfig(sigma2=bad)
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            ExperimentConfig(mode="gl", sigma2=bad)
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            reuse_select(sample, Family.HERMITE, sigma2=bad)
+
+
 # ---------------------------------------------------------------------------
 # Oracle selection
 # ---------------------------------------------------------------------------
+
+def harness_oracle(sample, truth, kind, grid_points=EVAL_GRID_POINTS):
+    """The harness's oracle over hermite dimensions 1..25: (m, error) of
+    the least squared L2 error of kind's fit on the trimmed design range."""
+    grid = np.linspace(*trim_interval(sample), grid_points)
+    cache = DesignCache(sample, Family.HERMITE, 25)
+    errors = _oracle_error_sweep(cache, range(1, 26), grid,
+                                 {kind: eval_on_grid(truth, grid)})
+    m = _first_minimum(list(errors), [e[kind] for e in errors.values()])
+    return m, errors[m][kind]
+
 
 def test_oracle_zeroes_in_on_exact_representation():
     rng = np.random.default_rng(8)
@@ -153,9 +186,7 @@ def test_oracle_zeroes_in_on_exact_representation():
 def test_oracle_regression_kind():
     fn = TEST_FUNCTIONS["b2"]
     sample = normal_sample(9, 250, fn.b)
-    interval = trim_interval(sample)
-    m, err, _ = oracle_select(sample, Family.HERMITE, range(1, 26), fn.b,
-                              interval, fit_kind="regression")
+    m, err = harness_oracle(sample, fn.b, "regression")
     assert 1 <= m <= 3
     assert err < 0.01
 
@@ -167,11 +198,8 @@ def test_oracle_error_stable_under_grid_doubling():
     for seed in range(5):
         rng = rng_for(2024, 1, seed)
         sample = generate_sample(fn, 500, 0.25, rng)
-        interval = trim_interval(sample)
-        m512, e512, _ = oracle_select(sample, Family.HERMITE, range(1, 26),
-                                      fn.b_prime, interval, grid_points=512)
-        m1024, e1024, _ = oracle_select(sample, Family.HERMITE, range(1, 26),
-                                        fn.b_prime, interval, grid_points=1024)
+        m512, e512 = harness_oracle(sample, fn.b_prime, "derivative", 512)
+        m1024, e1024 = harness_oracle(sample, fn.b_prime, "derivative", 1024)
         assert m512 == m1024
         assert abs(e1024 - e512) <= 0.01 * e512
 
@@ -183,10 +211,7 @@ def test_oracle_dimension_matches_benchmark_for_in_span_target():
     for seed in range(100):
         rng = rng_for(31337, 0, seed)
         sample = generate_sample(fn, 250, 0.25, rng)
-        interval = trim_interval(sample)
-        m, _, _ = oracle_select(sample, Family.HERMITE, range(1, 26), fn.b,
-                                interval, fit_kind="regression")
-        dims.append(m)
+        dims.append(harness_oracle(sample, fn.b, "regression")[0])
     assert 1.0 <= np.mean(dims) <= 1.3
 
 
@@ -208,13 +233,10 @@ def test_reuse_minimal_dimension_for_noiseless_span_member():
 def test_reuse_selected_m_in_collection():
     fn = TEST_FUNCTIONS["b1"]
     sample = normal_sample(11, 600, fn.b)
-    from derivfit.selection import DesignCache, collection_members
     m_grid = default_m_grid(Family.HALF_TRIG, 600)
     m, _ = reuse_select(sample, Family.HALF_TRIG, m_grid, sigma2=0.0625)
     cache = DesignCache(sample, Family.HALF_TRIG, max(m_grid))
-    members = collection_members(cache, m_grid, 600,
-                                 default_d_constant(sample.x))
-    assert m in members
+    assert m in collection_members(cache, m_grid, None)
 
 
 def test_reuse_tracks_derivative_oracle_dimension():
@@ -275,7 +297,7 @@ def test_sigma2_requires_enough_observations():
 
 def test_selectors_do_not_depend_on_the_grid_order():
     """A reversed, shuffled or repeating grid gives the ascending grid's
-    sigma^2-hat, gl choice and A values, and reuse choice."""
+    sigma^2-hat, gl choice, trace rows and members, and reuse choice."""
     rng = np.random.default_rng(1)
     x = rng.standard_normal(1000)
     sample = Sample(x=x, y=np.sin(2 * x) + 0.25 * rng.standard_normal(1000))
@@ -283,26 +305,37 @@ def test_selectors_do_not_depend_on_the_grid_order():
     def outcome(m_grid):
         trace, _ = gl_select(sample, Family.HERMITE, GlConfig(m_grid=m_grid))
         return (estimate_sigma2(sample, Family.HERMITE, m_grid), trace.m_hat,
-                {r.m: r.a_value for r in trace.rows},
+                trace.rows, trace.members,
                 reuse_select(sample, Family.HERMITE, m_grid)[0])
 
     grid = tuple(range(1, 21))
     expected = outcome(grid)
+    assert [r.m for r in expected[2]] == list(grid)
     shuffled = tuple(np.random.default_rng(0).permutation(grid).tolist())
     for m_grid in (grid[::-1], shuffled, grid + grid[10::-2]):
         assert outcome(m_grid) == expected, m_grid
 
 
 @pytest.mark.parametrize("select", [
-    lambda s: gl_select(s, Family.HERMITE, GlConfig(m_grid=())),
-    lambda s: reuse_select(s, Family.HERMITE, ()),
-    lambda s: estimate_sigma2(s, Family.HERMITE, ()),
-    lambda s: oracle_select(s, Family.HERMITE, (), np.cos, (-1.0, 1.0)),
+    lambda s, family, grid: gl_select(s, family, GlConfig(m_grid=grid)),
+    lambda s, family, grid: reuse_select(s, family, grid),
+    lambda s, family, grid: estimate_sigma2(s, family, grid),
+    lambda s, family, grid: oracle_select(s, family, grid, np.cos, (-1.0, 1.0)),
 ], ids=["gl", "reuse", "sigma2", "oracle"])
 def test_an_empty_grid_is_rejected_before_any_cache(monkeypatch, select):
+    """So is a grid with entries the family does not admit (below 1, or
+    even for trig-odd; the message names them) or non-integer entries."""
     def no_cache(*args, **kwargs):
         raise AssertionError("a cache was built")
 
     monkeypatch.setattr(DesignCache, "__init__", no_cache)
-    with pytest.raises(ValueError, match="m_grid is empty"):
-        select(normal_sample(15, 500, np.sin))
+    sample = normal_sample(15, 500, np.sin)
+    for family, grid, message in (
+            (Family.HERMITE, (), "m_grid is empty"),
+            (Family.HERMITE, (0, 1, 2), r"the hermite family does not admit: \[0\]"),
+            (Family.HERMITE, (-3, 2), r"the hermite family does not admit: \[-3\]"),
+            (Family.TRIG_ODD, (1, 2, 3), r"the trig-odd family does not admit: \[2\]")):
+        with pytest.raises(ValueError, match=message):
+            select(sample, family, grid)
+    with pytest.raises(TypeError, match="integer"):
+        select(sample, Family.HERMITE, (1.0, 2.0))

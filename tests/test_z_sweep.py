@@ -16,9 +16,10 @@ from derivfit.basis import BasisSpec, Family, admissible_dims, eval_basis
 from derivfit.design import Sample
 from derivfit.errors import SingularGramError
 from derivfit.estimators import Strategy
-from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, _gate, _gl_choice,
+from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, _gl_choice,
                                 _oracle_error_sweep, _reuse_choice, _sigma2,
-                                default_m_grid, estimate_sigma2, fit_derivative_1)
+                                collection_members, default_m_grid, estimate_sigma2,
+                                fit_derivative_1)
 from derivfit.simulation import TEST_FUNCTIONS
 
 EPS = np.finfo(float).eps
@@ -153,7 +154,7 @@ def test_an_offset_on_little_noise_keeps_the_n_space_residual(family):
     interval = (-1.5, 1.5) if family is Family.HALF_TRIG else None
     m_grid = default_m_grid(family, n)
     cache = DesignCache(Sample(x=x, y=y), family, max(m_grid), interval)
-    members = _gate(cache, m_grid, None)
+    members = collection_members(cache, m_grid, None)
     for m, value in zip(members, cache.residual_ms(members)):
         direct = _n_space_residual_ms(cache, m)
         assert abs(value - direct) <= 1e-9 * direct, m
@@ -208,7 +209,7 @@ def test_one_forward_substitution_per_cache(monkeypatch, family):
     m_grid = tuple(range(1, 31)) if family is Family.HERMITE else tuple(range(1, 31, 2))
     cache = DesignCache(sample, family, max(m_grid))
     built = len(forward)  # the prefix factor's rows
-    members = _gate(cache, m_grid, None)
+    members = collection_members(cache, m_grid, None)
     sigma2 = _sigma2(cache, members)
     _reuse_choice(cache, members, sigma2)
     _gl_choice(cache, members, sigma2, 0.5, 0.5)
