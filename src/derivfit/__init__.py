@@ -17,9 +17,9 @@ from .design import (Sample, DesignSet, StabilityVerdict, default_d_constant,
 from .errors import (DataFormatError, DerivfitError, EmptyCollectionError,
                      SingularGramError)
 from .estimators import DerivativeFit, Strategy, evaluate_fit, truncate_fit
-from .selection import (GlConfig, SelectionTrace, default_m_grid,
-                        estimate_sigma2, fit_derivative_1, fit_derivative_2,
-                        gl_select, oracle_select, penalty_v_hat, reuse_select)
+from .selection import (SelectionTrace, default_m_grid, estimate_sigma2,
+                        fit_derivative_1, fit_derivative_2, gl_select, oracle_select,
+                        penalty_v_hat, reuse_select)
 from .simulation import (ExperimentConfig, ExperimentReport, TEST_FUNCTIONS,
                          TestFunction, calibrate_kappa, generate_sample,
                          rng_for, run_experiment)

@@ -20,7 +20,7 @@ from .basis import BasisSpec, Family, parse_family
 from .design import Sample, default_d_constant, stability_check, trim_interval
 from .errors import DataFormatError, EmptyCollectionError, SingularGramError
 from .estimators import Strategy, truncate_fit
-from .selection import (DesignCache, GlConfig, default_m_grid, gl_select,
+from .selection import (KAPPA, DesignCache, _check_tuning, default_m_grid, gl_select,
                         oracle_select, reuse_select)
 
 USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 1, 2, 3
@@ -108,6 +108,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_select(args) -> int:
+    # the tuning flags are checked in every mode, before the CSV is read
+    _check_tuning(args.sigma2, args.d_const, args.kappa0, args.kappa1)
     sample = dataio.load_csv(args.data)
     family = parse_family(args.family)
     m_grid = default_m_grid(family, sample.n, args.m_max)
@@ -120,9 +122,8 @@ def _cmd_select(args) -> int:
         eval_iv = _trim(sample, "the oracle's scoring interval")
     grid = _grid_for(args, sample) if args.out else None
     if args.mode == "gl":
-        config = GlConfig(kappa0=args.kappa0, kappa1=args.kappa1, sigma2=args.sigma2,
-                          d_constant=args.d_const, m_grid=m_grid)
-        trace, fit = gl_select(sample, family, config, interval=interval)
+        trace, fit = gl_select(sample, family, m_grid, args.sigma2, args.d_const,
+                               interval, args.kappa0, args.kappa1)
         m_hat = trace.m_hat
         print(f"selected m = {m_hat} from members {trace.members}")
     elif args.mode == "reuse":
@@ -204,8 +205,8 @@ def build_parser() -> _Parser:
     p.add_argument("data")
     p.add_argument("--family", required=True)
     p.add_argument("--mode", choices=("oracle", "gl", "reuse"), default="gl")
-    p.add_argument("--kappa0", type=float, default=GlConfig.kappa0)
-    p.add_argument("--kappa1", type=float, default=GlConfig.kappa1)
+    p.add_argument("--kappa0", type=float, default=KAPPA)
+    p.add_argument("--kappa1", type=float, default=KAPPA)
     p.add_argument("--sigma2", type=float)
     p.add_argument("--d-const", type=float)
     p.add_argument("--m-max", type=int)

@@ -30,10 +30,13 @@ singular dimension and the edge of the collection are monotone in m
 values-only eigendecomposition per probed dimension.
 The collection gate (collection_members), the noise estimate and the gl
 and reuse choices are cores that read that cache; the simulation harness
-calls them on the cache of each draw.  The public selectors resolve their
-inputs in one prologue before any cache: sigma2 (None: estimate it) and
-d are checked, the grid is taken ascending and without repeats and must
-be admissible, and an estimate of sigma2 must have room; then they build
+calls them on the cache of each draw.  The public selectors take their
+tuning constants as keywords (kappa0 = kappa1 = KAPPA by default) and
+resolve their inputs in one prologue before any cache: _check_tuning,
+the one check of kappa0, kappa1, sigma2 (None: estimate it) and d, which
+the harness's config and `derivfit select` also make in every mode and
+calibrate_kappa once per kappa; the grid is taken ascending and without repeats and must be
+admissible, and an estimate of sigma2 must have room; then they build
 one cache and call the cores.  The cache is the package's one least-squares solve: every
 theta, the fixed-dimension fits included, is one of its leading-block
 solves, and DesignCache.fit turns theta_m into the strategy-1 fit and
@@ -66,6 +69,7 @@ from .errors import EmptyCollectionError, SingularGramError
 from .estimators import DerivativeFit, Strategy
 
 CRITERION_TIE_TOL = 1e-12
+KAPPA = 1.0  # the default of both comparison constants, kappa0 and kappa1
 EVAL_GRID_POINTS = 512  # the oracle's scoring grid
 
 
@@ -74,32 +78,21 @@ def _none_or_positive(value) -> bool:
                              and value > 0)
 
 
-@dataclass(frozen=True)
-class GlConfig:
-    """Tuning constants for the data-driven selector.
-
-    sigma2 None means estimate it from the residuals; d_constant None
-    means the sample-dependent default.  m_grid None means the family's
-    admissible dimensions up to min(40, n // 10); a given grid is taken
-    ascending and without repeats.
-    """
-
-    kappa0: float = 1.0
-    kappa1: float = 1.0
-    sigma2: float | None = None
-    d_constant: float | None = None
-    m_grid: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.kappa1) and 0 < self.kappa0 <= self.kappa1):
-            raise ValueError(f"require finite 0 < kappa0 <= kappa1, got kappa0 = "
-                             f"{self.kappa0}, kappa1 = {self.kappa1}")
-        if not _none_or_positive(self.sigma2):
-            raise ValueError(f"sigma2 must be positive and finite (None: estimate it), "
-                             f"got sigma2 = {self.sigma2!r}")
-        if not _none_or_positive(self.d_constant):
-            raise ValueError(f"the collection constant d must be finite and "
-                             f"positive, got d = {self.d_constant!r}")
+def _check_tuning(sigma2: float | None, d_constant: float | None,
+                  kappa0: float, kappa1: float) -> None:
+    """The one check of the selectors' tuning constants: finite
+    0 < kappa0 <= kappa1, and sigma2 (None: estimate it) and the
+    collection constant d (None: the sample-dependent default) positive
+    and finite."""
+    if not (math.isfinite(kappa1) and 0 < kappa0 <= kappa1):
+        raise ValueError(f"require finite 0 < kappa0 <= kappa1, got kappa0 = "
+                         f"{kappa0}, kappa1 = {kappa1}")
+    if not _none_or_positive(sigma2):
+        raise ValueError(f"sigma2 must be positive and finite (None: estimate it), "
+                         f"got sigma2 = {sigma2!r}")
+    if not _none_or_positive(d_constant):
+        raise ValueError(f"the collection constant d must be finite and "
+                         f"positive, got d = {d_constant!r}")
 
 
 @dataclass(frozen=True)
@@ -153,9 +146,10 @@ class DesignCache:
             interval = trim_interval(sample)
         self.sample = sample
         self.family = family
-        self.interval = interval
-        self._m_hi = m_hi
-        self._phi = eval_basis(self.spec_for(m_hi).extended(), sample.x)
+        # the top spec, so BasisSpec rejects an interval for a fixed-support
+        # family before the basis is evaluated
+        self.spec = BasisSpec(family, m_hi, interval)
+        self._phi = eval_basis(self.spec.extended(), sample.x)
         self._gram = gram(self._phi)
         self._rhs = moments(self._phi, sample.y)
         self.factor = prefix_cholesky(self._gram)
@@ -164,9 +158,7 @@ class DesignCache:
         self._residuals: dict[int, float] = {}
 
     def spec_for(self, m: int) -> BasisSpec:
-        if self.family is Family.HALF_TRIG:
-            return BasisSpec(self.family, m, self.interval)
-        return BasisSpec(self.family, m)
+        return self.spec.with_m(m)
 
     def design(self, m: int) -> DesignSet:
         """The eigenvalue record of dimension m's Gram, the leading m-by-m
@@ -227,7 +219,7 @@ class DesignCache:
     def psi_prime(self) -> np.ndarray:
         """The derivative Gram Phi'^T Phi' / n at the top dimension, as
         Delta Gram Delta^T (exactly symmetric)."""
-        delta = delta_matrix(self.spec_for(self._m_hi))
+        delta = delta_matrix(self.spec)
         raw = delta @ self._gram @ delta.T
         return (raw + raw.T) / 2.0
 
@@ -338,9 +330,10 @@ def collection_members(cache: DesignCache, m_grid,
 
 def _check_room_for_sigma2(n: int, m_grid, family: Family) -> None:
     """The residual estimate of sigma^2 needs n > 2 m_max: the one check
-    of that rule, made before the first cache by _selection_inputs, the
-    harness's config and calibrate_kappa (and again by _sigma2 on the
-    members)."""
+    of that rule, made before the first cache by _selection_inputs (the
+    prologue of gl_select, reuse_select and estimate_sigma2), by the
+    harness's config in gl and reuse mode and by calibrate_kappa (and
+    again by _sigma2 on the members)."""
     m_max = max(m_grid)
     if n <= 2 * m_max:
         raise ValueError(f"estimating sigma2 needs n > 2*m_max, but n = {n} with "
@@ -402,11 +395,12 @@ def _reuse_choice(cache: DesignCache, members: list[int], sigma2: float) -> int:
 
 def _selection_inputs(sample: Sample, family: Family, m_grid, sigma2: float | None,
                       d_constant: float | None,
-                      interval: tuple[float, float] | None):
-    """The prologue of every public selector: sigma2, d and the grid are
-    checked, and the room for an estimate of sigma2 (None), before the
-    one cache is built.  Returns (cache, grid, members, sigma2)."""
-    GlConfig(sigma2=sigma2, d_constant=d_constant)
+                      interval: tuple[float, float] | None,
+                      kappa0: float = KAPPA, kappa1: float = KAPPA):
+    """The prologue of every public selector: the tuning constants and
+    the grid are checked, and the room for an estimate of sigma2 (None),
+    before the one cache is built.  Returns (cache, grid, members, sigma2)."""
+    _check_tuning(sigma2, d_constant, kappa0, kappa1)
     m_grid = _checked_m_grid(m_grid, family, sample.n)
     if sigma2 is None:
         _check_room_for_sigma2(sample.n, m_grid, family)
@@ -423,8 +417,11 @@ def estimate_sigma2(sample: Sample, family: Family,
     return _selection_inputs(sample, family, m_grid, None, d_constant, interval)[3]
 
 
-def gl_select(sample: Sample, family: Family, config: GlConfig | None = None,
-              interval: tuple[float, float] | None = None
+def gl_select(sample: Sample, family: Family, m_grid=None,
+              sigma2: float | None = None,
+              d_constant: float | None = None,
+              interval: tuple[float, float] | None = None,
+              kappa0: float = KAPPA, kappa1: float = KAPPA
               ) -> tuple[SelectionTrace, DerivativeFit]:
     """Pick the dimension minimizing the pairwise-comparison criterion.
 
@@ -432,14 +429,14 @@ def gl_select(sample: Sample, family: Family, config: GlConfig | None = None,
     the empirical-norm distance to every other member's strategy-1 fit
     over the penalized variance proxy; the criterion adds kappa1 times
     the member's own penalty.  Ties within 1e-12 go to the smaller m.
+    m_grid None means the family's admissible dimensions up to
+    min(40, n // 10), sigma2 None an estimate from the residuals and
+    d_constant None the sample-dependent default, as in reuse_select.
     Returns the trace and the strategy-1 fit at the chosen dimension.
     """
-    if config is None:
-        config = GlConfig()
     cache, m_grid, members, sigma2 = _selection_inputs(
-        sample, family, config.m_grid, config.sigma2, config.d_constant, interval)
-    m_hat, v_hat, a_value = _gl_choice(cache, members, sigma2,
-                                       config.kappa0, config.kappa1)
+        sample, family, m_grid, sigma2, d_constant, interval, kappa0, kappa1)
+    m_hat, v_hat, a_value = _gl_choice(cache, members, sigma2, kappa0, kappa1)
     rows = tuple(TraceRow(m, m in v_hat, v_hat.get(m), a_value.get(m))
                  for m in m_grid)
     trace = SelectionTrace(rows=rows, m_hat=m_hat, strategy="gl")

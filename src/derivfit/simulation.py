@@ -24,9 +24,10 @@ import numpy as np
 from .basis import Family, parse_family
 from .design import Sample, trim_interval
 from .errors import EmptyCollectionError, SingularGramError
-from .selection import (EVAL_GRID_POINTS, DesignCache, GlConfig, _check_room_for_sigma2,
-                        _first_minimum, _gl_choice, _oracle_error_sweep, _reuse_choice,
-                        _sigma2, collection_members, default_m_grid, eval_on_grid)
+from .selection import (EVAL_GRID_POINTS, KAPPA, DesignCache, _check_room_for_sigma2,
+                        _check_tuning, _first_minimum, _gl_choice, _oracle_error_sweep,
+                        _reuse_choice, _sigma2, collection_members, default_m_grid,
+                        eval_on_grid)
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,14 @@ TEST_FUNCTIONS: dict[str, TestFunction] = {
 def rng_for(seed: int, cell_index: int, repetition: int) -> np.random.Generator:
     """Independent substream for one repetition of one cell."""
     return np.random.default_rng((seed, cell_index, repetition))
+
+
+def _check_functions(functions) -> None:
+    """Reject test function ids not in TEST_FUNCTIONS, naming the known ones."""
+    unknown = [f for f in functions if f not in TEST_FUNCTIONS]
+    if unknown:
+        raise ValueError(f"unknown test functions {unknown}; known: "
+                         f"{', '.join(TEST_FUNCTIONS)}")
 
 
 def _check_sigma(sigma: float) -> None:
@@ -81,8 +90,8 @@ class ExperimentConfig:
     seed: int = 1
     m_max: int | None = None
     mode: str = "oracle"          # oracle | gl | reuse
-    kappa0: float = GlConfig.kappa0
-    kappa1: float = GlConfig.kappa1
+    kappa0: float = KAPPA
+    kappa1: float = KAPPA
     sigma2: float | None = None   # None: estimated per draw
     d_constant: float | None = None
 
@@ -92,20 +101,15 @@ class ExperimentConfig:
         _check_sigma(self.sigma)
         if self.mode not in ("oracle", "gl", "reuse"):
             raise ValueError(f"unknown selection mode {self.mode!r}")
-        unknown = [f for f in self.functions if f not in TEST_FUNCTIONS]
-        if unknown:
-            raise ValueError(f"unknown test functions {unknown}")
+        _check_functions(self.functions)
         if min(self.n_list, default=2) < 2:
             raise ValueError(f"every n must be >= 2, got {list(self.n_list)}")
         if self.m_max is not None and self.m_max < 1:
             raise ValueError(f"m_max must be >= 1, got {self.m_max}")
         families = [parse_family(fam) for fam in self.families]
-        if self.mode == "oracle":
-            return
-        # the selectors' own checks, made before any repetition runs
-        GlConfig(kappa0=self.kappa0, kappa1=self.kappa1, sigma2=self.sigma2,
-                 d_constant=self.d_constant)
-        if self.sigma2 is not None:
+        # the selectors' own check, made in every mode before any repetition
+        _check_tuning(self.sigma2, self.d_constant, self.kappa0, self.kappa1)
+        if self.mode == "oracle" or self.sigma2 is not None:
             return
         for family in families:
             for n in self.n_list:
@@ -139,7 +143,8 @@ def _run_repetition(config: ExperimentConfig, fn: TestFunction, family: Family,
     grid = np.linspace(lo, hi, EVAL_GRID_POINTS)
     m_grid = default_m_grid(family, n, config.m_max)
     # the rescalable family follows the trimmed range of each draw
-    cache = DesignCache(sample, family, max(m_grid), (lo, hi))
+    cache = DesignCache(sample, family, max(m_grid),
+                        (lo, hi) if family is Family.HALF_TRIG else None)
     if config.mode == "oracle":
         scored = m_grid
     else:
@@ -231,11 +236,14 @@ def calibrate_kappa(function: str, family_name: str, n: int,
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got seeds = {seeds}")
     _check_sigma(sigma)
+    _check_functions([function])
     fn = TEST_FUNCTIONS[function]
     family = parse_family(family_name)
     kappas = [float(k) for k in kappas]
+    if not kappas:
+        raise ValueError("kappas is empty: give at least one value to sweep")
     for kappa in kappas:  # rejects a bad constant before the sweep
-        GlConfig(kappa0=kappa, kappa1=kappa, d_constant=d_constant)
+        _check_tuning(None, d_constant, kappa, kappa)
     m_grid = default_m_grid(family, n, m_max)
     _check_room_for_sigma2(n, m_grid, family)  # every draw estimates sigma2
     ratios: dict[float, list[float]] = {k: [] for k in kappas}
@@ -245,7 +253,8 @@ def calibrate_kappa(function: str, family_name: str, n: int,
         sample = generate_sample(fn, n, sigma, rng)
         lo, hi = trim_interval(sample)
         grid = np.linspace(lo, hi, EVAL_GRID_POINTS)
-        cache = DesignCache(sample, family, max(m_grid), (lo, hi))
+        cache = DesignCache(sample, family, max(m_grid),
+                            (lo, hi) if family is Family.HALF_TRIG else None)
         errors = _oracle_error_sweep(cache, m_grid, grid,
                                      {"derivative": eval_on_grid(fn.b_prime, grid)})
         if not errors:

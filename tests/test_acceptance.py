@@ -15,7 +15,7 @@ from derivfit.basis import BasisSpec, Family, eval_basis, eval_basis_derivative
 from derivfit.design import Sample, trim_interval
 from derivfit.dataio import save_report
 from derivfit.estimators import evaluate_fit
-from derivfit.selection import (DesignCache, GlConfig, _oracle_error_sweep,
+from derivfit.selection import (DesignCache, _oracle_error_sweep,
                                 _whitened_derivative_gram, collection_members,
                                 default_m_grid, eval_on_grid, fit_derivative_1,
                                 gl_select, penalty_v_hat)
@@ -270,13 +270,13 @@ def _gl_risk_ratios(function, family, n, kappa, seeds, seed_base):
         lo, hi = trim_interval(sample)
         grid = np.linspace(lo, hi, 512)
         m_grid = default_m_grid(family, n)
-        cache = DesignCache(sample, family, max(m_grid), (lo, hi))
+        cache = DesignCache(sample, family, max(m_grid),
+                            (lo, hi) if family is Family.HALF_TRIG else None)
         errors = _oracle_error_sweep(cache, m_grid, grid,
                                      {"derivative": eval_on_grid(fn.b_prime, grid)})
         oracle_err = min(e["derivative"] for e in errors.values())
-        config = GlConfig(kappa0=kappa, kappa1=kappa, sigma2=None,
-                          m_grid=tuple(m_grid))
-        trace, _ = gl_select(sample, family, config, interval=cache.interval)
+        trace, _ = gl_select(sample, family, m_grid, sigma2=None,
+                             interval=cache.spec.interval, kappa0=kappa, kappa1=kappa)
         ratios.append(errors[trace.m_hat]["derivative"] / max(oracle_err, 1e-300))
     return np.asarray(ratios)
 

@@ -360,6 +360,27 @@ def test_non_finite_comparison_constant_fails_before_any_work(tmp_path, capsys,
     assert not calib.exists() and not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["gl", "reuse", "oracle"])
+def test_tuning_flags_and_keys_are_checked_in_every_mode(tmp_path, capsys, monkeypatch,
+                                                         mode):
+    _refuse_caches(monkeypatch)
+    missing = tmp_path / "never_read.csv"  # checked before the CSV is read
+    for flags, message in ((["--kappa0", "5", "--kappa1", "1"],
+                            "got kappa0 = 5.0, kappa1 = 1.0"),
+                           (["--d-const", "nan", "--sigma2", "-1"],
+                            "sigma2 must be positive")):
+        assert run_cli("select", str(missing), "--family", "hermite", "--mode", mode,
+                       "--function", "b1", *flags) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+    cfg, out = tmp_path / "bench.cfg", tmp_path / "report.csv"
+    cfg.write_text(f"functions = b1\nfamilies = hermite\nn = 250\nmode = {mode}\n"
+                   f"repetitions = 2\nkappa0 = -1\n")
+    assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 2
+    assert "got kappa0 = -1.0, kappa1 = 1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seeds", ["0", "-3"])
 def test_calibrate_without_draws_fails_before_any_work(tmp_path, capsys, monkeypatch,
                                                        seeds):

@@ -22,10 +22,9 @@ from scipy.integrate import trapezoid
 from derivfit import simulation
 from derivfit.basis import BasisSpec, Family, eval_basis, parse_family
 from derivfit.design import Sample, gram, trim_interval
-from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, GlConfig,
-                                _oracle_error_sweep, _sigma2, collection_members,
-                                default_m_grid, fit_derivative_1, gl_select,
-                                reuse_select)
+from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, _oracle_error_sweep,
+                                _sigma2, collection_members, default_m_grid,
+                                fit_derivative_1, gl_select, reuse_select)
 from derivfit.simulation import (TEST_FUNCTIONS, calibrate_kappa, generate_sample,
                                  rng_for)
 from oracles import derivative_columns
@@ -98,13 +97,16 @@ def n_space_errors(sample, spec_for, dims, grid, targets):
 
 
 def draws(family_name, n_list=(250, 1000), seeds=range(4)):
-    """Fixed simulated samples: (family, sample, trimmed interval)."""
+    """Fixed simulated samples: (family, sample, interval), the interval
+    the trimmed range for half-trig, as the harness passes it, and None
+    for a fixed-support family."""
     family = parse_family(family_name)
     for n in n_list:
         for seed in seeds:
             fn = TEST_FUNCTIONS[("b1", "b2", "b3", "b4")[seed % 4]]
             sample = generate_sample(fn, n, 0.25, rng_for(31, n, seed))
-            yield family, sample, trim_interval(sample)
+            yield family, sample, (trim_interval(sample)
+                                   if family is Family.HALF_TRIG else None)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +155,7 @@ def test_designs_beyond_a_bounded_support(family, centre):
         reference = phi_prime.T @ phi_prime / sample.n
         assert (np.abs(cache.psi_prime[:m, :m] - reference).max()
                 <= 1e-12 * np.abs(reference).max())
-    trace, fit = gl_select(sample, family, GlConfig(m_grid=tuple(range(1, 13))))
+    trace, fit = gl_select(sample, family, range(1, 13))
     assert trace.m_hat in trace.members and fit.m == trace.m_hat
     m_reuse, _ = reuse_select(sample, family, range(1, 13))
     assert m_reuse in trace.members
@@ -167,8 +169,8 @@ def test_designs_beyond_a_bounded_support(family, centre):
 def test_gl_penalties_and_comparisons_match_the_n_space_loop(family_name):
     for family, sample, interval in draws(family_name):
         for kappa in (0.2, 1.0):
-            config = GlConfig(kappa0=kappa, kappa1=kappa)
-            trace, _ = gl_select(sample, family, config, interval=interval)
+            trace, _ = gl_select(sample, family, interval=interval,
+                                 kappa0=kappa, kappa1=kappa)
             cache = DesignCache(sample, family, max(r.m for r in trace.rows), interval)
             sigma2 = _sigma2(cache, trace.members)
             m_hat, v_hat, a_value = n_space_gl(sample, cache.spec_for, trace.members,
@@ -214,7 +216,7 @@ def test_calibration_choices_match_the_n_space_loop(family_name, monkeypatch):
 def test_batched_grid_scoring_matches_per_dimension_calls(family_name):
     for family, sample, interval in draws(family_name, n_list=(250,)):
         fn = TEST_FUNCTIONS["b2"]
-        grid = np.linspace(*interval, 512)
+        grid = np.linspace(*trim_interval(sample), 512)
         targets = {"regression": fn.b(grid), "derivative": fn.b_prime(grid)}
         m_grid = default_m_grid(family, sample.n)
         cache = DesignCache(sample, family, max(m_grid), interval)

@@ -4,11 +4,12 @@ oracle and reuse strategies, noise-level estimation."""
 import numpy as np
 import pytest
 
+import derivfit.selection
 from derivfit.basis import BasisSpec, Family, eval_basis
 from derivfit.design import Sample, trim_interval
 from derivfit.errors import EmptyCollectionError
 from derivfit.estimators import Strategy
-from derivfit.selection import (EVAL_GRID_POINTS, DesignCache, GlConfig, _first_minimum,
+from derivfit.selection import (EVAL_GRID_POINTS, KAPPA, DesignCache, _first_minimum,
                                 _oracle_error_sweep, _whitened_derivative_gram,
                                 collection_members, default_m_grid, estimate_sigma2,
                                 eval_on_grid, fit_derivative_1, gl_select, oracle_select,
@@ -60,8 +61,7 @@ def test_penalty_monotone_in_m():
 def test_gl_singleton_collection():
     fn = TEST_FUNCTIONS["b2"]
     sample = normal_sample(3, 500, fn.b)
-    config = GlConfig(sigma2=0.0625, m_grid=(2,))
-    trace, fit = gl_select(sample, Family.HERMITE, config)
+    trace, fit = gl_select(sample, Family.HERMITE, (2,), sigma2=0.0625)
     assert trace.m_hat == 2
     assert fit.m == 2
     row = [r for r in trace.rows if r.m == 2][0]
@@ -73,18 +73,15 @@ def test_gl_tie_break_prefers_smaller_m():
     # constant responses: every fit has zero derivative, every criterion ties
     rng = np.random.default_rng(4)
     sample = Sample(x=rng.uniform(0, 1, 400), y=np.ones(400))
-    config = GlConfig(sigma2=1e-6, m_grid=(1, 3, 5))
-    trace, _ = gl_select(sample, Family.TRIG_ODD, config)
+    trace, _ = gl_select(sample, Family.TRIG_ODD, (1, 3, 5), sigma2=1e-6)
     assert trace.m_hat == 1
 
 
 def test_gl_penalties_scale_with_sigma2():
     fn = TEST_FUNCTIONS["b3"]
     sample = normal_sample(5, 400, fn.b)
-    base = GlConfig(sigma2=0.0625, m_grid=tuple(range(1, 8)))
-    scaled = GlConfig(sigma2=0.125, m_grid=tuple(range(1, 8)))
-    t1, _ = gl_select(sample, Family.HERMITE, base)
-    t2, _ = gl_select(sample, Family.HERMITE, scaled)
+    t1, _ = gl_select(sample, Family.HERMITE, range(1, 8), sigma2=0.0625)
+    t2, _ = gl_select(sample, Family.HERMITE, range(1, 8), sigma2=0.125)
     for r1, r2 in zip(t1.rows, t2.rows):
         if r1.v_hat is not None:
             assert r2.v_hat == pytest.approx(2 * r1.v_hat, rel=1e-12)
@@ -93,10 +90,9 @@ def test_gl_penalties_scale_with_sigma2():
 def test_gl_selected_m_is_member_and_attains_minimum():
     fn = TEST_FUNCTIONS["b1"]
     sample = normal_sample(6, 800, fn.b)
-    config = GlConfig(sigma2=0.0625)
-    trace, _ = gl_select(sample, Family.HALF_TRIG, config)
+    trace, _ = gl_select(sample, Family.HALF_TRIG, sigma2=0.0625)
     assert trace.m_hat in trace.members
-    crits = {r.m: r.a_value + config.kappa1 * r.v_hat
+    crits = {r.m: r.a_value + KAPPA * r.v_hat
              for r in trace.rows if r.in_collection}
     assert crits[trace.m_hat] <= min(crits.values()) + 1e-12
     member_vhats = [r.v_hat for r in trace.rows if r.in_collection]
@@ -111,7 +107,7 @@ def test_gl_small_dimension_for_in_span_target():
     seeds = 50
     for seed in range(seeds):
         sample = normal_sample(1000 + seed, 1000, fn.b)
-        trace, _ = gl_select(sample, Family.HERMITE, GlConfig(sigma2=0.0625))
+        trace, _ = gl_select(sample, Family.HERMITE, sigma2=0.0625)
         if trace.m_hat <= 3:
             small += 1
     assert small >= 0.8 * seeds
@@ -119,25 +115,59 @@ def test_gl_small_dimension_for_in_span_target():
 
 def test_gl_empty_collection_raises():
     sample = normal_sample(7, 50)
-    config = GlConfig(sigma2=1.0, m_grid=(8,), d_constant=1e-12)
     with pytest.raises(EmptyCollectionError):
-        gl_select(sample, Family.HERMITE, config)
+        gl_select(sample, Family.HERMITE, (8,), sigma2=1.0, d_constant=1e-12)
 
 
-def test_gl_config_validation():
-    with pytest.raises(ValueError):
-        GlConfig(kappa0=2.0, kappa1=1.0)
-    with pytest.raises(ValueError):
-        GlConfig(sigma2=-1.0)
-    with pytest.raises(ValueError):
-        GlConfig(sigma2="guess")
+def test_bad_tuning_is_rejected_before_any_cache_in_every_mode(monkeypatch):
+    """The selectors and the harness's config share one check of kappa0,
+    kappa1, sigma2 and d, and its messages; the oracle mode makes it too."""
+    def no_cache(*args, **kwargs):
+        raise AssertionError("a cache was built")
+
+    monkeypatch.setattr(DesignCache, "__init__", no_cache)
+    sample = normal_sample(15, 500, np.sin)
+    for tuning, message in (
+            ({"kappa0": 2.0, "kappa1": 1.0}, "require finite 0 < kappa0 <= kappa1"),
+            ({"kappa0": 0.0}, "require finite 0 < kappa0 <= kappa1"),
+            ({"sigma2": -1.0}, "sigma2 must be positive"),
+            ({"sigma2": "guess"}, "sigma2 must be positive"),
+            ({"d_constant": 0.0}, "the collection constant d must be finite")):
+        with pytest.raises(ValueError, match=message):
+            gl_select(sample, Family.HERMITE, **tuning)
+        for mode in ("oracle", "gl", "reuse"):
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(mode=mode, **tuning)
+        if "kappa0" not in tuning:
+            with pytest.raises(ValueError, match=message):
+                reuse_select(sample, Family.HERMITE, **tuning)
+
+
+def test_an_interval_for_a_fixed_support_family_is_rejected_before_the_basis(
+        monkeypatch):
+    """The library rejects it as the CLI does: only half-trig rescales."""
+    def no_basis(*args, **kwargs):
+        raise AssertionError("the basis was evaluated")
+
+    monkeypatch.setattr(derivfit.selection, "eval_basis", no_basis)
+    sample = normal_sample(17, 500, np.sin)
+    message = "has a fixed support; interval not allowed"
+    for build in (
+            lambda: gl_select(sample, Family.HERMITE, interval=(5.0, 6.0)),
+            lambda: reuse_select(sample, Family.LAGUERRE, interval=(np.nan, 1.0)),
+            lambda: estimate_sigma2(sample, Family.LEGENDRE, interval=(0.0, 1.0)),
+            lambda: oracle_select(sample, Family.TRIG_ODD, (1, 3), np.cos, (0.0, 1.0),
+                                  interval=(0.0, 1.0)),
+            lambda: DesignCache(sample, Family.HERMITE, 5, (9, 1))):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_sigma2_none_means_estimate_it_everywhere():
     sample = normal_sample(16, 1000, np.sin)
     sigma2 = estimate_sigma2(sample, Family.HERMITE)
-    assert gl_select(sample, Family.HERMITE, GlConfig(sigma2=None))[0] == \
-        gl_select(sample, Family.HERMITE, GlConfig(sigma2=sigma2))[0]
+    assert gl_select(sample, Family.HERMITE, sigma2=None)[0] == \
+        gl_select(sample, Family.HERMITE, sigma2=sigma2)[0]
     assert reuse_select(sample, Family.HERMITE, sigma2=None)[0] == \
         reuse_select(sample, Family.HERMITE, sigma2=sigma2)[0]
     for mode in ("gl", "reuse"):
@@ -145,7 +175,7 @@ def test_sigma2_none_means_estimate_it_everywhere():
     # a non-number is a bad value, not a type error
     for bad in ("estimate", "0.0625", [0.0625]):
         with pytest.raises(ValueError, match="sigma2 must be positive"):
-            GlConfig(sigma2=bad)
+            gl_select(sample, Family.HERMITE, sigma2=bad)
         with pytest.raises(ValueError, match="sigma2 must be positive"):
             ExperimentConfig(mode="gl", sigma2=bad)
         with pytest.raises(ValueError, match="sigma2 must be positive"):
@@ -303,7 +333,7 @@ def test_selectors_do_not_depend_on_the_grid_order():
     sample = Sample(x=x, y=np.sin(2 * x) + 0.25 * rng.standard_normal(1000))
 
     def outcome(m_grid):
-        trace, _ = gl_select(sample, Family.HERMITE, GlConfig(m_grid=m_grid))
+        trace, _ = gl_select(sample, Family.HERMITE, m_grid)
         return (estimate_sigma2(sample, Family.HERMITE, m_grid), trace.m_hat,
                 trace.rows, trace.members,
                 reuse_select(sample, Family.HERMITE, m_grid)[0])
@@ -317,7 +347,7 @@ def test_selectors_do_not_depend_on_the_grid_order():
 
 
 @pytest.mark.parametrize("select", [
-    lambda s, family, grid: gl_select(s, family, GlConfig(m_grid=grid)),
+    lambda s, family, grid: gl_select(s, family, grid),
     lambda s, family, grid: reuse_select(s, family, grid),
     lambda s, family, grid: estimate_sigma2(s, family, grid),
     lambda s, family, grid: oracle_select(s, family, grid, np.cos, (-1.0, 1.0)),

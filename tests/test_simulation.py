@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from derivfit import simulation
 from derivfit.simulation import (ExperimentConfig, TEST_FUNCTIONS, best_kappa,
                                  calibrate_kappa, generate_sample, rng_for,
                                  run_experiment)
@@ -139,7 +140,7 @@ def test_oracle_dimensions_for_both_targets_stay_coupled():
     gaps = []
     for fn_id, fam, cell in (("b3", "hermite", 0), ("b1", "half-trig", 1)):
         fn = TEST_FUNCTIONS[fn_id]
-        from derivfit.basis import parse_family
+        from derivfit.basis import Family, parse_family
         family = parse_family(fam)
         for rep in range(30):
             rng = rng_for(515, cell, rep)
@@ -147,7 +148,8 @@ def test_oracle_dimensions_for_both_targets_stay_coupled():
             lo, hi = trim_interval(sample)
             grid = np.linspace(lo, hi, 512)
             m_grid = range(1, 26)
-            cache = DesignCache(sample, family, 25, (lo, hi))
+            cache = DesignCache(sample, family, 25,
+                                (lo, hi) if family is Family.HALF_TRIG else None)
             errors = _oracle_error_sweep(
                 cache, m_grid, grid,
                 {"regression": eval_on_grid(fn.b, grid),
@@ -166,6 +168,19 @@ def test_calibration_sweep_and_best():
     assert best_kappa(rows) in (0.2, 1.0)
 
 
+def test_calibration_rejects_an_unknown_function_or_no_kappas_before_any_draw(
+        monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(simulation, "generate_sample", no_draw)
+    with pytest.raises(ValueError, match=r"unknown test functions \['b9'\]; "
+                                         r"known: b1, b2, b3, b4"):
+        calibrate_kappa("b9", "hermite", 250, kappas=(1.0,), seeds=2)
+    with pytest.raises(ValueError, match="kappas is empty"):
+        calibrate_kappa("b1", "hermite", 250, kappas=[], seeds=2)
+
+
 @pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
 def test_bad_collection_constant_is_rejected_up_front(d):
     for mode in ("gl", "reuse"):
@@ -173,7 +188,9 @@ def test_bad_collection_constant_is_rejected_up_front(d):
             ExperimentConfig(mode=mode, d_constant=d)
     with pytest.raises(ValueError, match="collection constant d"):
         calibrate_kappa("b1", "hermite", 250, kappas=(1.0,), seeds=2, d_constant=d)
-    ExperimentConfig(mode="oracle", d_constant=d)  # the oracle never gates
+    # the oracle never gates, but a bad constant in its config is an error too
+    with pytest.raises(ValueError, match="collection constant d"):
+        ExperimentConfig(mode="oracle", d_constant=d)
 
 
 def test_a_positive_collection_constant_is_accepted():

@@ -14,7 +14,7 @@ import oracles
 from derivfit.basis import Family, admissible_dims, eval_basis, parse_family
 from derivfit.cli import main
 from derivfit.design import Sample, gram, trim_interval
-from derivfit.selection import (DesignCache, GlConfig, _oracle_error_sweep,
+from derivfit.selection import (DesignCache, _oracle_error_sweep,
                                 default_m_grid, eval_on_grid, fit_derivative_1,
                                 gl_select, reuse_select)
 from derivfit.simulation import (ExperimentConfig, TEST_FUNCTIONS, _run_repetition,
@@ -45,17 +45,17 @@ def test_harness_repetition_picks_the_public_selectors_dims(mode):
             (err_b, m_b), (err_bp, m_bp) = _run_repetition(
                 config, fn, family, n, rng_for(5, 0, rep))
             sample = generate_sample(fn, n, config.sigma, rng_for(5, 0, rep))
-            interval = trim_interval(sample)
+            lo_hi = trim_interval(sample)
+            interval = lo_hi if family is Family.HALF_TRIG else None
             m_grid = default_m_grid(family, n)
             m_reuse, _ = reuse_select(sample, family, m_grid, interval=interval)
             if mode == "gl":
-                trace, _ = gl_select(sample, family,
-                                     GlConfig(kappa0=0.5, kappa1=0.5, m_grid=m_grid),
-                                     interval=interval)
+                trace, _ = gl_select(sample, family, m_grid, interval=interval,
+                                     kappa0=0.5, kappa1=0.5)
                 assert (m_b, m_bp) == (m_reuse, trace.m_hat)
             else:
                 assert m_b == m_bp == m_reuse
-            grid = np.linspace(*interval, 512)
+            grid = np.linspace(*lo_hi, 512)
             errors = _oracle_error_sweep(
                 DesignCache(sample, family, max(m_grid), interval), m_grid, grid,
                 {"regression": eval_on_grid(fn.b, grid),

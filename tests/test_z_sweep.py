@@ -52,7 +52,7 @@ def test_z_of_a_leading_block_is_the_leading_entries_of_z(family, n, k, data, se
         assert _same_bits(block, cache.z[:m]), m
     # a cache built at a smaller dimension holds the same leading entries
     small = DesignCache(cache.sample, family, data.draw(st.integers(1, k), label="m"),
-                        cache.interval)
+                        cache.spec.interval)
     if len(small.factor):
         assert _same_bits(small.z, cache.z[:len(small.z)])
 
