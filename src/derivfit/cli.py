@@ -20,7 +20,7 @@ from .basis import BasisSpec, Family, parse_family
 from .design import Sample, default_d_constant, stability_check, trim_interval
 from .errors import DataFormatError, EmptyCollectionError, SingularGramError
 from .estimators import Strategy, truncate_fit
-from .selection import (KAPPA, DesignCache, _check_tuning, default_m_grid, gl_select,
+from .selection import (KAPPA, _check_tuning, _fit_cache, default_m_grid, gl_select,
                         oracle_select, reuse_select)
 
 USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 1, 2, 3
@@ -96,8 +96,9 @@ def _cmd_fit(args) -> int:
     family = parse_family(args.family)
     spec = _spec_for(family, args.m, sample, _parse_interval(args.interval))
     grid = _grid_for(args, sample)
-    cache = DesignCache(sample, family, spec.m, spec.interval)
-    fit = cache.fit(spec.m, Strategy(args.strategy))
+    strategy = Strategy(args.strategy)
+    cache = _fit_cache(sample, spec, strategy)
+    fit = cache.fit(spec.m, strategy)
     if args.truncate:
         fit = truncate_fit(fit, stability_check(cache.design(spec.extended().m),
                                                 sample.n, default_d_constant(sample.x)))

@@ -24,10 +24,14 @@ like the factor, serves every member's coefficients: theta_m is one
 back-substitution of z[:m] against the leading block of L^T.  The
 residual mean squares that the noise estimate and the reuse contrast
 read come from one n-space product y - Phi theta over the members.  No
-dimension's Gram is eigendecomposed for a solve or a penalty: the first
-singular dimension and the edge of the collection are monotone in m
-(Cauchy interlacing), so both are found by bisection, with one
-values-only eigendecomposition per probed dimension.
+dimension's Gram is eigendecomposed for a solve or a penalty: the edge
+of the collection and the first singular dimension are monotone in m
+(Cauchy interlacing, assumed to hold for the rounded eigenvalues too),
+so each is found by bisection, with one values-only eigendecomposition
+per probed dimension.  A gated draw bisects once: a member passes the
+gate at m+p, so no Gram up to m+p is singular, and the first singular
+dimension is sought only by the oracle, a fixed-dimension fit or a
+solve above every member.
 The collection gate (collection_members), the noise estimate and the gl
 and reuse choices are cores that read that cache; the simulation harness
 calls them on the cache of each draw.  The public selectors take their
@@ -42,7 +46,8 @@ theta, the fixed-dimension fits included, is one of its leading-block
 solves, and DesignCache.fit turns theta_m into the strategy-1 fit and
 theta_{m+p} into the strategy-2 fit -Delta theta_{m+p}.
 fit_derivative_1/2 are that call on a cache of their own, built at the
-fit's dimension.  Grid scoring evaluates the basis once on the grid and
+fit's dimension once the sample can carry it (m, or m+p for strategy 2,
+at most n).  Grid scoring evaluates the basis once on the grid and
 all dimensions' curves in one product per target, the derivative curves
 as Phi_{m+p} (Delta^T theta).  Every selector, the oracle included, scans
 its candidates in order and keeps the earlier one unless a later one is
@@ -84,7 +89,8 @@ def _check_tuning(sigma2: float | None, d_constant: float | None,
     0 < kappa0 <= kappa1, and sigma2 (None: estimate it) and the
     collection constant d (None: the sample-dependent default) positive
     and finite."""
-    if not (math.isfinite(kappa1) and 0 < kappa0 <= kappa1):
+    if not (isinstance(kappa0, numbers.Real) and isinstance(kappa1, numbers.Real)
+            and math.isfinite(kappa1) and 0 < kappa0 <= kappa1):
         raise ValueError(f"require finite 0 < kappa0 <= kappa1, got kappa0 = "
                          f"{kappa0}, kappa1 = {kappa1}")
     if not _none_or_positive(sigma2):
@@ -128,16 +134,24 @@ class DesignCache:
     one back-substitution of z[:m] (memoized; the one solve behind every
     fit, ranking and score), fit(m, strategy) is either strategy's
     derivative fit from those coefficients, and residual_ms forms
-    (1/n)|y - Phi theta_m|^2 for every uncached m from one product.  The
-    singular dimensions form a suffix of 1..K (the Gram's smallest
-    eigenvalue does not grow with m, its largest does not shrink), so
-    m_singular, the first of them, is found by bisection; designs (one
-    values-only eigendecomposition each) are built only for such probes
-    and for the collection gate.  The gate, the noise estimate, every
-    selector and the error scoring share one cache.  The derivative
-    Gram psi_prime = Delta Gram Delta^T of the top dimension is built on
-    first use from the Gram alone; its leading m-by-m block is the
-    derivative Gram of dimension m.
+    (1/n)|y - Phi theta_m|^2 for every uncached m from one product.
+
+    The singular dimensions form a suffix of 1..K (Cauchy interlacing:
+    the Gram's smallest eigenvalue does not grow with m, its largest does
+    not shrink), and this monotonicity is assumed wherever the cache
+    reads a bound.  Designs (one values-only eigendecomposition each) are
+    built only for probes of a bisection: the collection gate's, at m+p,
+    and m_singular's, the first singular dimension.  A design that is
+    not singular, within the factor, makes every dimension up to its own
+    solvable, so solvable(m) bisects for m_singular only above the
+    largest such design: after the gate, every member's theta, residual
+    and score needs no further eigendecomposition, while the oracle and
+    a fixed-dimension fit bisect as they need.
+
+    The gate, the noise estimate, every selector and the error scoring
+    share one cache.  The derivative Gram psi_prime = Delta Gram Delta^T
+    of the top dimension is built on first use from the Gram alone; its
+    leading m-by-m block is the derivative Gram of dimension m.
     """
 
     def __init__(self, sample: Sample, family: Family, m_hi: int,
@@ -154,6 +168,7 @@ class DesignCache:
         self._rhs = moments(self._phi, sample.y)
         self.factor = prefix_cholesky(self._gram)
         self._designs: dict[int, DesignSet] = {}
+        self._solvable_to = 0  # the largest non-singular design within the factor
         self._thetas: dict[int, np.ndarray] = {}
         self._residuals: dict[int, float] = {}
 
@@ -162,12 +177,16 @@ class DesignCache:
 
     def design(self, m: int) -> DesignSet:
         """The eigenvalue record of dimension m's Gram, the leading m-by-m
-        block of the cache's Gram."""
+        block of the cache's Gram; a non-singular one within the factor
+        raises the bound that solvable reads."""
         if m > len(self._gram):
             raise ValueError(f"dimension {m} exceeds the cache's top dimension "
                              f"{len(self._gram)}")
         if m not in self._designs:
-            self._designs[m] = design_from_matrices(self._gram[:m, :m], self.spec_for(m))
+            design = design_from_matrices(self._gram[:m, :m], self.spec_for(m))
+            if not design.is_singular and m <= len(self.factor):
+                self._solvable_to = max(self._solvable_to, m)
+            self._designs[m] = design
         return self._designs[m]
 
     @functools.cached_property
@@ -179,14 +198,18 @@ class DesignCache:
         i = bisect.bisect_left(dims, True, key=lambda m: self.design(m).is_singular)
         return dims[i] if i < len(dims) else len(self.factor) + 1
 
+    def solvable(self, m: int) -> bool:
+        """Whether m lies below m_singular: no bisection at or under the
+        largest non-singular design built so far, since by monotonicity no
+        smaller Gram is singular either."""
+        return m <= self._solvable_to or m < self.m_singular
+
     def theta(self, m: int) -> np.ndarray:
         """Least-squares coefficients at dimension m, L_m^T theta = z[:m]
         (raises SingularGramError)."""
         if m not in self._thetas:
-            if m >= self.m_singular:
-                raise SingularGramError(
-                    f"Gram matrix is numerically singular at m={m} "
-                    f"(family {self.family.value})")
+            if not self.solvable(m):
+                raise _singular_at(m, self.family)
             self._thetas[m] = scipy.linalg.blas.dtrsv(self.factor[:m, :m], self.z[:m],
                                                       lower=1, trans=1)
         return self._thetas[m]
@@ -237,18 +260,34 @@ class DesignCache:
         return np.array([self._residuals[m] for m in dims])
 
 
+def _singular_at(m: int, family: Family) -> SingularGramError:
+    return SingularGramError(f"Gram matrix is numerically singular at m={m} "
+                             f"(family {family.value})")
+
+
+def _fit_cache(sample: Sample, spec: BasisSpec, strategy: Strategy) -> DesignCache:
+    """The cache of strategy's fit at spec, built at the fit's dimension.
+    The fit solves at m (strategy 1) or m+p (strategy 2), and a Gram of
+    that many columns on n points has rank <= n, so one wider than the
+    sample raises SingularGramError before the basis is evaluated."""
+    solved_at = spec.m if strategy is Strategy.DERIV_OF_PROJECTION else spec.extended().m
+    if solved_at > sample.n:
+        raise _singular_at(solved_at, spec.family)
+    return DesignCache(sample, spec.family, spec.m, spec.interval)
+
+
 def fit_derivative_1(sample: Sample, spec: BasisSpec) -> DerivativeFit:
     """Derivative of the regression fit (same coefficients, derivative basis)."""
-    cache = DesignCache(sample, spec.family, spec.m, spec.interval)
-    return cache.fit(spec.m, Strategy.DERIV_OF_PROJECTION)
+    strategy = Strategy.DERIV_OF_PROJECTION
+    return _fit_cache(sample, spec, strategy).fit(spec.m, strategy)
 
 
 def fit_derivative_2(sample: Sample, spec: BasisSpec) -> DerivativeFit:
     """Projection estimator of the derivative: theta =
     -(1/n) Delta Gram_{m+p}^-1 Phi_{m+p}^T y, evaluated against
     (phi_1..phi_m)."""
-    cache = DesignCache(sample, spec.family, spec.m, spec.interval)
-    return cache.fit(spec.m, Strategy.PROJECTION_OF_DERIV)
+    strategy = Strategy.PROJECTION_OF_DERIV
+    return _fit_cache(sample, spec, strategy).fit(spec.m, strategy)
 
 
 def default_m_grid(family: Family, n: int, m_max: int | None = None) -> tuple[int, ...]:
@@ -303,11 +342,14 @@ def collection_members(cache: DesignCache, m_grid,
     d (None: the sample-dependent default); an empty collection raises
     EmptyCollectionError.
 
-    Membership is checked at m+p: a singular Gram there (from the cache's
-    m_singular on) excludes m, and otherwise the collection gate of
-    stability_check decides.  L(m+p) and ||Gram^-1|| do not decrease with
-    m, so the members are a prefix of the grid, found by bisection with
-    stability_check on the probed designs only.
+    Membership is checked at m+p: m is a member when m+p is within the
+    cache's factor, design(m+p) is not singular and the collection gate
+    of stability_check passes on it.  By the monotonicity the cache
+    assumes, no Gram smaller than a member's m+p is singular either:
+    every member is solvable with no bisection for m_singular.  L(m+p)
+    and ||Gram^-1|| do not decrease with m, so the members are a prefix
+    of the grid, found by bisection with stability_check on the probed
+    non-singular designs only.
     """
     if any(a >= b for a, b in zip(m_grid, m_grid[1:])):
         raise ValueError(f"the grid must be ascending without repeats, got {list(m_grid)}")
@@ -317,8 +359,10 @@ def collection_members(cache: DesignCache, m_grid,
 
     def fails(m: int) -> bool:
         ext_m = cache.spec_for(m).extended().m
-        return not (ext_m < cache.m_singular and stability_check(
-            cache.design(ext_m), n, d_constant).in_collection)
+        # a singular design fails the gate: skip stability_check's L(m+p)
+        if ext_m > len(cache.factor) or cache.design(ext_m).is_singular:
+            return True
+        return not stability_check(cache.design(ext_m), n, d_constant).in_collection
 
     members = list(m_grid[:bisect.bisect_left(m_grid, True, key=fails)])
     if not members:
@@ -487,7 +531,7 @@ def _oracle_error_sweep(cache: DesignCache, m_grid, grid: np.ndarray,
     named target: one basis evaluation on the grid at the top dimension's
     m+p columns, then one curve product and one trapezoid call per
     target; derivative curves are Phi_{m+p} (Delta^T theta)."""
-    dims = [m for m in m_grid if m < cache.m_singular]
+    dims = [m for m in m_grid if cache.solvable(m)]
     if not dims:
         return {}
     thetas = cache.thetas(dims)

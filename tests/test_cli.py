@@ -15,6 +15,7 @@ import derivfit.simulation
 from derivfit.basis import BasisSpec, Family
 from derivfit.cli import main
 from derivfit.dataio import load_csv
+from derivfit.errors import SingularGramError
 from derivfit.estimators import evaluate_fit
 from derivfit.selection import fit_derivative_1
 
@@ -229,6 +230,24 @@ def _refuse_caches(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a DesignCache was built")
     monkeypatch.setattr(derivfit.selection.DesignCache, "__init__", refuse)
+
+
+@pytest.mark.parametrize("strategy, m", [("1", 401), ("2", 400)])
+def test_a_fit_wider_than_the_sample_fails_before_any_cache(tmp_path, capsys, monkeypatch,
+                                                            sample_csv, strategy, m):
+    """A Gram of more columns than points is singular, so a fit that solves
+    at m (strategy 1) or m+p (strategy 2) above n = 400 exits 3 at once."""
+    _refuse_caches(monkeypatch)
+    capsys.readouterr()  # the fixture's output
+    out = tmp_path / "c.csv"
+    assert run_cli("fit", str(sample_csv), "--family", "hermite", "--m", str(m),
+                   "--strategy", strategy, "--out", str(out)) == 3
+    message = "Gram matrix is numerically singular at m=401 (family hermite)"
+    assert message in capsys.readouterr().err and not out.exists()
+    fit = (derivfit.selection.fit_derivative_1 if strategy == "1"
+           else derivfit.selection.fit_derivative_2)
+    with pytest.raises(SingularGramError, match=re.escape(message)):
+        fit(load_csv(sample_csv), BasisSpec(Family.HERMITE, m))
 
 
 @pytest.mark.parametrize("d", ["-1", "0", "nan"])

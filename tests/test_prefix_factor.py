@@ -101,20 +101,48 @@ def test_prefix_factor_through_the_singular_end(family):
        log_d=st.one_of(st.none(), st.floats(-2.0, 9.0)),
        seed=st.integers(0, 2 ** 16))
 def test_bisected_bounds_match_the_full_scan(family, n, m_hi, log_d, seed):
+    """On fresh caches, gate first and m_singular first: the members, the
+    first singular dimension and solvable(m) for every m <= K agree with
+    the per-dimension scan."""
     cache = _cache(family, n, m_hi, seed)
     k = cache.spec_for(m_hi).extended().m
     top_gram = gram(eval_basis(cache.spec_for(k), cache.sample.x))
     singular = [m for m in range(1, k + 1) if _scan_singular(top_gram, m)]
-    assert cache.m_singular == (singular[0] if singular else k + 1)
-
+    first = singular[0] if singular else k + 1
     m_grid = admissible_dims(family, m_hi)
     d = default_d_constant(cache.sample.x) if log_d is None else 10.0 ** log_d
     expected = _scan_members(cache, top_gram, m_grid, n, d)
-    if not expected:
-        with pytest.raises(EmptyCollectionError):
-            collection_members(cache, m_grid, d)
-    else:
-        assert collection_members(cache, m_grid, d) == expected
+
+    for gate_first in (True, False):
+        cache = _cache(family, n, m_hi, seed)
+        if not gate_first:
+            assert cache.m_singular == first
+        if not expected:
+            with pytest.raises(EmptyCollectionError):
+                collection_members(cache, m_grid, d)
+        else:
+            assert collection_members(cache, m_grid, d) == expected
+        assert [cache.solvable(m) for m in range(1, k + 1)] == \
+            [m < first for m in range(1, k + 1)]
+        assert cache.m_singular == first
+
+
+@pytest.mark.parametrize("family", [Family.HERMITE, Family.HALF_TRIG])
+@pytest.mark.parametrize("n", [250, 4000])
+def test_a_gated_draw_never_seeks_the_first_singular_dimension(family, n):
+    """The gate proves its members solvable: the noise estimate, both
+    choices and the scoring of the chosen dimensions read no m_singular."""
+    cache = _cache(family, n, min(40, n // 10), seed=n)
+    m_grid = admissible_dims(family, min(40, n // 10))
+    members = collection_members(cache, m_grid, None)
+    sigma2 = derivfit.selection._sigma2(cache, members)
+    chosen = {derivfit.selection._reuse_choice(cache, members, sigma2),
+              derivfit.selection._gl_choice(cache, members, sigma2, 1.0, 1.0)[0]}
+    grid = np.linspace(*trim_interval(cache.sample), 64)
+    errors = derivfit.selection._oracle_error_sweep(
+        cache, sorted(chosen), grid, {"derivative": 2.0 * grid})
+    assert sorted(errors) == sorted(chosen)
+    assert "m_singular" not in cache.__dict__
 
 
 def test_the_gate_refuses_a_grid_it_cannot_bisect():
@@ -153,7 +181,7 @@ def test_one_factorization_and_logarithmically_many_probes(family, monkeypatch):
     counts.update(factor=0, design=0)
     sample = cache.sample
     gl_select(sample, family)
-    assert counts["factor"] == 1 and counts["design"] <= 2 * bound
+    assert counts["factor"] == 1 and counts["design"] <= bound
     counts.update(factor=0, design=0)
     oracle_select(sample, family, admissible_dims(family, 40), lambda t: 2 * t,
                   trim_interval(sample))

@@ -130,6 +130,8 @@ def test_bad_tuning_is_rejected_before_any_cache_in_every_mode(monkeypatch):
     for tuning, message in (
             ({"kappa0": 2.0, "kappa1": 1.0}, "require finite 0 < kappa0 <= kappa1"),
             ({"kappa0": 0.0}, "require finite 0 < kappa0 <= kappa1"),
+            ({"kappa0": "0.5"}, "require finite 0 < kappa0 <= kappa1"),
+            ({"kappa1": None}, "require finite 0 < kappa0 <= kappa1"),
             ({"sigma2": -1.0}, "sigma2 must be positive"),
             ({"sigma2": "guess"}, "sigma2 must be positive"),
             ({"d_constant": 0.0}, "the collection constant d must be finite")):
@@ -138,7 +140,7 @@ def test_bad_tuning_is_rejected_before_any_cache_in_every_mode(monkeypatch):
         for mode in ("oracle", "gl", "reuse"):
             with pytest.raises(ValueError, match=message):
                 ExperimentConfig(mode=mode, **tuning)
-        if "kappa0" not in tuning:
+        if not tuning.keys() & {"kappa0", "kappa1"}:  # reuse has no kappa
             with pytest.raises(ValueError, match=message):
                 reuse_select(sample, Family.HERMITE, **tuning)
 
