@@ -19,7 +19,8 @@ trigonometric families take the sin/cos pair of frequency j from the
 power z^j of z = e^{i theta}, one complex product per frequency, whose
 rounding drift grows linearly in j.  ``eval_basis`` runs the recurrence
 at the points clipped to the support, zeroes the rows of points outside
-it and returns C-ordered (n, m) values.
+it and returns C-ordered (n, m) values, allocated once and filled block
+by block of EVAL_BLOCK points, with no transient copy of the result.
 
 Each family's derivatives lie in the span of the first m+p elements;
 ``delta_matrix`` returns that exact expansion, row j holding the
@@ -145,17 +146,35 @@ def admissible_dims(family: Family, m_max: int) -> list[int]:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+# Points per recurrence block in eval_basis.  A transient as large as the
+# result grows the heap past its trim threshold, so its pages went back to
+# the OS after every call and were faulted in again on the next; blocks of
+# 2048 keep the paper's table (n <= 4000) at a few faults per repetition
+# where 4096 (one block for n = 4000) leaves it at ~200, and in short
+# perfbench pairs ran faster than 1024 on all three workloads.
+EVAL_BLOCK = 2048
+
+
 def eval_basis(spec: BasisSpec, x) -> np.ndarray:
     """Values (phi_1(x), ..., phi_m(x)); zero outside the support.
 
     Accepts a scalar (returns shape (m,)) or a 1-D array (returns a
-    C-ordered (n, m) array).  The recurrences run at the points clipped to
-    the support, and the rows of points outside it are zeroed afterwards.
+    C-ordered (n, m) array).  The result is allocated once and filled
+    block by block: the recurrence runs on at most EVAL_BLOCK consecutive
+    points at a time, and each block's (m, B) rows are written transposed
+    into the block's rows of the result, so no transient array is as
+    large as the result.  Every recurrence step is elementwise, so the
+    values do not depend on the blocking.  The recurrences run at the
+    points clipped to the support, and the rows of points outside it are
+    zeroed afterwards.
     """
     scalar = np.ndim(x) == 0
     pts = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = spec.support
-    out = np.ascontiguousarray(_eval_rows(spec, np.clip(pts, lo, hi)).T)
+    clipped = np.clip(pts, lo, hi)
+    out = np.empty((pts.size, spec.m))
+    for r in range(0, pts.size, EVAL_BLOCK):
+        out[r:r + EVAL_BLOCK] = _eval_rows(spec, clipped[r:r + EVAL_BLOCK]).T
     out[~((pts >= lo) & (pts <= hi))] = 0.0
     return out[0] if scalar else out
 

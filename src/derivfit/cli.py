@@ -32,9 +32,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _design_interval(sample: Sample) -> tuple[float, float]:
+Range = tuple[float, float]
+
+
+def _trimmed(sample: Sample) -> Range | None:
+    """The trimmed design range, computed once per command; None for a
+    one-observation sample, which each use of the range reports itself."""
+    return trim_interval(sample) if sample.n > 1 else None
+
+
+def _design_interval(sample: Sample, trimmed: Range | None) -> Range:
     """The trimmed design range that half-trig rescales to without --interval."""
-    lo, hi = trim_interval(sample) if sample.n > 1 else (sample.x[0], sample.x[0])
+    lo, hi = trimmed or (sample.x[0], sample.x[0])
     if lo < hi:
         return lo, hi
     raise DataFormatError(
@@ -42,15 +51,15 @@ def _design_interval(sample: Sample) -> tuple[float, float]:
         f"{sample.n} x value(s) is the single point {lo:g}; pass --interval a,b")
 
 
-def _spec_for(family: Family, m: int, sample: Sample,
-              interval: tuple[float, float] | None) -> BasisSpec:
+def _spec_for(family: Family, m: int, sample: Sample, interval: Range | None,
+              trimmed: Range | None) -> BasisSpec:
     """The basis spec; BasisSpec rejects an interval for a fixed-support family."""
     if family is Family.HALF_TRIG and interval is None:
-        interval = _design_interval(sample)
+        interval = _design_interval(sample, trimmed)
     return BasisSpec(family, m, interval)
 
 
-def _parse_interval(text: str | None) -> tuple[float, float] | None:
+def _parse_interval(text: str | None) -> Range | None:
     if text is None:
         return None
     parts = text.split(",")
@@ -59,14 +68,14 @@ def _parse_interval(text: str | None) -> tuple[float, float] | None:
     return float(parts[0]), float(parts[1])
 
 
-def _trim(sample: Sample, purpose: str) -> tuple[float, float]:
+def _trim(sample: Sample, trimmed: Range | None, purpose: str) -> Range:
     """The trimmed design range; a one-observation sample is a data error."""
-    if sample.n < 2:
+    if trimmed is None:
         raise DataFormatError(f"cannot trim {sample.n} observation to {purpose}")
-    return trim_interval(sample)
+    return trimmed
 
 
-def _grid_for(args, sample: Sample) -> np.ndarray:
+def _grid_for(args, sample: Sample, trimmed: Range | None) -> np.ndarray:
     """The output grid; resolve it before any fit, so a bad one fails first."""
     if args.grid_points < 1:
         raise ValueError(f"--grid-points must be >= 1, got {args.grid_points}")
@@ -75,7 +84,7 @@ def _grid_for(args, sample: Sample) -> np.ndarray:
         if bound is not None and not math.isfinite(bound):
             raise ValueError(f"{flag} must be finite, got {bound}")
     if lo is None or hi is None:
-        tlo, thi = _trim(sample, "an output grid; pass --grid-lo and --grid-hi")
+        tlo, thi = _trim(sample, trimmed, "an output grid; pass --grid-lo and --grid-hi")
         lo = tlo if lo is None else lo
         hi = thi if hi is None else hi
     return np.linspace(lo, hi, args.grid_points)
@@ -94,8 +103,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     sample = dataio.load_csv(args.data)
     family = parse_family(args.family)
-    spec = _spec_for(family, args.m, sample, _parse_interval(args.interval))
-    grid = _grid_for(args, sample)
+    trimmed = _trimmed(sample)
+    spec = _spec_for(family, args.m, sample, _parse_interval(args.interval), trimmed)
+    grid = _grid_for(args, sample, trimmed)
     strategy = Strategy(args.strategy)
     cache = _fit_cache(sample, spec, strategy)
     fit = cache.fit(spec.m, strategy)
@@ -114,14 +124,15 @@ def _cmd_select(args) -> int:
     sample = dataio.load_csv(args.data)
     family = parse_family(args.family)
     m_grid = default_m_grid(family, sample.n, args.m_max)
+    trimmed = _trimmed(sample)
     # one spec before any cache, so a bad --interval fails first
-    interval = _spec_for(family, m_grid[-1], sample,
-                         _parse_interval(args.interval)).interval
+    interval = _spec_for(family, m_grid[-1], sample, _parse_interval(args.interval),
+                         trimmed).interval
     if args.mode == "oracle":
         if args.function is None:
             raise DataFormatError("--mode oracle needs --function for the true target")
-        eval_iv = _trim(sample, "the oracle's scoring interval")
-    grid = _grid_for(args, sample) if args.out else None
+        eval_iv = _trim(sample, trimmed, "the oracle's scoring interval")
+    grid = _grid_for(args, sample, trimmed) if args.out else None
     if args.mode == "gl":
         trace, fit = gl_select(sample, family, m_grid, args.sigma2, args.d_const,
                                interval, args.kappa0, args.kappa1)

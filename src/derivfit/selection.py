@@ -41,10 +41,12 @@ the one check of kappa0, kappa1, sigma2 (None: estimate it) and d, which
 the harness's config and `derivfit select` also make in every mode and
 calibrate_kappa once per kappa; the grid is taken ascending and without repeats and must be
 admissible, and an estimate of sigma2 must have room; then they build
-one cache and call the cores.  The cache is the package's one least-squares solve: every
-theta, the fixed-dimension fits included, is one of its leading-block
-solves, and DesignCache.fit turns theta_m into the strategy-1 fit and
-theta_{m+p} into the strategy-2 fit -Delta theta_{m+p}.
+one cache, at the largest grid entry the sample can carry (a Gram of more
+columns than points is singular), and call the cores.  The cache is the
+package's one least-squares solve: every theta, the fixed-dimension fits
+included, is one of its leading-block solves, and DesignCache.fit turns
+theta_m into the strategy-1 fit and theta_{m+p} into the strategy-2 fit
+-Delta theta_{m+p}.
 fit_derivative_1/2 are that call on a cache of their own, built at the
 fit's dimension once the sample can carry it (m, or m+p for strategy 2,
 at most n).  Grid scoring evaluates the basis once on the grid and
@@ -372,6 +374,17 @@ def collection_members(cache: DesignCache, m_grid,
     return members
 
 
+def _cache_top(m_grid, n: int) -> int:
+    """The dimension a selector builds its cache at: the largest entry of
+    the ascending grid m_grid that n points can carry.  A Gram of more
+    than n columns has rank <= n, so it is singular and no entry above n
+    is ever a member or a solvable dimension; the entries above the cache
+    fail the gate and the oracle's scan as they would in a wider cache.
+    If every entry is above n, a one-column cache lets them fail alike."""
+    i = bisect.bisect_right(m_grid, n)
+    return m_grid[i - 1] if i else 1
+
+
 def _check_room_for_sigma2(n: int, m_grid, family: Family) -> None:
     """The residual estimate of sigma^2 needs n > 2 m_max: the one check
     of that rule, made before the first cache by _selection_inputs (the
@@ -448,7 +461,7 @@ def _selection_inputs(sample: Sample, family: Family, m_grid, sigma2: float | No
     m_grid = _checked_m_grid(m_grid, family, sample.n)
     if sigma2 is None:
         _check_room_for_sigma2(sample.n, m_grid, family)
-    cache = DesignCache(sample, family, m_grid[-1], interval)
+    cache = DesignCache(sample, family, _cache_top(m_grid, sample.n), interval)
     members = collection_members(cache, m_grid, d_constant)
     return cache, m_grid, members, _sigma2(cache, members, sigma2)
 
@@ -503,7 +516,7 @@ def oracle_select(sample: Sample, family: Family, m_grid, truth,
     the same cache as the errors, as gl_select and reuse_select do.
     """
     m_grid = _checked_m_grid(m_grid, family, sample.n)
-    cache = DesignCache(sample, family, m_grid[-1], interval)
+    cache = DesignCache(sample, family, _cache_top(m_grid, sample.n), interval)
     grid = np.linspace(*eval_interval, EVAL_GRID_POINTS)
     errors = _oracle_error_sweep(cache, m_grid, grid,
                                  {"derivative": eval_on_grid(truth, grid)})

@@ -24,10 +24,10 @@ import numpy as np
 from .basis import Family, parse_family
 from .design import Sample, trim_interval
 from .errors import EmptyCollectionError, SingularGramError
-from .selection import (EVAL_GRID_POINTS, KAPPA, DesignCache, _check_room_for_sigma2,
-                        _check_tuning, _first_minimum, _gl_choice, _oracle_error_sweep,
-                        _reuse_choice, _sigma2, collection_members, default_m_grid,
-                        eval_on_grid)
+from .selection import (EVAL_GRID_POINTS, KAPPA, DesignCache, _cache_top,
+                        _check_room_for_sigma2, _check_tuning, _first_minimum, _gl_choice,
+                        _oracle_error_sweep, _reuse_choice, _sigma2, collection_members,
+                        default_m_grid, eval_on_grid)
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def _run_repetition(config: ExperimentConfig, fn: TestFunction, family: Family,
     grid = np.linspace(lo, hi, EVAL_GRID_POINTS)
     m_grid = default_m_grid(family, n, config.m_max)
     # the rescalable family follows the trimmed range of each draw
-    cache = DesignCache(sample, family, max(m_grid),
+    cache = DesignCache(sample, family, _cache_top(m_grid, n),
                         (lo, hi) if family is Family.HALF_TRIG else None)
     if config.mode == "oracle":
         scored = m_grid
@@ -253,7 +253,7 @@ def calibrate_kappa(function: str, family_name: str, n: int,
         sample = generate_sample(fn, n, sigma, rng)
         lo, hi = trim_interval(sample)
         grid = np.linspace(lo, hi, EVAL_GRID_POINTS)
-        cache = DesignCache(sample, family, max(m_grid),
+        cache = DesignCache(sample, family, _cache_top(m_grid, n),
                             (lo, hi) if family is Family.HALF_TRIG else None)
         errors = _oracle_error_sweep(cache, m_grid, grid,
                                      {"derivative": eval_on_grid(fn.b_prime, grid)})

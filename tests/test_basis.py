@@ -1,6 +1,7 @@
 """Basis families: values, derivatives, link matrices, sup factors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import derivfit.design
-from derivfit.basis import (BasisSpec, Family, admissible_dims, delta_matrix,
-                            eval_basis, eval_basis_derivative, l_factor,
-                            parse_family)
+from derivfit.basis import (EVAL_BLOCK, BasisSpec, Family, admissible_dims,
+                            delta_matrix, eval_basis, eval_basis_derivative,
+                            l_factor, parse_family)
 from derivfit.design import Sample
 from derivfit.selection import DesignCache
 from oracles import derivative_recursion, l_prime_factor
@@ -108,6 +109,47 @@ def test_values_are_c_ordered_with_zero_rows_outside_the_support(family):
         for point, row in zip(x, vals):
             value = eval_basis(spec, point)
             assert value.shape == (spec.m,) and value.tobytes() == row.tobytes()
+
+
+BLOCK_EDGES = [1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 2 * EVAL_BLOCK + 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(ALL_FAMILIES), m=st.integers(1, 16),
+       n=st.sampled_from(BLOCK_EDGES).flatmap(lambda e: st.integers(max(1, e - 2), e + 2)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_values_do_not_depend_on_the_blocking(family, m, n, seed, data):
+    """eval_basis runs its recurrence EVAL_BLOCK points at a time; every
+    step is elementwise, so any split of the points gives the same bits."""
+    spec = make_spec(family, m)
+    lo, hi = spec.support
+    rng = np.random.default_rng(seed)
+    x = interior_points(spec, rng, n)
+    odd = [b for b in (lo - 0.5, hi + 0.5) if math.isfinite(b)] + [math.nan]
+    at = rng.choice(n, size=min(n, 3 * len(odd)), replace=False)
+    x[at] = np.resize(odd, at.size)
+    vals = eval_basis(spec, x)
+    assert vals.shape == (n, spec.m) and vals.flags.c_contiguous
+    cuts = data.draw(st.lists(st.integers(1, n - 1), max_size=6, unique=True)
+                     if n > 1 else st.just([]))
+    edges = [0, *sorted(cuts), n]
+    for a, b in zip(edges, edges[1:]):
+        assert eval_basis(spec, x[a:b]).tobytes() == vals[a:b].tobytes()
+
+
+@pytest.mark.parametrize("family", [Family.HERMITE, Family.HALF_TRIG])
+def test_values_need_no_transient_copy_of_the_result(family):
+    """The result is the one allocation of its size: the traced peak of a
+    large evaluation stays within 1.25 times the result's bytes."""
+    spec = make_spec(family, 42)
+    x = np.random.default_rng(3).standard_normal(20_000)
+    tracemalloc.start()
+    try:
+        vals = eval_basis(spec, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * vals.nbytes
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)

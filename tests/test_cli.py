@@ -250,6 +250,76 @@ def test_a_fit_wider_than_the_sample_fails_before_any_cache(tmp_path, capsys, mo
         fit(load_csv(sample_csv), BasisSpec(Family.HERMITE, m))
 
 
+def _refuse_caches_wider_than_the_sample(monkeypatch):
+    build = derivfit.selection.DesignCache.__init__
+
+    def checked(self, sample, family, m_hi, interval=None):
+        assert m_hi <= sample.n, f"a DesignCache of {m_hi} columns on {sample.n} points"
+        build(self, sample, family, m_hi, interval)
+    monkeypatch.setattr(derivfit.selection.DesignCache, "__init__", checked)
+
+
+@pytest.mark.parametrize("family", ["hermite", "half-trig"])
+@pytest.mark.parametrize("mode", ["gl", "reuse", "oracle"])
+def test_selectors_build_no_cache_wider_than_the_sample(tmp_path, capsys, monkeypatch,
+                                                        sample_csv, mode, family):
+    """A Gram of more columns than points is singular, so a grid reaching
+    past n = 400 selects as one that stops at n, from a cache of at most
+    n columns; the dimensions above n stay in the trace as excluded."""
+    _refuse_caches_wider_than_the_sample(monkeypatch)
+    capsys.readouterr()  # the fixture's output
+    outputs = []
+    for m_max in ("400", "450"):
+        curve = tmp_path / f"c{m_max}.csv"
+        assert run_cli("select", str(sample_csv), "--family", family, "--mode", mode,
+                       "--sigma2", "0.06", "--function", "b2", "--m-max", m_max,
+                       "--out", str(curve)) == 0
+        outputs.append((capsys.readouterr().out.replace(str(curve), "c.csv"),
+                        curve.read_bytes()))
+    assert outputs[0] == outputs[1]
+    if mode == "gl" and family == "hermite":
+        trace, _ = derivfit.selection.gl_select(load_csv(sample_csv), Family.HERMITE,
+                                                range(1, 451), sigma2=0.06)
+        assert [r.m for r in trace.rows] == list(range(1, 451))
+        assert max(trace.members) < 400
+
+
+def test_the_harness_builds_no_cache_wider_than_the_sample(tmp_path, monkeypatch):
+    _refuse_caches_wider_than_the_sample(monkeypatch)
+    cfg = tmp_path / "bench.cfg"
+    for mode in ("oracle", "gl"):
+        reports = []
+        for m_max in ("60", "80"):
+            out = tmp_path / f"{mode}-{m_max}.csv"
+            cfg.write_text(f"functions = b1\nfamilies = hermite, half-trig\nn = 60\n"
+                           f"m_max = {m_max}\nmode = {mode}\nsigma2 = 0.06\n"
+                           f"repetitions = 2\n")
+            assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--family", "half-trig", "--sigma2", "0.06"],
+    ["select", "--family", "half-trig", "--mode", "oracle", "--function", "b2"],
+    ["fit", "--family", "half-trig", "--m", "5"],
+], ids=["select-gl", "select-oracle", "fit"])
+def test_one_trimmed_range_per_command(tmp_path, capsys, monkeypatch, sample_csv, argv):
+    """The half-trig interval, the output grid and the oracle's scoring
+    interval all read one trimmed range of the sample."""
+    calls = []
+    trim = derivfit.cli.trim_interval
+
+    def counted(sample):
+        calls.append(sample.n)
+        return trim(sample)
+    monkeypatch.setattr(derivfit.cli, "trim_interval", counted)
+    monkeypatch.setattr(derivfit.selection, "trim_interval", counted)
+    command, *options = argv
+    assert run_cli(command, str(sample_csv), *options, "--out", str(tmp_path / "c.csv")) == 0
+    assert calls == [400]
+
+
 @pytest.mark.parametrize("d", ["-1", "0", "nan"])
 def test_bad_collection_constant_fails_before_any_work(tmp_path, capsys, monkeypatch,
                                                        sample_csv, d):

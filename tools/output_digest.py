@@ -13,8 +13,11 @@ The corpus: ``simulate`` b1-b4 at n = 700 (seed 7); ``fit`` on the b2
 sample over the five families x m in {3, 8} x strategy 1/2 x with and
 without ``--truncate``; ``select`` gl/reuse/oracle x hermite/half-trig on
 the b3 sample; ``bench`` in oracle, gl and reuse mode over b1-b4 x
-hermite, half-trig x n in {250, 1000} x 4 repetitions (seed 7); and
-``calibrate`` b3/hermite at n = 1000 with 6 seeds.
+hermite, half-trig x n in {250, 1000} x 4 repetitions (seed 7);
+``calibrate`` b3/hermite at n = 1000 with 6 seeds; and, past one block of
+the basis evaluation (``basis.EVAL_BLOCK`` points), ``simulate`` b3 at
+n = 5000 (seed 7) with ``select`` gl/oracle x hermite/half-trig and a
+hermite ``fit`` at m = 12 on it.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from pathlib import Path
 FUNCTIONS = ("b1", "b2", "b3", "b4")
 FAMILIES = ("trig-odd", "half-trig", "laguerre", "hermite", "legendre")
 MODES = ("gl", "reuse", "oracle")
+LARGE_N = "5000"  # above basis.EVAL_BLOCK, so the values span several blocks
 BENCH_CONFIG = """functions = b1, b2, b3, b4
 families = hermite, half-trig
 n = 250, 1000
@@ -46,6 +50,9 @@ def corpus() -> list[list[tuple[str, list[str], list[str]]]]:
     simulate = [(f"simulate {f}", ["simulate", "--function", f, "--n", "700",
                                    "--seed", "7", "--out", f"{f}.csv"], [f"{f}.csv"])
                 for f in FUNCTIONS]
+    simulate.append(("simulate b3 large", ["simulate", "--function", "b3", "--n", LARGE_N,
+                                           "--seed", "7", "--out", "large.csv"],
+                     ["large.csv"]))
     rest = []
     for family in FAMILIES:
         for m in ("3", "8"):
@@ -63,6 +70,15 @@ def corpus() -> list[list[tuple[str, list[str], list[str]]]]:
             rest.append((f"select {mode} {family}",
                          ["select", "b3.csv", "--family", family, "--mode", mode,
                           "--function", "b3", "--out", out], [out]))
+    for mode in ("gl", "oracle"):
+        for family in ("hermite", "half-trig"):
+            out = f"select-large-{mode}-{family}.csv"
+            rest.append((f"select large {mode} {family}",
+                         ["select", "large.csv", "--family", family, "--mode", mode,
+                          "--function", "b3", "--out", out], [out]))
+    rest.append(("fit large hermite m=12", ["fit", "large.csv", "--family", "hermite",
+                                            "--m", "12", "--out", "fit-large.csv"],
+                 ["fit-large.csv"]))
     for mode in MODES:
         rest.append((f"bench {mode}", ["bench", "--config", f"bench-{mode}.cfg",
                                        "--out", f"bench-{mode}.csv"],
