@@ -20,8 +20,8 @@ from .basis import BasisSpec, Family, parse_family
 from .design import Sample, default_d_constant, stability_check, trim_interval
 from .errors import DataFormatError, EmptyCollectionError, SingularGramError
 from .estimators import Strategy, truncate_fit
-from .selection import (KAPPA, _check_tuning, _fit_cache, default_m_grid, gl_select,
-                        oracle_select, reuse_select)
+from .selection import (EVAL_GRID_POINTS, KAPPA, _check_tuning, _fit_cache,
+                        default_m_grid, gl_select, oracle_select, reuse_select)
 
 USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 1, 2, 3
 
@@ -194,7 +194,7 @@ def build_parser() -> _Parser:
     p.add_argument("--function", choices=sorted(simulation.TEST_FUNCTIONS), default="b1")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--sigma", type=float, default=simulation.ExperimentConfig.sigma)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=simulation.ExperimentConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -209,7 +209,7 @@ def build_parser() -> _Parser:
                    "write --interval=a,b when a is negative")
     p.add_argument("--grid-lo", type=float)
     p.add_argument("--grid-hi", type=float)
-    p.add_argument("--grid-points", type=int, default=512)
+    p.add_argument("--grid-points", type=int, default=EVAL_GRID_POINTS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)
 
@@ -228,7 +228,7 @@ def build_parser() -> _Parser:
                    "write --interval=a,b when a is negative")
     p.add_argument("--grid-lo", type=float)
     p.add_argument("--grid-hi", type=float)
-    p.add_argument("--grid-points", type=int, default=512)
+    p.add_argument("--grid-points", type=int, default=EVAL_GRID_POINTS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_select)
 
@@ -242,9 +242,9 @@ def build_parser() -> _Parser:
     p.add_argument("--family", default="hermite")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--kappas", default="0.05,0.1,0.2,0.5,1,2,4")
-    p.add_argument("--seeds", type=int, default=20)
+    p.add_argument("--seeds", type=int, default=simulation.CALIBRATION_SEEDS)
     p.add_argument("--sigma", type=float, default=simulation.ExperimentConfig.sigma)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=simulation.ExperimentConfig.seed)
     p.add_argument("--d-const", type=float)
     p.add_argument("--m-max", type=int)
     p.add_argument("--out")

@@ -49,11 +49,15 @@ theta_m into the strategy-1 fit and theta_{m+p} into the strategy-2 fit
 -Delta theta_{m+p}.
 fit_derivative_1/2 are that call on a cache of their own, built at the
 fit's dimension once the sample can carry it (m, or m+p for strategy 2,
-at most n).  Grid scoring evaluates the basis once on the grid and
-all dimensions' curves in one product per target, the derivative curves
-as Phi_{m+p} (Delta^T theta).  Every selector, the oracle included, scans
-its candidates in order and keeps the earlier one unless a later one is
-better by more than CRITERION_TIE_TOL.
+at most n).  Grid scoring (_oracle_error_sweep, the one scoring path of
+the oracle and the harness) builds the EVAL_GRID_POINTS grid over the
+interval it is given, evaluates the basis and the target functions once
+on it, and all dimensions' curves in one product per target, the
+derivative curves as Phi_{m+p} (Delta^T theta); when no candidate
+dimension is solvable it raises the package's one SingularGramError for
+that.  Every selector, the oracle included, scans its candidates in
+order and keeps the earlier one unless a later one is better by more
+than CRITERION_TIE_TOL.
 """
 
 from __future__ import annotations
@@ -150,18 +154,21 @@ class DesignCache:
     and score needs no further eigendecomposition, while the oracle and
     a fixed-dimension fit bisect as they need.
 
-    The gate, the noise estimate, every selector and the error scoring
-    share one cache.  The derivative Gram psi_prime = Delta Gram Delta^T
-    of the top dimension is built on first use from the Gram alone; its
-    leading m-by-m block is the derivative Gram of dimension m.
+    trimmed, the sample's 3%-97% quantile range, is computed once: it is
+    half-trig's interval when none is given, and the harness's scoring
+    interval.  The gate, the noise estimate, every selector and the error
+    scoring share one cache.  The derivative Gram psi_prime =
+    Delta Gram Delta^T of the top dimension is built on first use from
+    the Gram alone; its leading m-by-m block is the derivative Gram of
+    dimension m.
     """
 
     def __init__(self, sample: Sample, family: Family, m_hi: int,
                  interval: tuple[float, float] | None = None):
-        if family is Family.HALF_TRIG and interval is None:
-            interval = trim_interval(sample)
         self.sample = sample
         self.family = family
+        if family is Family.HALF_TRIG and interval is None:
+            interval = self.trimmed
         # the top spec, so BasisSpec rejects an interval for a fixed-support
         # family before the basis is evaluated
         self.spec = BasisSpec(family, m_hi, interval)
@@ -173,6 +180,12 @@ class DesignCache:
         self._solvable_to = 0  # the largest non-singular design within the factor
         self._thetas: dict[int, np.ndarray] = {}
         self._residuals: dict[int, float] = {}
+
+    @functools.cached_property
+    def trimmed(self) -> tuple[float, float]:
+        """The sample's 3%-97% quantile range: half-trig's default interval
+        and the harness's scoring interval."""
+        return trim_interval(self.sample)
 
     def spec_for(self, m: int) -> BasisSpec:
         return self.spec.with_m(m)
@@ -507,21 +520,18 @@ def oracle_select(sample: Sample, family: Family, m_grid, truth,
     """Dimension minimizing the true squared L2 error of the derivative
     fit (simulation only).
 
-    truth is the target derivative; the error is a trapezoid-rule
-    integral on EVAL_GRID_POINTS uniform points over eval_interval.
-    Singular dimensions are skipped; if every fit is singular a
-    SingularGramError is raised.  Errors within CRITERION_TIE_TOL of
-    each other tie, and ties go to the smaller dimension.  Returns
-    (chosen m, its error, strategy-1 derivative fit at m), the fit from
-    the same cache as the errors, as gl_select and reuse_select do.
+    truth is the target derivative function; the error is a
+    trapezoid-rule integral on EVAL_GRID_POINTS uniform points over
+    eval_interval (_oracle_error_sweep).  Singular dimensions are
+    skipped; if every fit is singular the sweep's SingularGramError is
+    raised.  Errors within CRITERION_TIE_TOL of each other tie, and ties
+    go to the smaller dimension.  Returns (chosen m, its error,
+    strategy-1 derivative fit at m), the fit from the same cache as the
+    errors, as gl_select and reuse_select do.
     """
     m_grid = _checked_m_grid(m_grid, family, sample.n)
     cache = DesignCache(sample, family, _cache_top(m_grid, sample.n), interval)
-    grid = np.linspace(*eval_interval, EVAL_GRID_POINTS)
-    errors = _oracle_error_sweep(cache, m_grid, grid,
-                                 {"derivative": eval_on_grid(truth, grid)})
-    if not errors:
-        raise SingularGramError("every candidate dimension has a singular Gram")
+    errors = _oracle_error_sweep(cache, m_grid, eval_interval, {"derivative": truth})
     best_m = _first_minimum(list(errors), [e["derivative"] for e in errors.values()])
     return best_m, errors[best_m]["derivative"], cache.fit(best_m, Strategy.DERIV_OF_PROJECTION)
 
@@ -537,16 +547,18 @@ def eval_on_grid(fn, grid: np.ndarray) -> np.ndarray:
     return np.asarray([fn(float(x)) for x in grid], dtype=float)
 
 
-def _oracle_error_sweep(cache: DesignCache, m_grid, grid: np.ndarray,
-                        targets: dict[str, np.ndarray]
-                        ) -> dict[int, dict[str, float]]:
-    """Trapezoid-rule squared errors per non-singular dimension for each
-    named target: one basis evaluation on the grid at the top dimension's
-    m+p columns, then one curve product and one trapezoid call per
-    target; derivative curves are Phi_{m+p} (Delta^T theta)."""
+def _oracle_error_sweep(cache: DesignCache, m_grid, interval: tuple[float, float],
+                        targets: dict) -> dict[int, dict[str, float]]:
+    """Trapezoid-rule squared errors per non-singular dimension of m_grid
+    for each named target function, on EVAL_GRID_POINTS uniform points
+    over interval: one basis evaluation on that grid at the top
+    dimension's m+p columns, then one curve product and one trapezoid
+    call per target; derivative curves are Phi_{m+p} (Delta^T theta).
+    Raises SingularGramError when no dimension of m_grid is solvable."""
     dims = [m for m in m_grid if cache.solvable(m)]
     if not dims:
-        return {}
+        raise SingularGramError("every candidate dimension has a singular Gram")
+    grid = np.linspace(*interval, EVAL_GRID_POINTS)
     thetas = cache.thetas(dims)
     spec = cache.spec_for(thetas.shape[0])
     ext = eval_basis(spec.extended(), grid)
@@ -554,7 +566,8 @@ def _oracle_error_sweep(cache: DesignCache, m_grid, grid: np.ndarray,
     for kind, target in targets.items():
         curves = (ext[:, :spec.m] @ thetas if kind == "regression"
                   else ext @ (delta_matrix(spec).T @ thetas))
-        errors[kind] = np.trapezoid((curves - target[:, None]) ** 2, grid, axis=0)
+        values = eval_on_grid(target, grid)
+        errors[kind] = np.trapezoid((curves - values[:, None]) ** 2, grid, axis=0)
     return {m: {kind: float(err[col]) for kind, err in errors.items()}
             for col, m in enumerate(dims)}
 

@@ -3,15 +3,20 @@ Monte Carlo experiment runner.
 
 Each experiment cell is a (test function, basis family, sample size)
 triple.  A repetition draws standard-normal design points and Gaussian
-noise, builds the draw's one dimension sweep (a DesignCache), selects a
-dimension per the configured mode for both the regression function and
-its derivative from that sweep, and scores squared L2 errors on the
-central quantile range of the design.  The gl and reuse modes gate the
-default grid with collection_members and estimate sigma^2 at every draw
-unless the config gives it (sigma2 None, the default, means estimate).
-Reports aggregate means and standard deviations of 100*MSE and of the
-selected dimensions.  Everything is a pure function of the config,
-including the seed.
+noise, builds the draw's one dimension sweep (a DesignCache, which
+rescales half-trig to the draw's trimmed range), selects a dimension per
+the configured mode for both the regression function and its derivative
+from that sweep, and scores squared L2 errors on the cache's trimmed
+range, the central 3%-97% quantile range of the design.  The gl and
+reuse modes gate the default grid with collection_members and estimate
+sigma^2 at every draw unless the config gives it (sigma2 None, the
+default, means estimate).  A draw on which the scoring finds no
+solvable dimension (its one SingularGramError) or the gate no member
+(EmptyCollectionError) is excluded and counted per cell; calibrate_kappa
+skips such a draw.  Reports aggregate means and standard deviations of
+100*MSE and of the selected dimensions.  Everything is a pure function
+of the config, including the seed, and a cell's rows depend only on its
+index and the seed.
 """
 
 from __future__ import annotations
@@ -22,12 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Family, parse_family
-from .design import Sample, trim_interval
+from .design import Sample
 from .errors import EmptyCollectionError, SingularGramError
-from .selection import (EVAL_GRID_POINTS, KAPPA, DesignCache, _cache_top,
-                        _check_room_for_sigma2, _check_tuning, _first_minimum, _gl_choice,
-                        _oracle_error_sweep, _reuse_choice, _sigma2, collection_members,
-                        default_m_grid, eval_on_grid)
+from .selection import (KAPPA, DesignCache, _cache_top, _check_room_for_sigma2,
+                        _check_tuning, _first_minimum, _gl_choice, _oracle_error_sweep,
+                        _reuse_choice, _sigma2, collection_members, default_m_grid)
 
 
 @dataclass(frozen=True)
@@ -139,15 +143,10 @@ def _run_repetition(config: ExperimentConfig, fn: TestFunction, family: Family,
                     n: int, rng: np.random.Generator):
     """One draw: returns ((err_b, dim_b), (err_bp, dim_bp))."""
     sample = generate_sample(fn, n, config.sigma, rng)
-    lo, hi = trim_interval(sample)
-    grid = np.linspace(lo, hi, EVAL_GRID_POINTS)
     m_grid = default_m_grid(family, n, config.m_max)
-    # the rescalable family follows the trimmed range of each draw
-    cache = DesignCache(sample, family, _cache_top(m_grid, n),
-                        (lo, hi) if family is Family.HALF_TRIG else None)
-    if config.mode == "oracle":
-        scored = m_grid
-    else:
+    cache = DesignCache(sample, family, _cache_top(m_grid, n))
+    scored = m_grid  # the oracle scores the grid, a selector its choices
+    if config.mode != "oracle":
         members = collection_members(cache, m_grid, config.d_constant)
         sigma2 = _sigma2(cache, members, config.sigma2)
         # regression dimension by the penalized contrast over the members
@@ -155,11 +154,8 @@ def _run_repetition(config: ExperimentConfig, fn: TestFunction, family: Family,
         m_bp = (_gl_choice(cache, members, sigma2, config.kappa0, config.kappa1)[0]
                 if config.mode == "gl" else m_b)
         scored = {m_b, m_bp}
-    errors = _oracle_error_sweep(cache, scored, grid,
-                                 {"regression": eval_on_grid(fn.b, grid),
-                                  "derivative": eval_on_grid(fn.b_prime, grid)})
-    if not errors:
-        raise SingularGramError("all dimensions singular")
+    errors = _oracle_error_sweep(cache, scored, cache.trimmed,
+                                 {"regression": fn.b, "derivative": fn.b_prime})
     if config.mode == "oracle":  # errors are keyed in ascending m
         m_b = _first_minimum(list(errors), [e["regression"] for e in errors.values()])
         m_bp = _first_minimum(list(errors), [e["derivative"] for e in errors.values()])
@@ -217,6 +213,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 # Selector calibration sweep
 # ---------------------------------------------------------------------------
 
+CALIBRATION_SEEDS = 20  # the default number of draws in a calibration sweep
+
+
 @dataclass(frozen=True)
 class CalibrationRow:
     kappa: float
@@ -226,9 +225,9 @@ class CalibrationRow:
     median_dim: float
 
 
-def calibrate_kappa(function: str, family_name: str, n: int,
-                    kappas, seeds: int = 20, sigma: float = ExperimentConfig.sigma,
-                    seed: int = 1, d_constant: float | None = None,
+def calibrate_kappa(function: str, family_name: str, n: int, kappas,
+                    seeds: int = CALIBRATION_SEEDS, sigma: float = ExperimentConfig.sigma,
+                    seed: int = ExperimentConfig.seed, d_constant: float | None = None,
                     m_max: int | None = None) -> list[CalibrationRow]:
     """Sweep the selector constant (kappa0 = kappa1 = kappa) on simulated
     data and report the risk ratio of the selected fit to the full-sweep
@@ -251,20 +250,15 @@ def calibrate_kappa(function: str, family_name: str, n: int,
     for i in range(seeds):
         rng = rng_for(seed, 9000 + i, 0)
         sample = generate_sample(fn, n, sigma, rng)
-        lo, hi = trim_interval(sample)
-        grid = np.linspace(lo, hi, EVAL_GRID_POINTS)
-        cache = DesignCache(sample, family, _cache_top(m_grid, n),
-                            (lo, hi) if family is Family.HALF_TRIG else None)
-        errors = _oracle_error_sweep(cache, m_grid, grid,
-                                     {"derivative": eval_on_grid(fn.b_prime, grid)})
-        if not errors:
-            continue
-        oracle_err = min(e["derivative"] for e in errors.values())
+        cache = DesignCache(sample, family, _cache_top(m_grid, n))
         try:
+            errors = _oracle_error_sweep(cache, m_grid, cache.trimmed,
+                                         {"derivative": fn.b_prime})
             members = collection_members(cache, m_grid, d_constant)
             sigma2_hat = _sigma2(cache, members)
-        except EmptyCollectionError:
+        except (SingularGramError, EmptyCollectionError):
             continue
+        oracle_err = min(e["derivative"] for e in errors.values())
         for kappa in kappas:
             m_hat = _gl_choice(cache, members, sigma2_hat, kappa, kappa)[0]
             ratios[kappa].append(errors[m_hat]["derivative"] / max(oracle_err, 1e-300))

@@ -17,7 +17,7 @@ from derivfit.dataio import save_report
 from derivfit.estimators import evaluate_fit
 from derivfit.selection import (DesignCache, _oracle_error_sweep,
                                 _whitened_derivative_gram, collection_members,
-                                default_m_grid, eval_on_grid, fit_derivative_1,
+                                default_m_grid, fit_derivative_1,
                                 gl_select, penalty_v_hat)
 from derivfit.simulation import (ExperimentConfig, TEST_FUNCTIONS, best_kappa,
                                  calibrate_kappa, generate_sample, rng_for,
@@ -268,12 +268,10 @@ def _gl_risk_ratios(function, family, n, kappa, seeds, seed_base):
         rng = rng_for(seed_base, i, 0)
         sample = generate_sample(fn, n, 0.25, rng)
         lo, hi = trim_interval(sample)
-        grid = np.linspace(lo, hi, 512)
         m_grid = default_m_grid(family, n)
         cache = DesignCache(sample, family, max(m_grid),
                             (lo, hi) if family is Family.HALF_TRIG else None)
-        errors = _oracle_error_sweep(cache, m_grid, grid,
-                                     {"derivative": eval_on_grid(fn.b_prime, grid)})
+        errors = _oracle_error_sweep(cache, m_grid, (lo, hi), {"derivative": fn.b_prime})
         oracle_err = min(e["derivative"] for e in errors.values())
         trace, _ = gl_select(sample, family, m_grid, sigma2=None,
                              interval=cache.spec.interval, kappa0=kappa, kappa1=kappa)

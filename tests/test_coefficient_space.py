@@ -220,7 +220,8 @@ def test_batched_grid_scoring_matches_per_dimension_calls(family_name):
         targets = {"regression": fn.b(grid), "derivative": fn.b_prime(grid)}
         m_grid = default_m_grid(family, sample.n)
         cache = DesignCache(sample, family, max(m_grid), interval)
-        errors = _oracle_error_sweep(cache, m_grid, grid, targets)
+        errors = _oracle_error_sweep(cache, m_grid, trim_interval(sample),
+                                     {"regression": fn.b, "derivative": fn.b_prime})
         expected = n_space_errors(sample, cache.spec_for, list(errors), grid, targets)
         assert list(errors) == [m for m in m_grid if not cache.design(m).is_singular]
         for m, cell in errors.items():

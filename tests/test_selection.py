@@ -12,7 +12,7 @@ from derivfit.estimators import Strategy
 from derivfit.selection import (EVAL_GRID_POINTS, KAPPA, DesignCache, _first_minimum,
                                 _oracle_error_sweep, _whitened_derivative_gram,
                                 collection_members, default_m_grid, estimate_sigma2,
-                                eval_on_grid, fit_derivative_1, gl_select, oracle_select,
+                                fit_derivative_1, gl_select, oracle_select,
                                 penalty_v_hat, reuse_select)
 from derivfit.simulation import (TEST_FUNCTIONS, ExperimentConfig, generate_sample,
                                  rng_for)
@@ -188,13 +188,11 @@ def test_sigma2_none_means_estimate_it_everywhere():
 # Oracle selection
 # ---------------------------------------------------------------------------
 
-def harness_oracle(sample, truth, kind, grid_points=EVAL_GRID_POINTS):
+def harness_oracle(sample, truth, kind):
     """The harness's oracle over hermite dimensions 1..25: (m, error) of
     the least squared L2 error of kind's fit on the trimmed design range."""
-    grid = np.linspace(*trim_interval(sample), grid_points)
     cache = DesignCache(sample, Family.HERMITE, 25)
-    errors = _oracle_error_sweep(cache, range(1, 26), grid,
-                                 {kind: eval_on_grid(truth, grid)})
+    errors = _oracle_error_sweep(cache, range(1, 26), cache.trimmed, {kind: truth})
     m = _first_minimum(list(errors), [e[kind] for e in errors.values()])
     return m, errors[m][kind]
 
@@ -223,15 +221,18 @@ def test_oracle_regression_kind():
     assert err < 0.01
 
 
-def test_oracle_error_stable_under_grid_doubling():
+def test_oracle_error_stable_under_grid_doubling(monkeypatch):
     # the 512-point trapezoid rule is converged: doubling the grid moves
     # the reported error by well under 1%
     fn = TEST_FUNCTIONS["b3"]
+    assert EVAL_GRID_POINTS == 512
     for seed in range(5):
         rng = rng_for(2024, 1, seed)
         sample = generate_sample(fn, 500, 0.25, rng)
-        m512, e512 = harness_oracle(sample, fn.b_prime, "derivative", 512)
-        m1024, e1024 = harness_oracle(sample, fn.b_prime, "derivative", 1024)
+        m512, e512 = harness_oracle(sample, fn.b_prime, "derivative")
+        with monkeypatch.context() as patch:
+            patch.setattr(derivfit.selection, "EVAL_GRID_POINTS", 1024)
+            m1024, e1024 = harness_oracle(sample, fn.b_prime, "derivative")
         assert m512 == m1024
         assert abs(e1024 - e512) <= 0.01 * e512
 

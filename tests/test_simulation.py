@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from derivfit import simulation
+from derivfit.basis import Family
+from derivfit.design import Sample
+from derivfit.errors import SingularGramError
+from derivfit.selection import oracle_select
 from derivfit.simulation import (ExperimentConfig, TEST_FUNCTIONS, best_kappa,
                                  calibrate_kappa, generate_sample, rng_for,
                                  run_experiment)
@@ -136,7 +140,7 @@ def test_oracle_dimensions_for_both_targets_stay_coupled():
     # per repetition the best dimension for the regression target and for
     # the derivative target track each other closely
     from derivfit.design import trim_interval
-    from derivfit.selection import DesignCache, _oracle_error_sweep, eval_on_grid
+    from derivfit.selection import DesignCache, _oracle_error_sweep
     gaps = []
     for fn_id, fam, cell in (("b3", "hermite", 0), ("b1", "half-trig", 1)):
         fn = TEST_FUNCTIONS[fn_id]
@@ -146,14 +150,11 @@ def test_oracle_dimensions_for_both_targets_stay_coupled():
             rng = rng_for(515, cell, rep)
             sample = generate_sample(fn, 250, 0.25, rng)
             lo, hi = trim_interval(sample)
-            grid = np.linspace(lo, hi, 512)
             m_grid = range(1, 26)
             cache = DesignCache(sample, family, 25,
                                 (lo, hi) if family is Family.HALF_TRIG else None)
             errors = _oracle_error_sweep(
-                cache, m_grid, grid,
-                {"regression": eval_on_grid(fn.b, grid),
-                 "derivative": eval_on_grid(fn.b_prime, grid)})
+                cache, m_grid, (lo, hi), {"regression": fn.b, "derivative": fn.b_prime})
             m_b = min(errors, key=lambda m: (errors[m]["regression"], m))
             m_bp = min(errors, key=lambda m: (errors[m]["derivative"], m))
             gaps.append(abs(m_b - m_bp))
@@ -197,3 +198,65 @@ def test_a_positive_collection_constant_is_accepted():
     ExperimentConfig(mode="gl", d_constant=1e6)
     rows = calibrate_kappa("b1", "hermite", 250, kappas=(1.0,), seeds=2, d_constant=1e6)
     assert len(rows) == 1
+
+
+@pytest.mark.parametrize("mode", ["oracle", "gl"])
+def test_dropping_the_trailing_function_keeps_the_earlier_cells(mode):
+    full = run_experiment(ExperimentConfig(functions=("b1", "b3"), n_list=(250,),
+                                           repetitions=2, seed=11, mode=mode))
+    head = run_experiment(ExperimentConfig(functions=("b1",), n_list=(250,),
+                                           repetitions=2, seed=11, mode=mode))
+    assert full.rows[:len(head.rows)] == head.rows
+    assert {cell: count for cell, count in full.excluded.items()
+            if cell[0] == "b1"} == head.excluded
+
+
+@pytest.mark.parametrize("mode", ["oracle", "gl"])
+def test_a_cell_depends_only_on_its_index_and_the_seed(mode):
+    # b3's cells keep their indices when the function before them changes
+    reports = [run_experiment(ExperimentConfig(functions=(first, "b3"), n_list=(250,),
+                                               repetitions=2, seed=11, mode=mode))
+               for first in ("b1", "b2")]
+    b3_rows = [[row for row in report.rows if row.function == "b3"] for report in reports]
+    assert len(b3_rows[0]) == 4 and b3_rows[0] == b3_rows[1]
+    # the same cell at another index draws other samples
+    alone = run_experiment(ExperimentConfig(functions=("b3",), n_list=(250,),
+                                            repetitions=2, seed=11, mode=mode))
+    assert list(alone.rows) != b3_rows[0]
+
+
+def _all_negative(n, seed, cell_index, repetition):
+    sample = generate_sample(TEST_FUNCTIONS["b1"], n, ExperimentConfig.sigma,
+                             rng_for(seed, cell_index, repetition))
+    return bool((sample.x < 0).all())
+
+
+def test_a_draw_with_nothing_solvable_has_one_error_everywhere(monkeypatch):
+    """Laguerre elements vanish on x < 0, so on an all-negative draw every
+    Gram is zero: the oracle raises, the harness excludes the draw and the
+    calibration skips it, all through the scoring's one error."""
+    message = "every candidate dimension has a singular Gram"
+    sample = Sample(x=np.array([-1.5, -0.4, -0.1]), y=np.array([0.3, -0.2, 0.1]))
+    with pytest.raises(SingularGramError, match=message):
+        oracle_select(sample, Family.LAGUERRE, (1, 2, 3), lambda t: t, (-1.5, -0.1))
+    fn = TEST_FUNCTIONS["b1"]
+    config = ExperimentConfig(functions=("b1",), families=("laguerre",), n_list=(2,),
+                              repetitions=4, seed=2)
+    assert [_all_negative(2, 2, 0, rep) for rep in range(4)] == [False, True, False, True]
+    with pytest.raises(SingularGramError, match=message):
+        simulation._run_repetition(config, fn, Family.LAGUERRE, 2, rng_for(2, 0, 1))
+    report = run_experiment(config)
+    assert report.excluded == {("b1", "laguerre", 2): 2}
+    assert [row.k for row in report.rows] == [2, 2]
+    # calibration at n = 3, m_max = 1: seed 9 draws all-negative samples
+    # first and third
+    assert [_all_negative(3, 9, 9000 + i, 0) for i in range(3)] == [True, False, True]
+    gl_calls = []
+    gl_choice = simulation._gl_choice
+    monkeypatch.setattr(simulation, "_gl_choice",
+                        lambda *args: gl_calls.append(args) or gl_choice(*args))
+    (row,) = calibrate_kappa("b1", "laguerre", 3, [1.0], seeds=3, seed=9, m_max=1)
+    assert len(gl_calls) == 1 and math.isfinite(row.median_ratio)
+    (row,) = calibrate_kappa("b1", "laguerre", 3, [1.0], seeds=1, seed=9, m_max=1)
+    assert row.kappa == 1.0 and all(math.isnan(value) for value in (
+        row.median_ratio, row.mean_ratio, row.q90_ratio, row.median_dim))

@@ -15,7 +15,7 @@ from derivfit.basis import Family, admissible_dims, eval_basis, parse_family
 from derivfit.cli import main
 from derivfit.design import Sample, gram, trim_interval
 from derivfit.selection import (DesignCache, _oracle_error_sweep,
-                                default_m_grid, eval_on_grid, fit_derivative_1,
+                                default_m_grid, fit_derivative_1,
                                 gl_select, reuse_select)
 from derivfit.simulation import (ExperimentConfig, TEST_FUNCTIONS, _run_repetition,
                                  generate_sample, rng_for, run_experiment)
@@ -55,11 +55,9 @@ def test_harness_repetition_picks_the_public_selectors_dims(mode):
                 assert (m_b, m_bp) == (m_reuse, trace.m_hat)
             else:
                 assert m_b == m_bp == m_reuse
-            grid = np.linspace(*lo_hi, 512)
             errors = _oracle_error_sweep(
-                DesignCache(sample, family, max(m_grid), interval), m_grid, grid,
-                {"regression": eval_on_grid(fn.b, grid),
-                 "derivative": eval_on_grid(fn.b_prime, grid)})
+                DesignCache(sample, family, max(m_grid), interval), m_grid, lo_hi,
+                {"regression": fn.b, "derivative": fn.b_prime})
             assert err_b == pytest.approx(errors[m_b]["regression"], rel=1e-12)
             assert err_bp == pytest.approx(errors[m_bp]["derivative"], rel=1e-12)
 

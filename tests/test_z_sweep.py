@@ -213,8 +213,8 @@ def test_one_forward_substitution_per_cache(monkeypatch, family):
     sigma2 = _sigma2(cache, members)
     _reuse_choice(cache, members, sigma2)
     _gl_choice(cache, members, sigma2, 0.5, 0.5)
-    grid = np.linspace(-1.0, 1.0, 64)
-    _oracle_error_sweep(cache, m_grid, grid, {"regression": grid, "derivative": grid})
+    _oracle_error_sweep(cache, m_grid, (-1.0, 1.0),
+                        {"regression": lambda t: t, "derivative": lambda t: t})
     cache.thetas(members)
     cache.fit(members[-1], Strategy.DERIV_OF_PROJECTION)
     assert forward[built:] == [cache.factor.shape]

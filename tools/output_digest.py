@@ -14,10 +14,11 @@ sample over the five families x m in {3, 8} x strategy 1/2 x with and
 without ``--truncate``; ``select`` gl/reuse/oracle x hermite/half-trig on
 the b3 sample; ``bench`` in oracle, gl and reuse mode over b1-b4 x
 hermite, half-trig x n in {250, 1000} x 4 repetitions (seed 7);
-``calibrate`` b3/hermite at n = 1000 with 6 seeds; and, past one block of
-the basis evaluation (``basis.EVAL_BLOCK`` points), ``simulate`` b3 at
-n = 5000 (seed 7) with ``select`` gl/oracle x hermite/half-trig and a
-hermite ``fit`` at m = 12 on it.
+``calibrate`` b3/hermite at n = 1000 with 6 seeds and b1/half-trig (whose
+basis rescales to each draw's trimmed range) at n = 250 with 4 seeds;
+and, past one block of the basis evaluation (``basis.EVAL_BLOCK``
+points), ``simulate`` b3 at n = 5000 (seed 7) with ``select`` gl/oracle
+x hermite/half-trig and a hermite ``fit`` at m = 12 on it.
 """
 
 from __future__ import annotations
@@ -86,6 +87,10 @@ def corpus() -> list[list[tuple[str, list[str], list[str]]]]:
     rest.append(("calibrate b3 hermite", ["calibrate", "--function", "b3", "--family",
                                           "hermite", "--n", "1000", "--seeds", "6",
                                           "--out", "calibrate.csv"], ["calibrate.csv"]))
+    rest.append(("calibrate b1 half-trig", ["calibrate", "--function", "b1", "--family",
+                                            "half-trig", "--n", "250", "--seeds", "4",
+                                            "--out", "calibrate-ht.csv"],
+                 ["calibrate-ht.csv"]))
     return [simulate, rest]
 
 
