@@ -12,8 +12,8 @@ of it.
 
 from .basis import (BasisSpec, Family, admissible_dims, delta_matrix, eval_basis,
                     eval_basis_derivative, l_factor, parse_family)
-from .design import (Sample, DesignSet, StabilityVerdict, default_d_constant,
-                     stability_check, trim_interval, STABILITY_C)
+from .design import (Sample, default_d_constant, stability_check, trim_interval,
+                     STABILITY_C)
 from .errors import (DataFormatError, DerivfitError, EmptyCollectionError,
                      SingularGramError)
 from .estimators import DerivativeFit, Strategy, evaluate_fit, truncate_fit

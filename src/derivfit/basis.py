@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,6 +86,11 @@ class BasisSpec:
     interval: tuple[float, float] | None = None
 
     def __post_init__(self):
+        try:  # numpy integers pass, as in the selectors' grids
+            operator.index(self.m)
+        except TypeError:
+            raise TypeError(f"dimension m must be an integer, "
+                            f"got m = {self.m!r}") from None
         if self.m < 1:
             raise ValueError(f"dimension m must be >= 1, got {self.m}")
         if self.family is Family.TRIG_ODD and self.m % 2 == 0:
@@ -92,7 +98,11 @@ class BasisSpec:
         if self.family is Family.HALF_TRIG:
             if self.interval is None:
                 raise ValueError("HALF_TRIG requires a rescaling interval (a, b)")
-            a, b = self.interval
+            try:
+                a, b = self.interval
+            except (TypeError, ValueError):
+                raise ValueError(f"the HALF_TRIG interval must be a pair (a, b), "
+                                 f"got {self.interval!r}") from None
             if not (math.isfinite(a) and math.isfinite(b) and a < b):
                 raise ValueError(f"invalid HALF_TRIG interval {self.interval}")
         elif self.interval is not None:

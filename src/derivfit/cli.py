@@ -110,8 +110,10 @@ def _cmd_fit(args) -> int:
     cache = _fit_cache(sample, spec, strategy)
     fit = cache.fit(spec.m, strategy)
     if args.truncate:
-        fit = truncate_fit(fit, stability_check(cache.design(spec.extended().m),
-                                                sample.n, default_d_constant(sample.x)))
+        ext = spec.extended()
+        in_lambda, _ = stability_check(ext, cache.eigvals(ext.m), sample.n,
+                                       default_d_constant(sample.x))
+        fit = truncate_fit(fit, in_lambda)
     dataio.emit_curve(fit, grid, args.out)
     status = " (truncated to zero)" if fit.truncated_to_zero else ""
     print(f"strategy-{args.strategy} derivative fit at m={args.m}{status} -> {args.out}")

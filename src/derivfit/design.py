@@ -1,4 +1,4 @@
-"""Empirical Grams, their eigenvalue records and the stability checks.
+"""Empirical Grams, their eigenvalues and the stability checks.
 
 For a sample (X_1..X_n) and basis values at its points this module
 builds the m-by-m empirical Gram (the matrix of empirical scalar
@@ -12,12 +12,13 @@ fixed-width column panels, so those of the first m columns are bitwise
 the leading blocks of those of all columns, and the Gram's Cholesky
 factor is built row by row, so the factor of a leading block is bitwise
 the leading block of the factor: one top-dimension product and one
-factorization serve every nested dimension.  A DesignSet is the
-eigenvalue record of one Gram: its eigenvalues (values only) decide
-whether the Gram is singular and give the inverse's operator norm.  It
-holds no values and solves nothing; the basis values, the Gram and
-every least-squares coefficient vector belong to selection.DesignCache,
-which owns the factor.  The gates:
+factorization serve every nested dimension.  A Gram's ascending
+eigenvalues (design_from_matrices, values only) are all the gates read:
+is_singular is the singular rule on them, and 1/lambda_min is the
+inverse's operator norm.  The basis values, the Gram, its eigenvalues
+per dimension and every least-squares coefficient vector belong to
+selection.DesignCache, which owns the factor.  The gates
+(stability_check, on spec, eigenvalues, n and d):
 
 * the truncation gate: L(m) * (||Gram^-1||_op or 1) <= c * n/log(n) with
   the fixed constant c = (3 log(3/2) - 1)/9;
@@ -31,7 +32,7 @@ fit under consideration; singular Grams fail both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -76,31 +77,6 @@ class Sample:
     @property
     def n(self) -> int:
         return self.x.size
-
-
-@dataclass(frozen=True)
-class DesignSet:
-    """The eigenvalue record of one (sample, spec) Gram.
-
-    The Gram's eigenvalues (values only, ascending) decide singularity
-    and the inverse's norm.  Least-squares coefficients come from a
-    DesignCache.
-    """
-
-    spec: BasisSpec
-    eigvals: np.ndarray = field(repr=False)
-
-    @property
-    def is_singular(self) -> bool:
-        lam = self.eigvals
-        return lam[0] <= SINGULAR_RTOL * max(lam[-1], 0.0) or lam[-1] <= 0.0
-
-    @property
-    def psi_inv_op_norm(self) -> float:
-        """Operator norm of the Gram inverse; inf when singular."""
-        if self.is_singular:
-            return math.inf
-        return 1.0 / self.eigvals[0]
 
 
 def _panels(phi: np.ndarray) -> list[np.ndarray]:
@@ -167,10 +143,16 @@ def prefix_cholesky(psi_hat: np.ndarray) -> np.ndarray:
     return factor
 
 
-def design_from_matrices(psi_hat: np.ndarray, spec: BasisSpec) -> DesignSet:
-    """The eigenvalue record of the Gram psi_hat of spec's m columns,
-    e.g. the leading block of a wider Gram."""
-    return DesignSet(spec=spec, eigvals=scipy.linalg.eigh(psi_hat, eigvals_only=True))
+def design_from_matrices(psi_hat: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues (values only) of the Gram psi_hat, e.g.
+    the leading block of a wider Gram."""
+    return scipy.linalg.eigh(psi_hat, eigvals_only=True)
+
+
+def is_singular(eigvals: np.ndarray) -> bool:
+    """The singular rule on a Gram's ascending eigenvalues:
+    lambda_min <= SINGULAR_RTOL * lambda_max, or lambda_max <= 0."""
+    return eigvals[0] <= SINGULAR_RTOL * max(eigvals[-1], 0.0) or eigvals[-1] <= 0.0
 
 
 def trim_interval(sample: Sample) -> tuple[float, float]:
@@ -189,20 +171,6 @@ def trim_interval(sample: Sample) -> tuple[float, float]:
 # Stability / collection membership
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StabilityVerdict:
-    """Outcome of the two conditioning gates for one design.
-
-    in_lambda uses the first power of the Gram-inverse norm (truncation
-    gate); in_collection uses the square (selection gate).
-    """
-
-    in_lambda: bool
-    in_collection: bool
-    op_norm_psi_inv: float
-    l_factor: float
-
-
 def default_d_constant(x) -> float:
     """Default collection constant d = n^3 / (max(f_sup_hat, 1) + 1/3).
 
@@ -220,16 +188,19 @@ def default_d_constant(x) -> float:
     return x.size ** 3 / (max(f_sup, 1.0) + 1.0 / 3.0)
 
 
-def stability_check(design: DesignSet, n: int, d_constant: float) -> StabilityVerdict:
-    """Evaluate both gates on the given design (build it at dimension m+p).
+def stability_check(spec: BasisSpec, eigvals: np.ndarray, n: int,
+                    d_constant: float) -> tuple[bool, bool]:
+    """The two gates, (in_lambda, in_collection), on the ascending
+    eigenvalues of spec's Gram (evaluate them at dimension m+p).
 
-    A singular Gram yields both flags False rather than an error.
+    in_lambda uses the first power of the Gram-inverse norm (truncation
+    gate), in_collection the square (selection gate); a singular Gram
+    fails both rather than raising.
     """
-    lfac = l_factor(design.spec)
+    if is_singular(eigvals):
+        return False, False
+    lfac = l_factor(spec)
     budget = n / math.log(n) if n > 1 else math.inf
-    op_inv = design.psi_inv_op_norm
-    if not math.isfinite(op_inv):
-        return StabilityVerdict(False, False, op_inv, lfac)
-    in_lambda = lfac * max(op_inv, 1.0) <= STABILITY_C * budget
-    in_collection = lfac * max(op_inv ** 2, 1.0) <= d_constant * budget
-    return StabilityVerdict(in_lambda, in_collection, op_inv, lfac)
+    op_inv = 1.0 / eigvals[0]
+    return (lfac * max(op_inv, 1.0) <= STABILITY_C * budget,
+            lfac * max(op_inv ** 2, 1.0) <= d_constant * budget)

@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import BasisSpec, delta_matrix, eval_basis
-from .design import StabilityVerdict
 
 
 class Strategy(enum.Enum):
@@ -47,9 +46,10 @@ class DerivativeFit:
         return self.spec.m
 
 
-def truncate_fit(fit: DerivativeFit, verdict: StabilityVerdict) -> DerivativeFit:
-    """Zero out the fit unless the truncation gate (at m+p) passed."""
-    truncated = fit.truncated_to_zero or not verdict.in_lambda
+def truncate_fit(fit: DerivativeFit, in_lambda: bool) -> DerivativeFit:
+    """Zero out the fit unless the truncation gate at m+p passed
+    (in_lambda, design.stability_check's first flag)."""
+    truncated = fit.truncated_to_zero or not in_lambda
     if truncated == fit.truncated_to_zero:
         return fit
     return replace(fit, truncated_to_zero=truncated)

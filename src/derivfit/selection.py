@@ -28,10 +28,11 @@ dimension's Gram is eigendecomposed for a solve or a penalty: the edge
 of the collection and the first singular dimension are monotone in m
 (Cauchy interlacing, assumed to hold for the rounded eigenvalues too),
 so each is found by bisection, with one values-only eigendecomposition
-per probed dimension.  A gated draw bisects once: a member passes the
-gate at m+p, so no Gram up to m+p is singular, and the first singular
-dimension is sought only by the oracle, a fixed-dimension fit or a
-solve above every member.
+per probed dimension, memoized in the cache (eigvals); the gate and the
+singular rule read those eigenvalues alone.  A gated draw bisects once:
+a member passes the gate at m+p, so no Gram up to m+p is singular, and
+the first singular dimension is sought only by the oracle, a
+fixed-dimension fit or a solve above every member.
 The collection gate (collection_members), the noise estimate and the gl
 and reuse choices are cores that read that cache; the simulation harness
 calls them on the cache of each draw.  The public selectors take their
@@ -73,8 +74,8 @@ import numpy as np
 import scipy.linalg
 
 from .basis import BasisSpec, Family, admissible_dims, delta_matrix, eval_basis
-from .design import (DesignSet, Sample, default_d_constant, design_from_matrices,
-                     gram, moments, prefix_cholesky, stability_check,
+from .design import (Sample, default_d_constant, design_from_matrices, gram,
+                     is_singular, moments, prefix_cholesky, stability_check,
                      trim_interval)
 from .errors import EmptyCollectionError, SingularGramError
 from .estimators import DerivativeFit, Strategy
@@ -145,14 +146,15 @@ class DesignCache:
     The singular dimensions form a suffix of 1..K (Cauchy interlacing:
     the Gram's smallest eigenvalue does not grow with m, its largest does
     not shrink), and this monotonicity is assumed wherever the cache
-    reads a bound.  Designs (one values-only eigendecomposition each) are
-    built only for probes of a bisection: the collection gate's, at m+p,
-    and m_singular's, the first singular dimension.  A design that is
-    not singular, within the factor, makes every dimension up to its own
-    solvable, so solvable(m) bisects for m_singular only above the
-    largest such design: after the gate, every member's theta, residual
-    and score needs no further eigendecomposition, while the oracle and
-    a fixed-dimension fit bisect as they need.
+    reads a bound.  eigvals(m), the ascending eigenvalues of the leading
+    m-by-m block (one values-only eigendecomposition, memoized), is
+    computed only for probes of a bisection: the collection gate's, at
+    m+p, and m_singular's, the first singular dimension.  A probed Gram
+    that is not singular, within the factor, makes every dimension up to
+    its own solvable, so solvable(m) bisects for m_singular only above
+    the largest such probe: after the gate, every member's theta,
+    residual and score needs no further eigendecomposition, while the
+    oracle and a fixed-dimension fit bisect as they need.
 
     trimmed, the sample's 3%-97% quantile range, is computed once: it is
     half-trig's interval when none is given, and the harness's scoring
@@ -176,8 +178,8 @@ class DesignCache:
         self._gram = gram(self._phi)
         self._rhs = moments(self._phi, sample.y)
         self.factor = prefix_cholesky(self._gram)
-        self._designs: dict[int, DesignSet] = {}
-        self._solvable_to = 0  # the largest non-singular design within the factor
+        self._eigvals: dict[int, np.ndarray] = {}
+        self._solvable_to = 0  # the largest non-singular Gram probed within the factor
         self._thetas: dict[int, np.ndarray] = {}
         self._residuals: dict[int, float] = {}
 
@@ -190,32 +192,32 @@ class DesignCache:
     def spec_for(self, m: int) -> BasisSpec:
         return self.spec.with_m(m)
 
-    def design(self, m: int) -> DesignSet:
-        """The eigenvalue record of dimension m's Gram, the leading m-by-m
-        block of the cache's Gram; a non-singular one within the factor
-        raises the bound that solvable reads."""
+    def eigvals(self, m: int) -> np.ndarray:
+        """The ascending eigenvalues of dimension m's Gram, the leading
+        m-by-m block of the cache's Gram (memoized); a non-singular one
+        within the factor raises the bound that solvable reads."""
         if m > len(self._gram):
             raise ValueError(f"dimension {m} exceeds the cache's top dimension "
                              f"{len(self._gram)}")
-        if m not in self._designs:
-            design = design_from_matrices(self._gram[:m, :m], self.spec_for(m))
-            if not design.is_singular and m <= len(self.factor):
+        if m not in self._eigvals:
+            lam = design_from_matrices(self._gram[:m, :m])
+            if not is_singular(lam) and m <= len(self.factor):
                 self._solvable_to = max(self._solvable_to, m)
-            self._designs[m] = design
-        return self._designs[m]
+            self._eigvals[m] = lam
+        return self._eigvals[m]
 
     @functools.cached_property
     def m_singular(self) -> int:
         """The first admissible dimension whose Gram is singular, by
-        bisection over designs; one past the factor's rows if none is (a
+        bisection over eigvals; one past the factor's rows if none is (a
         non-positive pivot at row i makes dimension i + 1 singular)."""
         dims = admissible_dims(self.family, len(self.factor))
-        i = bisect.bisect_left(dims, True, key=lambda m: self.design(m).is_singular)
+        i = bisect.bisect_left(dims, True, key=lambda m: is_singular(self.eigvals(m)))
         return dims[i] if i < len(dims) else len(self.factor) + 1
 
     def solvable(self, m: int) -> bool:
         """Whether m lies below m_singular: no bisection at or under the
-        largest non-singular design built so far, since by monotonicity no
+        largest non-singular Gram probed so far, since by monotonicity no
         smaller Gram is singular either."""
         return m <= self._solvable_to or m < self.m_singular
 
@@ -353,18 +355,18 @@ def _whitened_derivative_gram(factor: np.ndarray, psi_prime: np.ndarray) -> np.n
 def collection_members(cache: DesignCache, m_grid,
                        d_constant: float | None) -> list[int]:
     """The dimensions of the ascending grid m_grid (as _checked_m_grid
-    returns it) whose extended-design conditioning passes the gate under
+    returns it) whose extended Gram's conditioning passes the gate under
     d (None: the sample-dependent default); an empty collection raises
     EmptyCollectionError.
 
     Membership is checked at m+p: m is a member when m+p is within the
-    cache's factor, design(m+p) is not singular and the collection gate
-    of stability_check passes on it.  By the monotonicity the cache
+    cache's factor, its Gram is not singular and the collection gate of
+    stability_check passes on eigvals(m+p).  By the monotonicity the cache
     assumes, no Gram smaller than a member's m+p is singular either:
     every member is solvable with no bisection for m_singular.  L(m+p)
     and ||Gram^-1|| do not decrease with m, so the members are a prefix
     of the grid, found by bisection with stability_check on the probed
-    non-singular designs only.
+    non-singular Grams only.
     """
     if any(a >= b for a, b in zip(m_grid, m_grid[1:])):
         raise ValueError(f"the grid must be ascending without repeats, got {list(m_grid)}")
@@ -373,11 +375,11 @@ def collection_members(cache: DesignCache, m_grid,
         d_constant = default_d_constant(cache.sample.x)
 
     def fails(m: int) -> bool:
-        ext_m = cache.spec_for(m).extended().m
-        # a singular design fails the gate: skip stability_check's L(m+p)
-        if ext_m > len(cache.factor) or cache.design(ext_m).is_singular:
+        ext = cache.spec_for(m).extended()
+        # a singular Gram fails the gate: skip stability_check's L(m+p)
+        if ext.m > len(cache.factor) or is_singular(cache.eigvals(ext.m)):
             return True
-        return not stability_check(cache.design(ext_m), n, d_constant).in_collection
+        return not stability_check(ext, cache.eigvals(ext.m), n, d_constant)[1]
 
     members = list(m_grid[:bisect.bisect_left(m_grid, True, key=fails)])
     if not members:

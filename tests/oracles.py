@@ -6,8 +6,8 @@ the link matrix.  The quadrature oracles compute
 projection coefficients, population Grams, density-weighted link
 matrices, the projection/derivative commutation gap with its per-family
 closed forms and the population penalty from integrals, never from the
-empirical machinery.  The remaining helpers (a design built from a basis
-evaluation and Gram of its own, matrix and empirical norms, the Gram's
+empirical machinery.  The remaining helpers (a Gram's eigenvalues from a
+basis evaluation and Gram of its own, matrix and empirical norms, the Gram's
 symmetric inverse square root, fitted derivatives at the design points,
 the derivative sup factor) are direct n-space or dense forms of
 quantities the package computes another way.  The regression fit is the
@@ -28,8 +28,7 @@ import scipy.linalg
 from scipy.integrate import quad
 
 from derivfit.basis import BasisSpec, Family, delta_matrix, eval_basis
-from derivfit.design import (SINGULAR_RTOL, DesignSet, Sample, design_from_matrices,
-                             gram)
+from derivfit.design import SINGULAR_RTOL, Sample, design_from_matrices, gram
 from derivfit.errors import DerivfitError, SingularGramError
 from derivfit.estimators import DerivativeFit, Strategy
 from derivfit.selection import DesignCache
@@ -128,10 +127,10 @@ def l_prime_factor(spec: BasisSpec, probe_grid) -> float:
 # Direct designs, norms, the regression fit and fitted values at the sample
 # ---------------------------------------------------------------------------
 
-def build_design(sample: Sample, spec: BasisSpec) -> DesignSet:
-    """The eigenvalue record of spec's Gram at the sample points, from a
-    basis evaluation and a Gram of its own (no DesignCache)."""
-    return design_from_matrices(gram(eval_basis(spec, sample.x)), spec)
+def build_design(sample: Sample, spec: BasisSpec) -> np.ndarray:
+    """The ascending eigenvalues of spec's Gram at the sample points, from
+    a basis evaluation and a Gram of its own (no DesignCache)."""
+    return design_from_matrices(gram(eval_basis(spec, sample.x)))
 
 
 def operator_norm(matrix) -> float:

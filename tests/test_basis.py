@@ -1,6 +1,7 @@
 """Basis families: values, derivatives, link matrices, sup factors."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from derivfit.basis import (EVAL_BLOCK, BasisSpec, Family, admissible_dims,
                             delta_matrix, eval_basis, eval_basis_derivative,
                             l_factor, parse_family)
 from derivfit.design import Sample
+from derivfit.estimators import Strategy, evaluate_fit
 from derivfit.selection import DesignCache
 from oracles import derivative_recursion, l_prime_factor
 
@@ -203,6 +205,64 @@ def test_trig_recurrence_drift_grows_linearly_in_the_frequency(family, m, log_wi
         assert drift <= 2.0 * j * EPS * amp, (col, drift / (j * EPS * amp))
 
 
+def _phase_rounding(x, a, b):
+    """Bound on the rounding of the phase (x - a)/(b - a) over the points x."""
+    return EPS * (np.abs(x).max() + abs(a) + abs(b)) / (b - a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 15), n=st.integers(5, 200), log_alpha=st.floats(-2.0, 2.0),
+       shift=st.floats(-10.0, 10.0), a=st.floats(-2.0, 2.0),
+       log_width=st.floats(-0.3, 0.3), seed=st.integers(0, 2 ** 16))
+def test_half_trig_is_equivariant_under_affine_maps(m, n, log_alpha, shift, a,
+                                                    log_width, seed):
+    """x -> alpha x + c, with [a, b] mapped alike, keeps the phase
+    (x - a)/(b - a): the basis values scale by alpha^-1/2, the Gram by
+    1/alpha (so m_singular stays), theta by alpha^1/2, the regression curve
+    stays and the derivative curve scales by 1/alpha.  Points reach a
+    tenth of a width beyond [a, b].
+
+    Rounding bound: the phase moves by at most delta, the sum of
+    _phase_rounding before and after the map, and the pair of frequency j
+    by pi j delta of its amplitude, so the values by 4 m delta of the
+    largest one.  The Gram and the solve add n eps, and the solve
+    amplifies both by the Gram's condition number kappa: theta within
+    16 kappa (m delta + n eps) of its norm, the curves within that of
+    max|phi_{m+p}(g)| |theta|, the derivative's times ||Delta||."""
+    alpha, width = 10.0 ** log_alpha, 10.0 ** log_width
+    rng = np.random.default_rng(seed)
+    x = a + width * rng.uniform(-0.1, 1.1, n)
+    y = np.sin(3.0 * x) + 0.25 * rng.standard_normal(n)
+    interval = (a, a + width)
+    mapped = tuple(alpha * end + shift for end in interval)
+    cache = DesignCache(Sample(x=x, y=y), Family.HALF_TRIG, m, interval)
+    image = DesignCache(Sample(x=alpha * x + shift, y=y), Family.HALF_TRIG, m, mapped)
+    delta = _phase_rounding(x, *interval) + _phase_rounding(alpha * x + shift, *mapped)
+
+    values = eval_basis(cache.spec, x)
+    mapped_values = eval_basis(image.spec, alpha * x + shift)
+    assert (np.abs(mapped_values - values / math.sqrt(alpha)).max()
+            <= 4 * m * delta * np.abs(values).max() / math.sqrt(alpha))
+    assert image.m_singular == cache.m_singular
+    # the largest solvable dimension up to m; the constant column alone is never singular
+    k = min(m, cache.m_singular - 1)
+    lam = cache.eigvals(k)
+    tol = 16 * lam[-1] / lam[0] * (m * delta + n * EPS)
+    theta = cache.theta(k)
+    assert (np.linalg.norm(image.theta(k) - math.sqrt(alpha) * theta)
+            <= tol * math.sqrt(alpha) * np.linalg.norm(theta))
+    spec = cache.spec_for(k)
+    grid = np.linspace(*interval, 64)
+    ext = eval_basis(spec.extended(), grid)
+    scale = tol * np.linalg.norm(ext, axis=1).max() * np.linalg.norm(theta)
+    regression = eval_basis(image.spec_for(k), alpha * grid + shift) @ image.theta(k)
+    assert np.abs(regression - ext[:, :k] @ theta).max() <= scale
+    derivative = [evaluate_fit(c.fit(k, Strategy.DERIV_OF_PROJECTION), g) for c, g in
+                  ((cache, grid), (image, alpha * grid + shift))]
+    assert (np.abs(alpha * derivative[1] - derivative[0]).max()
+            <= scale * np.linalg.norm(delta_matrix(spec), 2))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         BasisSpec(Family.HERMITE, 0)
@@ -214,6 +274,20 @@ def test_spec_validation():
         BasisSpec(Family.HALF_TRIG, 3, (2.0, 1.0))
     with pytest.raises(ValueError):
         BasisSpec(Family.LEGENDRE, 3, (0.0, 1.0))  # fixed support
+
+
+def test_spec_rejects_a_non_integer_dimension():
+    with pytest.raises(TypeError, match=r"m = 3\.0"):
+        BasisSpec(Family.HERMITE, 3.0)
+    with pytest.raises(TypeError, match="m = '3'"):
+        BasisSpec(Family.HERMITE, "3")
+    assert BasisSpec(Family.HERMITE, np.int64(3)).m == 3  # numpy integers pass
+
+
+def test_spec_rejects_a_half_trig_interval_that_is_not_a_pair():
+    for interval in ((0.0,), (0.0, 1.0, 2.0), 0.5):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(interval))}"):
+            BasisSpec(Family.HALF_TRIG, 3, interval)
 
 
 def test_derivative_overflow_p():

@@ -66,6 +66,24 @@ def test_fit_truncate_flag(sample_csv, tmp_path):
     assert np.all(values == 0.0)
 
 
+def test_fit_truncate_keeps_a_curve_that_passes_the_gate(tmp_path):
+    # at n = 5000, hermite m = 3 passes the truncation gate and m = 4 fails it
+    data = tmp_path / "large.csv"
+    assert run_cli("simulate", "--function", "b3", "--n", "5000", "--seed", "7",
+                   "--out", str(data)) == 0
+    curves = {}
+    for m in ("3", "4"):
+        for flags in ([], ["--truncate"]):
+            out = tmp_path / f"curve-m{m}{len(flags)}.csv"
+            assert run_cli("fit", str(data), "--family", "hermite", "--m", m, *flags,
+                           "--out", str(out)) == 0
+            curves[m, bool(flags)] = out
+    assert curves["3", True].read_bytes() == curves["3", False].read_bytes()
+    plain, truncated = (np.loadtxt(curves["4", t], delimiter=",", skiprows=1)[:, 1]
+                        for t in (False, True))
+    assert np.any(plain != 0.0) and np.all(truncated == 0.0)
+
+
 @pytest.mark.parametrize("command", ["fit", "select"])
 def test_negative_interval_end_takes_the_equals_form(sample_csv, tmp_path, capsys,
                                                     command):

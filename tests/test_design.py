@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from derivfit.basis import BasisSpec, Family, eval_basis
+from derivfit.basis import BasisSpec, Family, eval_basis, l_factor
 from derivfit.design import (STABILITY_C, Sample, default_d_constant, gram,
-                             stability_check, trim_interval)
+                             is_singular, stability_check, trim_interval)
 from derivfit.selection import DesignCache
 from oracles import (build_design, derivative_recursion, empirical_inner,
                      empirical_norm, frobenius_norm, operator_norm, whitener)
@@ -109,10 +109,11 @@ def test_stability_identity_gram_passes():
     rng = np.random.default_rng(1)
     n = 1000
     sample = Sample(x=rng.uniform(0, 1, n), y=np.zeros(n))
-    design = build_design(sample, BasisSpec(Family.TRIG_ODD, 3))
-    verdict = stability_check(design, n, default_d_constant(sample.x))
-    assert verdict.in_lambda and verdict.in_collection
-    assert verdict.l_factor == 3.0
+    spec = BasisSpec(Family.TRIG_ODD, 3)
+    in_lambda, in_collection = stability_check(spec, build_design(sample, spec), n,
+                                               default_d_constant(sample.x))
+    assert in_lambda and in_collection
+    assert l_factor(spec) == 3.0
     # frozen constant value
     assert STABILITY_C == pytest.approx(0.0240439, abs=1e-7)
 
@@ -120,10 +121,11 @@ def test_stability_identity_gram_passes():
 def test_stability_singular_gram_fails_both():
     # two points cannot identify three coefficients
     sample = Sample(x=np.array([0.1, 0.2]), y=np.zeros(2))
-    design = build_design(sample, BasisSpec(Family.TRIG_ODD, 3))
-    verdict = stability_check(design, 2, default_d_constant(sample.x))
-    assert not verdict.in_lambda and not verdict.in_collection
-    assert math.isinf(verdict.op_norm_psi_inv)
+    spec = BasisSpec(Family.TRIG_ODD, 3)
+    eigvals = build_design(sample, spec)
+    assert is_singular(eigvals)
+    flags = stability_check(spec, eigvals, 2, default_d_constant(sample.x))
+    assert flags == (False, False)
 
 
 @pytest.mark.parametrize("family", [Family.HERMITE, Family.HALF_TRIG])
@@ -136,10 +138,11 @@ def test_stability_membership_monotone_in_m(family):
     for m in range(1, 22):
         spec = (BasisSpec(family, m, (-2.0, 2.0)) if family is Family.HALF_TRIG
                 else BasisSpec(family, m))
-        design = build_design(sample, spec.extended())
-        verdict = stability_check(design, n, d_const)
-        flags_lambda.append(verdict.in_lambda)
-        flags_coll.append(verdict.in_collection)
+        ext = spec.extended()
+        in_lambda, in_collection = stability_check(ext, build_design(sample, ext), n,
+                                                   d_const)
+        flags_lambda.append(in_lambda)
+        flags_coll.append(in_collection)
     assert flags_coll[0]  # m=1 is in the collection with the default constant
     for flags in (flags_lambda, flags_coll):
         seen_false = False

@@ -18,7 +18,10 @@ hermite, half-trig x n in {250, 1000} x 4 repetitions (seed 7);
 basis rescales to each draw's trimmed range) at n = 250 with 4 seeds;
 and, past one block of the basis evaluation (``basis.EVAL_BLOCK``
 points), ``simulate`` b3 at n = 5000 (seed 7) with ``select`` gl/oracle
-x hermite/half-trig and a hermite ``fit`` at m = 12 on it.
+x hermite/half-trig, a hermite ``fit`` at m = 12 and hermite ``fit
+--truncate`` at m = 3, strategy 1/2, on it.  Every ``--truncate`` fit on
+the n = 700 sample fails the truncation gate and prints the zero curve;
+hermite m = 3 at n = 5000 is the corpus's fit that passes it.
 """
 
 from __future__ import annotations
@@ -80,6 +83,11 @@ def corpus() -> list[list[tuple[str, list[str], list[str]]]]:
     rest.append(("fit large hermite m=12", ["fit", "large.csv", "--family", "hermite",
                                             "--m", "12", "--out", "fit-large.csv"],
                  ["fit-large.csv"]))
+    for strategy in ("1", "2"):  # m = 3 passes the truncation gate at this n
+        out = f"fit-large-m3-s{strategy}-truncate.csv"
+        rest.append((f"fit large hermite m=3 strategy={strategy}-truncate",
+                     ["fit", "large.csv", "--family", "hermite", "--m", "3",
+                      "--strategy", strategy, "--truncate", "--out", out], [out]))
     for mode in MODES:
         rest.append((f"bench {mode}", ["bench", "--config", f"bench-{mode}.cfg",
                                        "--out", f"bench-{mode}.csv"],
