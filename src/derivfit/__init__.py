@@ -13,7 +13,7 @@ of it.
 from .basis import (BasisSpec, Family, admissible_dims, delta_matrix, eval_basis,
                     eval_basis_derivative, l_factor, parse_family)
 from .design import (Sample, default_d_constant, stability_check, trim_interval,
-                     STABILITY_C)
+                     truncation_gate, STABILITY_C)
 from .errors import (DataFormatError, DerivfitError, EmptyCollectionError,
                      SingularGramError)
 from .estimators import DerivativeFit, Strategy, evaluate_fit, truncate_fit

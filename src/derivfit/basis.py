@@ -12,15 +12,21 @@ Five families are supported:
 * ``HERMITE`` on the real line: normalized Hermite functions.
 * ``LEGENDRE`` on [-1, 1]: normalized Legendre polynomials.
 
-Every family is evaluated by a recurrence, one vector step per column.
-The polynomial families use normalized three-term recurrences with the
-weights folded in, so values stay O(1) up to large degree.  The
+Every family is evaluated by a recurrence over the columns, each column
+one contiguous row of an (m, n) block.  The polynomial families use
+normalized three-term recurrences with the weights folded in, so values
+stay O(1) up to large degree; one outer product (or difference) fills
+every row's leading factor (a_j x, or 2j - 1 - 2x for Laguerre) at once,
+and each step then finishes its row in place, with the same operations
+in the same order as the formula, so the bits are the formula's.  The
 trigonometric families take the sin/cos pair of frequency j from the
 power z^j of z = e^{i theta}, one complex product per frequency, whose
 rounding drift grows linearly in j.  ``eval_basis`` runs the recurrence
-at the points clipped to the support, zeroes the rows of points outside
-it and returns C-ordered (n, m) values, allocated once and filled block
-by block of EVAL_BLOCK points, with no transient copy of the result.
+at the points clipped to the support (for Laguerre and Hermite, to where
+the weight is not yet exactly zero, so huge x gives zeros, not NaN),
+zeroes the rows of points outside the support and returns C-ordered
+(n, m) values, allocated once and filled block by block of EVAL_BLOCK
+points, with no transient copy of the result.
 
 Each family's derivatives lie in the span of the first m+p elements;
 ``delta_matrix`` returns that exact expansion, row j holding the
@@ -100,10 +106,11 @@ class BasisSpec:
                 raise ValueError("HALF_TRIG requires a rescaling interval (a, b)")
             try:
                 a, b = self.interval
+                ordered = math.isfinite(a) and math.isfinite(b) and a < b
             except (TypeError, ValueError):
-                raise ValueError(f"the HALF_TRIG interval must be a pair (a, b), "
-                                 f"got {self.interval!r}") from None
-            if not (math.isfinite(a) and math.isfinite(b) and a < b):
+                raise ValueError(f"the HALF_TRIG interval must be a pair (a, b) of real "
+                                 f"numbers, got {self.interval!r}") from None
+            if not ordered:
                 raise ValueError(f"invalid HALF_TRIG interval {self.interval}")
         elif self.interval is not None:
             raise ValueError(f"{self.family} has a fixed support; interval not allowed")
@@ -175,13 +182,13 @@ def eval_basis(spec: BasisSpec, x) -> np.ndarray:
     into the block's rows of the result, so no transient array is as
     large as the result.  Every recurrence step is elementwise, so the
     values do not depend on the blocking.  The recurrences run at the
-    points clipped to the support, and the rows of points outside it are
-    zeroed afterwards.
+    points clipped to _recurrence_range, and the rows of points outside
+    the support are zeroed afterwards.
     """
     scalar = np.ndim(x) == 0
     pts = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = spec.support
-    clipped = np.clip(pts, lo, hi)
+    clipped = np.clip(pts, *_recurrence_range(spec))
     out = np.empty((pts.size, spec.m))
     for r in range(0, pts.size, EVAL_BLOCK):
         out[r:r + EVAL_BLOCK] = _eval_rows(spec, clipped[r:r + EVAL_BLOCK]).T
@@ -189,9 +196,25 @@ def eval_basis(spec: BasisSpec, x) -> np.ndarray:
     return out[0] if scalar else out
 
 
+def _recurrence_range(spec: BasisSpec) -> tuple[float, float]:
+    """Where eval_basis runs the recurrence: the support, narrowed for
+    Laguerre and Hermite to where the weight e^{-x} or e^{-x^2/2} is not
+    yet exactly zero in float64 (it is from x = 745.2 and |x| = 38.7 on).
+    Beyond, every value is a signed zero, its sign set by the signs of x
+    and of the factors (2j - 1 - 2x), which the bound keeps (it is at
+    least m); at huge x, 2x or a_j x would overflow and inf * 0 give NaN."""
+    if spec.family is Family.LAGUERRE:
+        return 0.0, max(746.0, spec.m)
+    if spec.family is Family.HERMITE:
+        return -40.0, 40.0
+    return spec.support
+
+
 def _eval_rows(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
     """The values as an (m, n) array: row j holds phi_j at every point, so
-    each step of a recurrence writes one contiguous row."""
+    each step of a recurrence writes one contiguous row.  The polynomial
+    families fill each row's leading factor for every row at once (one
+    outer product or difference) and finish it in place."""
     m = spec.m
     fam = spec.family
     out = np.empty((m, x.size))
@@ -206,28 +229,54 @@ def _eval_rows(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
         out[0] = 1.0 / np.sqrt(w)
         _trig_pairs(out, np.pi * ((x - a) / w), np.sqrt(2.0 / w), sine_first=True)
     elif fam is Family.LAGUERRE:
-        # l_j(x) = sqrt2 L_j(2x) e^{-x}; weight folded into the start values.
+        # l_j(x) = sqrt2 L_j(2x) e^{-x}; weight folded into the start values:
+        # l_0 = sqrt2 e^{-x}, l_1 = sqrt2 (1 - 2x) e^{-x} and
+        # l_j = ((2j - 1 - 2x) l_{j-1} - (j - 1) l_{j-2}) / j
         e = np.exp(-x)
         out[0] = np.sqrt(2.0) * e
         if m > 1:
-            out[1] = np.sqrt(2.0) * (1.0 - 2.0 * x) * e
+            np.subtract.outer(np.arange(1.0, 2 * m - 2, 2.0), 2.0 * x, out=out[1:])
+            out[1] *= math.sqrt(2.0)
+            out[1] *= e
+        scratch = np.empty(x.size)
         for j in range(2, m):
-            out[j] = ((2 * j - 1 - 2.0 * x) * out[j - 1] - (j - 1) * out[j - 2]) / j
+            row = out[j]
+            row *= out[j - 1]
+            np.multiply(out[j - 2], j - 1, out=scratch)
+            row -= scratch
+            row /= j
     elif fam is Family.HERMITE:
-        out[0] = np.pi ** -0.25 * np.exp(-x * x / 2.0)
+        # h_0 = pi^{-1/4} e^{-x^2/2}, h_1 = sqrt2 x h_0 and
+        # h_j = sqrt(2/j) x h_{j-1} - sqrt((j-1)/j) h_{j-2}
+        np.exp(x * x / -2.0, out=out[0])
+        out[0] *= np.pi ** -0.25
         if m > 1:
-            out[1] = np.sqrt(2.0) * x * out[0]
-        for j in range(2, m):
-            out[j] = np.sqrt(2.0 / j) * x * out[j - 1] - np.sqrt((j - 1) / j) * out[j - 2]
+            np.multiply.outer([math.sqrt(2.0 / j) for j in range(1, m)], x, out=out[1:])
+            out[1] *= out[0]
+            _three_term(out, [math.sqrt((j - 1) / j) for j in range(2, m)])
     else:  # LEGENDRE
+        # P_0 = 1/sqrt2, P_1 = sqrt(3/2) x and P_j = a_j x P_{j-1} - c_j P_{j-2}
         out[0] = 1.0 / np.sqrt(2.0)
         if m > 1:
-            out[1] = np.sqrt(1.5) * x
-        for j in range(2, m):
-            a_j = np.sqrt((2 * j + 1) * (2 * j - 1)) / j
-            c_j = (j - 1) / j * np.sqrt((2 * j + 1) / (2 * j - 3))
-            out[j] = a_j * x * out[j - 1] - c_j * out[j - 2]
+            a = [math.sqrt(1.5)] + [math.sqrt((2 * j + 1) * (2 * j - 1)) / j
+                                    for j in range(2, m)]
+            np.multiply.outer(a, x, out=out[1:])
+            _three_term(out, [(j - 1) / j * math.sqrt((2 * j + 1) / (2 * j - 3))
+                              for j in range(2, m)])
     return out
+
+
+def _three_term(out: np.ndarray, c) -> None:
+    """Finish rows j >= 2 of out, which hold a_j x, as
+    out[j] = (a_j x) out[j-1] - c_j out[j-2], with c = (c_2, c_3, ...):
+    three in-place ufunc calls per row and one scratch row, each the
+    operation the formula spells, so the bits are the formula's."""
+    scratch = np.empty(out.shape[1])
+    for j, c_j in enumerate(c, start=2):
+        row = out[j]
+        row *= out[j - 1]
+        np.multiply(out[j - 2], c_j, out=scratch)
+        row -= scratch
 
 
 def _trig_pairs(out: np.ndarray, theta: np.ndarray, amp: float,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dataio, simulation
 from .basis import BasisSpec, Family, parse_family
-from .design import Sample, default_d_constant, stability_check, trim_interval
+from .design import Sample, trim_interval, truncation_gate
 from .errors import DataFormatError, EmptyCollectionError, SingularGramError
 from .estimators import Strategy, truncate_fit
 from .selection import (EVAL_GRID_POINTS, KAPPA, _check_tuning, _fit_cache,
@@ -111,9 +111,7 @@ def _cmd_fit(args) -> int:
     fit = cache.fit(spec.m, strategy)
     if args.truncate:
         ext = spec.extended()
-        in_lambda, _ = stability_check(ext, cache.eigvals(ext.m), sample.n,
-                                       default_d_constant(sample.x))
-        fit = truncate_fit(fit, in_lambda)
+        fit = truncate_fit(fit, truncation_gate(ext, cache.eigvals(ext.m), sample.n))
     dataio.emit_curve(fit, grid, args.out)
     status = " (truncated to zero)" if fit.truncated_to_zero else ""
     print(f"strategy-{args.strategy} derivative fit at m={args.m}{status} -> {args.out}")

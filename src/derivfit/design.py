@@ -18,7 +18,8 @@ is_singular is the singular rule on them, and 1/lambda_min is the
 inverse's operator norm.  The basis values, the Gram, its eigenvalues
 per dimension and every least-squares coefficient vector belong to
 selection.DesignCache, which owns the factor.  The gates
-(stability_check, on spec, eigenvalues, n and d):
+(stability_check, on spec, eigenvalues, n and d; truncation_gate is the
+first alone, on spec, eigenvalues and n):
 
 * the truncation gate: L(m) * (||Gram^-1||_op or 1) <= c * n/log(n) with
   the fixed constant c = (3 log(3/2) - 1)/9;
@@ -158,13 +159,26 @@ def is_singular(eigvals: np.ndarray) -> bool:
 def trim_interval(sample: Sample) -> tuple[float, float]:
     """The 3%-97% empirical quantile range of the design points.
 
-    Quantiles use linear interpolation of the order statistics (numpy's
-    default rule: position (n-1)q, one-based (n-1)q + 1).
+    Each quantile q interpolates linearly between order statistics, by
+    numpy's default rule, which np.quantile(x, q) computes with the same
+    operations: at the zero-based position v = (n-1)q, with i = floor(v),
+    t = v - i, a = x_(i) and b = x_(i+1), it is a + (b-a)t, or
+    b - (b-a)(1-t) where t >= 0.5.  One partition places the order
+    statistics; it partitions at np.quantile's ranks, so tied values of
+    either sign (+0.0 and -0.0) come out as np.quantile's do.
     """
-    if sample.n < 2:
+    n = sample.n
+    if n < 2:
         raise ValueError("need at least two observations to trim")
-    lo, hi = np.quantile(sample.x, [0.03, 0.97])
-    return float(lo), float(hi)
+    at = [(n - 1) * q for q in (0.03, 0.97)]
+    first = [math.floor(v) for v in at]  # v < n - 1, so x_(i+1) exists
+    ordered = np.partition(sample.x, sorted({0, n - 1, *first, *(i + 1 for i in first)}))
+    ends = []
+    for v, i in zip(at, first):
+        t = v - i
+        a, b = float(ordered[i]), float(ordered[i + 1])
+        ends.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    return ends[0], ends[1]
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +202,21 @@ def default_d_constant(x) -> float:
     return x.size ** 3 / (max(f_sup, 1.0) + 1.0 / 3.0)
 
 
+def _budget(n: int) -> float:
+    return n / math.log(n) if n > 1 else math.inf
+
+
+def _in_lambda(lfac: float, op_inv: float, n: int) -> bool:
+    return lfac * max(op_inv, 1.0) <= STABILITY_C * _budget(n)
+
+
+def truncation_gate(spec: BasisSpec, eigvals: np.ndarray, n: int) -> bool:
+    """The truncation gate alone, stability_check's in_lambda, on the
+    ascending eigenvalues of spec's Gram (evaluate it at dimension m+p):
+    it reads no collection constant.  A singular Gram fails it."""
+    return not is_singular(eigvals) and _in_lambda(l_factor(spec), 1.0 / eigvals[0], n)
+
+
 def stability_check(spec: BasisSpec, eigvals: np.ndarray, n: int,
                     d_constant: float) -> tuple[bool, bool]:
     """The two gates, (in_lambda, in_collection), on the ascending
@@ -199,8 +228,6 @@ def stability_check(spec: BasisSpec, eigvals: np.ndarray, n: int,
     """
     if is_singular(eigvals):
         return False, False
-    lfac = l_factor(spec)
-    budget = n / math.log(n) if n > 1 else math.inf
-    op_inv = 1.0 / eigvals[0]
-    return (lfac * max(op_inv, 1.0) <= STABILITY_C * budget,
-            lfac * max(op_inv ** 2, 1.0) <= d_constant * budget)
+    lfac, op_inv = l_factor(spec), 1.0 / eigvals[0]
+    return (_in_lambda(lfac, op_inv, n),
+            lfac * max(op_inv ** 2, 1.0) <= d_constant * _budget(n))

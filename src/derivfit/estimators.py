@@ -48,7 +48,7 @@ class DerivativeFit:
 
 def truncate_fit(fit: DerivativeFit, in_lambda: bool) -> DerivativeFit:
     """Zero out the fit unless the truncation gate at m+p passed
-    (in_lambda, design.stability_check's first flag)."""
+    (in_lambda: design.truncation_gate, stability_check's first flag)."""
     truncated = fit.truncated_to_zero or not in_lambda
     if truncated == fit.truncated_to_zero:
         return fit

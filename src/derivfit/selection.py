@@ -555,12 +555,15 @@ def _oracle_error_sweep(cache: DesignCache, m_grid, interval: tuple[float, float
     for each named target function, on EVAL_GRID_POINTS uniform points
     over interval: one basis evaluation on that grid at the top
     dimension's m+p columns, then one curve product and one trapezoid
-    call per target; derivative curves are Phi_{m+p} (Delta^T theta).
-    Raises SingularGramError when no dimension of m_grid is solvable."""
+    sum per target; derivative curves are Phi_{m+p} (Delta^T theta).
+    The sum is np.trapezoid's own expression, with the grid's steps
+    taken once.  Raises SingularGramError when no dimension of m_grid is
+    solvable."""
     dims = [m for m in m_grid if cache.solvable(m)]
     if not dims:
         raise SingularGramError("every candidate dimension has a singular Gram")
     grid = np.linspace(*interval, EVAL_GRID_POINTS)
+    steps = np.diff(grid)[:, None]
     thetas = cache.thetas(dims)
     spec = cache.spec_for(thetas.shape[0])
     ext = eval_basis(spec.extended(), grid)
@@ -568,9 +571,9 @@ def _oracle_error_sweep(cache: DesignCache, m_grid, interval: tuple[float, float
     for kind, target in targets.items():
         curves = (ext[:, :spec.m] @ thetas if kind == "regression"
                   else ext @ (delta_matrix(spec).T @ thetas))
-        values = eval_on_grid(target, grid)
-        errors[kind] = np.trapezoid((curves - values[:, None]) ** 2, grid, axis=0)
-    return {m: {kind: float(err[col]) for kind, err in errors.items()}
+        sq = (curves - eval_on_grid(target, grid)[:, None]) ** 2
+        errors[kind] = (steps * (sq[1:] + sq[:-1]) / 2.0).sum(0).tolist()
+    return {m: {kind: err[col] for kind, err in errors.items()}
             for col, m in enumerate(dims)}
 
 

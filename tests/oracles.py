@@ -1,6 +1,8 @@
 """Independent reference computations that the tests compare the package against.
 
-Nothing here runs in the package's pipeline.  The derivative recursion
+Nothing here runs in the package's pipeline.  The basis recurrences are
+written one vector expression per step, the form the package's in-place
+recurrences must match bit for bit.  The derivative recursion
 evaluates each family's derivatives from its own formulas, never through
 the link matrix.  The quadrature oracles compute
 projection coefficients, population Grams, density-weighted link
@@ -37,6 +39,65 @@ from derivfit.simulation import ExperimentReport, ReportRow
 
 class QuadratureError(DerivfitError):
     """Adaptive quadrature failed to reach the requested tolerance."""
+
+
+# ---------------------------------------------------------------------------
+# Basis recurrences
+# ---------------------------------------------------------------------------
+
+def basis_rows(spec: BasisSpec, x) -> np.ndarray:
+    """The basis values at the 1-D points x as an (m, n) array, each step
+    of a recurrence one vector expression of whole rows: the reference
+    that the package's in-place recurrences must match bit for bit.  The
+    trigonometric pairs are the powers of z = e^{i theta}, one out-of-place
+    complex product per frequency.  No clipping or masking: x is used as
+    given."""
+    x = np.asarray(x, dtype=float)
+    m = spec.m
+    fam = spec.family
+    out = np.empty((m, x.size))
+    if fam in (Family.TRIG_ODD, Family.HALF_TRIG):
+        if fam is Family.TRIG_ODD:
+            out[0] = 1.0
+            theta, amp = 2.0 * np.pi * x, np.sqrt(2.0)
+        else:
+            a, b = spec.interval  # type: ignore[misc]
+            w = b - a
+            out[0] = 1.0 / np.sqrt(w)
+            theta, amp = np.pi * ((x - a) / w), np.sqrt(2.0 / w)
+        z = np.empty(x.size, dtype=complex)
+        z.real = np.cos(theta)
+        z.imag = np.sin(theta)
+        p = z
+        for row in range(1, m, 2):
+            if row > 1:
+                p = p * z
+            pair = (p.imag, p.real) if fam is Family.HALF_TRIG else (p.real, p.imag)
+            out[row] = pair[0] * amp
+            if row + 1 < m:
+                out[row + 1] = pair[1] * amp
+    elif fam is Family.LAGUERRE:
+        e = np.exp(-x)
+        out[0] = np.sqrt(2.0) * e
+        if m > 1:
+            out[1] = np.sqrt(2.0) * (1.0 - 2.0 * x) * e
+        for j in range(2, m):
+            out[j] = ((2 * j - 1 - 2.0 * x) * out[j - 1] - (j - 1) * out[j - 2]) / j
+    elif fam is Family.HERMITE:
+        out[0] = np.pi ** -0.25 * np.exp(-x * x / 2.0)
+        if m > 1:
+            out[1] = np.sqrt(2.0) * x * out[0]
+        for j in range(2, m):
+            out[j] = np.sqrt(2.0 / j) * x * out[j - 1] - np.sqrt((j - 1) / j) * out[j - 2]
+    else:  # LEGENDRE
+        out[0] = 1.0 / np.sqrt(2.0)
+        if m > 1:
+            out[1] = np.sqrt(1.5) * x
+        for j in range(2, m):
+            a_j = np.sqrt((2 * j + 1) * (2 * j - 1)) / j
+            c_j = (j - 1) / j * np.sqrt((2 * j + 1) / (2 * j - 3))
+            out[j] = a_j * x * out[j - 1] - c_j * out[j - 2]
+    return out
 
 
 # ---------------------------------------------------------------------------

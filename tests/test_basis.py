@@ -3,12 +3,14 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import derivfit.basis
 import derivfit.design
 from derivfit.basis import (EVAL_BLOCK, BasisSpec, Family, admissible_dims,
                             delta_matrix, eval_basis, eval_basis_derivative,
@@ -16,7 +18,7 @@ from derivfit.basis import (EVAL_BLOCK, BasisSpec, Family, admissible_dims,
 from derivfit.design import Sample
 from derivfit.estimators import Strategy, evaluate_fit
 from derivfit.selection import DesignCache
-from oracles import derivative_recursion, l_prime_factor
+from oracles import basis_rows, derivative_recursion, l_prime_factor
 
 ALL_FAMILIES = [Family.TRIG_ODD, Family.HALF_TRIG, Family.LAGUERRE,
                 Family.HERMITE, Family.LEGENDRE]
@@ -114,6 +116,50 @@ def test_values_are_c_ordered_with_zero_rows_outside_the_support(family):
 
 
 BLOCK_EDGES = [1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 2 * EVAL_BLOCK + 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(ALL_FAMILIES), m=st.integers(1, 45),
+       n=st.sampled_from(BLOCK_EDGES).flatmap(lambda e: st.integers(max(1, e - 2), e + 2)),
+       seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 1.0))
+def test_recurrences_are_bitwise_the_one_line_formulas(family, m, n, seed, spread):
+    """_eval_rows fills each row in place; oracles.basis_rows writes each
+    step as one vector expression.  The operations are the same, so the
+    bits are: at points inside the support and outside it (where
+    eval_basis would clip), in any number of points."""
+    spec = make_spec(family, m, interval=(-0.7, 1.3))
+    lo, hi = quad_domain(spec)
+    pad = spread * (hi - lo)  # up to one domain width beyond either end
+    x = np.random.default_rng(seed).uniform(lo - pad, hi + pad, n)
+    assert derivfit.basis._eval_rows(spec, x).tobytes() == basis_rows(spec, x).tobytes()
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_values_at_huge_x_are_finite_and_warn_nothing(family):
+    """Past x = 746 (Laguerre) or |x| = 40 (Hermite) every value is a
+    signed zero; the recurrences used to overflow there (2x, a_j x) and
+    give NaN from inf * 0, or warn while computing x * x.  Values stay the
+    one-line formulas' bits wherever those are finite.  (A half-trig
+    interval as narrow as x's magnitude allows overflows the phase itself;
+    the interval here keeps it finite.)"""
+    spec = make_spec(family, 45, interval=(0.0, 4.0))
+    x = np.array([1e308, -1e308, 1.7e308, -1.7e308, 8e307, 1e154, -2e154, 1e100,
+                  1e4, 746.0, 745.0, 41.0, -40.0, 39.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = eval_basis(spec, x)
+    assert np.isfinite(vals).all()
+    lo, hi = spec.support
+    inside = (x >= lo) & (x <= hi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref = basis_rows(spec, np.clip(x, lo, hi)).T
+    ref[~inside] = 0.0
+    finite = np.isfinite(ref).all(axis=1)
+    assert vals[finite].tobytes() == ref[finite].tobytes()
+    if family in (Family.LAGUERRE, Family.HERMITE):
+        far = x >= 746.0 if family is Family.LAGUERRE else np.abs(x) >= 40.0
+        assert np.all(vals[far] == 0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -287,6 +333,12 @@ def test_spec_rejects_a_non_integer_dimension():
 def test_spec_rejects_a_half_trig_interval_that_is_not_a_pair():
     for interval in ((0.0,), (0.0, 1.0, 2.0), 0.5):
         with pytest.raises(ValueError, match=f"got {re.escape(repr(interval))}"):
+            BasisSpec(Family.HALF_TRIG, 3, interval)
+
+
+def test_spec_rejects_a_half_trig_interval_of_non_numbers():
+    for interval in (("0", "1"), (None, 1.0), (0.0, 1j)):
+        with pytest.raises(ValueError, match=rf"real numbers, got {re.escape(repr(interval))}"):
             BasisSpec(Family.HALF_TRIG, 3, interval)
 
 

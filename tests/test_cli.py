@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import derivfit.cli
+import derivfit.design
 import derivfit.selection
 import derivfit.simulation
 from derivfit.basis import BasisSpec, Family
@@ -82,6 +83,41 @@ def test_fit_truncate_keeps_a_curve_that_passes_the_gate(tmp_path):
     plain, truncated = (np.loadtxt(curves["4", t], delimiter=",", skiprows=1)[:, 1]
                         for t in (False, True))
     assert np.any(plain != 0.0) and np.all(truncated == 0.0)
+
+
+def test_fit_truncate_computes_no_collection_constant(sample_csv, tmp_path, monkeypatch):
+    # the truncation gate reads L(m+p), the Gram's eigenvalues and n only;
+    # the collection constant d (a histogram over the sample) is not needed
+    def refuse(x):
+        raise AssertionError("fit --truncate computed the collection constant")
+    for module in (derivfit.design, derivfit.selection, derivfit.cli):
+        monkeypatch.setattr(module, "default_d_constant", refuse, raising=False)
+    for m in ("1", "12"):
+        assert run_cli("fit", str(sample_csv), "--family", "hermite", "--m", m,
+                       "--truncate", "--out", str(tmp_path / "curve.csv")) == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["fit", "--m", "3"],
+                                  ["select", "--m-max", "3", "--sigma2", "0.1"]])
+def test_a_laguerre_point_at_huge_x_is_a_zero_row(tmp_path, capsys, argv):
+    # beyond x = 746 every Laguerre value is zero; at x = 1e308 the
+    # recurrence's 2x overflowed, and inf * 0 made the row NaN, so the fit
+    # failed as "singular" and the selection kept m = 1 only
+    rng = np.random.default_rng(4)
+    x, y = rng.uniform(0.0, 3.0, 8), rng.standard_normal(8)
+    outputs = []
+    for far in (1e4, 1e308):
+        x[5] = far
+        data, curve = tmp_path / f"far{far:g}.csv", tmp_path / f"curve{far:g}.csv"
+        np.savetxt(data, np.column_stack([x, y]), fmt="%.17g", delimiter=",",
+                   header="x,y", comments="")
+        assert run_cli(argv[0], str(data), "--family", "laguerre", *argv[1:],
+                       "--grid-lo", "0", "--grid-hi", "3", "--out", str(curve)) == 0
+        captured = capsys.readouterr()
+        outputs.append((captured.out.replace(str(curve), "c.csv"), captured.err,
+                        curve.read_bytes()))
+    assert outputs[0] == outputs[1] and outputs[1][1] == ""
 
 
 @pytest.mark.parametrize("command", ["fit", "select"])

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from derivfit.basis import BasisSpec, Family, eval_basis, l_factor
 from derivfit.design import (STABILITY_C, Sample, default_d_constant, gram,
-                             is_singular, stability_check, trim_interval)
+                             is_singular, stability_check, trim_interval,
+                             truncation_gate)
 from derivfit.selection import DesignCache
 from oracles import (build_design, derivative_recursion, empirical_inner,
                      empirical_norm, frobenius_norm, operator_norm, whitener)
@@ -182,3 +185,37 @@ def test_trim_interval_constant_and_permutation():
     s1 = Sample(x=x, y=np.zeros(101))
     s2 = Sample(x=x[rng.permutation(101)], y=np.zeros(101))
     assert trim_interval(s1) == trim_interval(s2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 3000), seed=st.integers(0, 2**32 - 1),
+       ties=st.sampled_from([None, 0, 1, 3]), constant=st.booleans(),
+       scale=st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 1e5, 1e300]))
+def test_trim_interval_is_bitwise_numpy_quantile(n, seed, ties, constant, scale):
+    """trim_interval spells out numpy's linear rule on one partition; its
+    ends are np.quantile's bits, signed zeros of tied values included."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    if ties is not None:
+        x = np.round(x, ties)
+    x = np.full(n, x[0]) if constant else x * scale  # scale 0: -0.0 and 0.0 only
+    expected = np.quantile(x, [0.03, 0.97])
+    got = trim_interval(Sample(x=x, y=np.zeros(n)))
+    assert all(type(end) is float for end in got)
+    assert np.array(got).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("family", [Family.HERMITE, Family.HALF_TRIG, Family.LEGENDRE])
+def test_truncation_gate_is_the_first_flag_of_stability_check(family):
+    rng = np.random.default_rng(9)
+    for n in (5, 60, 3000):
+        x = rng.uniform(-0.9, 0.9, n)
+        sample = Sample(x=x, y=np.zeros(n))
+        for m in (1, 2, 3, 6, 10):
+            spec = (BasisSpec(family, m, (-1.0, 1.0)) if family is Family.HALF_TRIG
+                    else BasisSpec(family, m))
+            eigvals = build_design(sample, spec)
+            gate = truncation_gate(spec, eigvals, n)
+            assert gate == stability_check(spec, eigvals, n, 1.0)[0]
+            if is_singular(eigvals):
+                assert not gate
