@@ -227,7 +227,13 @@ def _eval_rows(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
         a, b = spec.interval  # type: ignore[misc]
         w = b - a
         out[0] = 1.0 / np.sqrt(w)
-        _trig_pairs(out, np.pi * ((x - a) / w), np.sqrt(2.0 / w), sine_first=True)
+        u = (x - a) / w
+        # |u| >= 2^53 is an even integer: the same phase as fmod(u, 2) = +-0,
+        # where pi u would overflow for |u| beyond ~5.7e307
+        far = np.abs(u) >= 2.0 ** 53
+        if far.any():
+            u[far] = np.fmod(u[far], 2.0)
+        _trig_pairs(out, np.pi * u, np.sqrt(2.0 / w), sine_first=True)
     elif fam is Family.LAGUERRE:
         # l_j(x) = sqrt2 L_j(2x) e^{-x}; weight folded into the start values:
         # l_0 = sqrt2 e^{-x}, l_1 = sqrt2 (1 - 2x) e^{-x} and

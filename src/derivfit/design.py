@@ -13,11 +13,16 @@ the leading blocks of those of all columns, and the Gram's Cholesky
 factor is built row by row, so the factor of a leading block is bitwise
 the leading block of the factor: one top-dimension product and one
 factorization serve every nested dimension.  A Gram's ascending
-eigenvalues (design_from_matrices, values only) are all the gates read:
-is_singular is the singular rule on them, and 1/lambda_min is the
-inverse's operator norm.  The basis values, the Gram, its eigenvalues
-per dimension and every least-squares coefficient vector belong to
-selection.DesignCache, which owns the factor.  The gates
+eigenvalues (design_from_matrices, values only) are what the gates
+read: is_singular is the singular rule on them, and 1/lambda_min is the
+inverse's operator norm.  The factor bounds both for every leading
+block at once (certified_dims: one triangular inverse and two
+cumulative sums), which settles most dimensions' singular rule, and
+certified_collection most collection gates, with no eigendecomposition
+and with the answer the eigenvalues give; an eigendecomposition is left
+for the dimensions the bounds leave open.  The basis values, the Gram,
+its eigenvalues per dimension and every least-squares coefficient
+vector belong to selection.DesignCache, which owns the factor.  The gates
 (stability_check, on spec, eigenvalues, n and d; truncation_gate is the
 first alone, on spec, eigenvalues and n):
 
@@ -45,6 +50,19 @@ STABILITY_C = (3.0 * math.log(1.5) - 1.0) / 9.0
 
 # relative eigenvalue cutoff below which the Gram counts as singular
 SINGULAR_RTOL = 1e-10
+
+# rounding margin of certified_dims' bounds, so that each dimension they
+# settle is settled as the eigenvalues of design_from_matrices settle it.
+# Wherever either answer is "not singular", kappa(G) <~ 1e10, and there:
+# the computed factor L is the exact factor of G + dG with ||dG|| <=
+# m gamma_{m+1} ||G|| (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., Thm 10.3; < 2e-13 ||G|| for m <= 41), which moves
+# lambda_min by < 2e-3 relative; the computed inverse X has residual
+# |XL - I| <= c m eps |X||L|, ~ m eps sqrt(kappa) < 1e-8, so F is exact
+# to that; eigh's error, ~ m eps lambda_max, moves lambda_min by < 1e-4.
+# All sit far inside 10 %, so neither rule can contradict eigh.  The
+# margin was measured to settle most probes; it is not a knob.
+SINGULAR_MARGIN = 1.1
 
 # column width of the panels that gram and moments multiply; each entry
 # comes from a BLAS call of one shape on the same columns whatever the
@@ -144,6 +162,33 @@ def prefix_cholesky(psi_hat: np.ndarray) -> np.ndarray:
     return factor
 
 
+def certified_dims(psi_hat: np.ndarray, factor: np.ndarray
+                   ) -> tuple[np.ndarray, int, int]:
+    """What the prefix factor proves about every leading block, with no
+    eigendecomposition: (F, c, u).
+
+    F[m-1] = ||L_m^-1||_F^2, from one triangular inverse of factor (whose
+    leading blocks are the L_m^-1), bounds the smallest eigenvalue,
+    1/F_m <= lambda_min(G_m) <= m/F_m, and t_m = trace(G_m) the largest,
+    t_m/m <= lambda_max(G_m) <= t_m.  So dimension m is proved not
+    singular where SINGULAR_MARGIN * SINGULAR_RTOL * F_m t_m < 1, and
+    singular where SINGULAR_RTOL * F_m t_m >= SINGULAR_MARGIN * m^2.
+    c is the longest prefix of the factor's dimensions proved not
+    singular (F_m t_m does not decrease), u the first dimension proved
+    singular, or one past the factor if none is."""
+    k = len(factor)
+    if not k:
+        return np.empty(0), 0, 1
+    inverse, _ = scipy.linalg.lapack.dtrtri(factor, lower=1)
+    with np.errstate(over="ignore"):  # an inf F_m proves m singular
+        f = np.cumsum(np.einsum("ij,ij->i", inverse, inverse))
+        ratio = SINGULAR_RTOL * f * np.cumsum(np.diagonal(psi_hat)[:k])
+    proved = SINGULAR_MARGIN * ratio < 1.0
+    singular = np.flatnonzero(ratio >= SINGULAR_MARGIN * np.arange(1, k + 1) ** 2)
+    return (f, k if proved.all() else int(np.argmin(proved)),
+            int(singular[0]) + 1 if singular.size else k + 1)
+
+
 def design_from_matrices(psi_hat: np.ndarray) -> np.ndarray:
     """The ascending eigenvalues (values only) of the Gram psi_hat, e.g.
     the leading block of a wider Gram."""
@@ -210,6 +255,10 @@ def _in_lambda(lfac: float, op_inv: float, n: int) -> bool:
     return lfac * max(op_inv, 1.0) <= STABILITY_C * _budget(n)
 
 
+def _in_collection(lfac: float, op_inv: float, n: int, d_constant: float) -> bool:
+    return lfac * max(op_inv ** 2, 1.0) <= d_constant * _budget(n)
+
+
 def truncation_gate(spec: BasisSpec, eigvals: np.ndarray, n: int) -> bool:
     """The truncation gate alone, stability_check's in_lambda, on the
     ascending eigenvalues of spec's Gram (evaluate it at dimension m+p):
@@ -229,5 +278,20 @@ def stability_check(spec: BasisSpec, eigvals: np.ndarray, n: int,
     if is_singular(eigvals):
         return False, False
     lfac, op_inv = l_factor(spec), 1.0 / eigvals[0]
-    return (_in_lambda(lfac, op_inv, n),
-            lfac * max(op_inv ** 2, 1.0) <= d_constant * _budget(n))
+    return _in_lambda(lfac, op_inv, n), _in_collection(lfac, op_inv, n, d_constant)
+
+
+def certified_collection(spec: BasisSpec, f_m: float, n: int,
+                         d_constant: float) -> bool | None:
+    """stability_check's in_collection at spec's dimension m, settled
+    from f_m = ||L_m^-1||_F^2 (certified_dims' F) of a Gram proved not
+    singular, with no eigenvalue: ||Gram^-1||_op lies in [f_m/m, f_m],
+    so the gate passes where it passes at SINGULAR_MARGIN * f_m and fails
+    where it fails at f_m / (SINGULAR_MARGIN * m).  None where the bounds
+    leave it open."""
+    lfac = l_factor(spec)
+    if _in_collection(lfac, SINGULAR_MARGIN * f_m, n, d_constant):
+        return True
+    if not _in_collection(lfac, f_m / (SINGULAR_MARGIN * spec.m), n, d_constant):
+        return False
+    return None

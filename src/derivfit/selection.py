@@ -27,12 +27,19 @@ read come from one n-space product y - Phi theta over the members.  No
 dimension's Gram is eigendecomposed for a solve or a penalty: the edge
 of the collection and the first singular dimension are monotone in m
 (Cauchy interlacing, assumed to hold for the rounded eigenvalues too),
-so each is found by bisection, with one values-only eigendecomposition
-per probed dimension, memoized in the cache (eigvals); the gate and the
-singular rule read those eigenvalues alone.  A gated draw bisects once:
-a member passes the gate at m+p, so no Gram up to m+p is singular, and
-the first singular dimension is sought only by the oracle, a
-fixed-dimension fit or a solve above every member.
+so each is found by bisection.  The prefix factor settles most probes
+with no eigendecomposition (design.certified_dims): every dimension up
+to c is proved not singular and every one from u on singular, and a
+gate probe at m+p <= c is passed or failed from ||L^-1||_F^2 wherever
+the bounds decide it (design.certified_collection).  Only a probe the
+bounds leave open, between c and u or at a gate edge, costs one
+values-only eigendecomposition, memoized in the cache (eigvals); the
+gate and the singular rule read those eigenvalues alone, and each
+settled probe has the answer they would give.  A gated draw bisects
+once: a member passes the gate at m+p, so no Gram up to m+p is
+singular, and the first singular dimension is sought only by the
+oracle, a fixed-dimension fit or a solve above every member, and only
+between c and u.
 The collection gate (collection_members), the noise estimate and the gl
 and reuse choices are cores that read that cache; the simulation harness
 calls them on the cache of each draw.  The public selectors take their
@@ -74,9 +81,9 @@ import numpy as np
 import scipy.linalg
 
 from .basis import BasisSpec, Family, admissible_dims, delta_matrix, eval_basis
-from .design import (Sample, default_d_constant, design_from_matrices, gram,
-                     is_singular, moments, prefix_cholesky, stability_check,
-                     trim_interval)
+from .design import (Sample, certified_collection, certified_dims, default_d_constant,
+                     design_from_matrices, gram, is_singular, moments, prefix_cholesky,
+                     stability_check, trim_interval)
 from .errors import EmptyCollectionError, SingularGramError
 from .estimators import DerivativeFit, Strategy
 
@@ -146,15 +153,18 @@ class DesignCache:
     The singular dimensions form a suffix of 1..K (Cauchy interlacing:
     the Gram's smallest eigenvalue does not grow with m, its largest does
     not shrink), and this monotonicity is assumed wherever the cache
-    reads a bound.  eigvals(m), the ascending eigenvalues of the leading
-    m-by-m block (one values-only eigendecomposition, memoized), is
-    computed only for probes of a bisection: the collection gate's, at
-    m+p, and m_singular's, the first singular dimension.  A probed Gram
-    that is not singular, within the factor, makes every dimension up to
-    its own solvable, so solvable(m) bisects for m_singular only above
-    the largest such probe: after the gate, every member's theta,
-    residual and score needs no further eigendecomposition, while the
-    oracle and a fixed-dimension fit bisect as they need.
+    reads a bound.  certified, computed on first use from the Gram and
+    the factor alone, proves every dimension up to c not singular and
+    every one from u on singular.  eigvals(m), the ascending eigenvalues
+    of the leading m-by-m block (one values-only eigendecomposition,
+    memoized), is computed only for probes of a bisection that those
+    bounds leave open: the collection gate's, at m+p, and m_singular's,
+    which bisects only between c and u.  Every dimension up to c, or up
+    to a probed Gram that is not singular within the factor, is
+    solvable, so solvable(m) bisects for m_singular only above both:
+    after the gate, every member's theta, residual and score needs no
+    further eigendecomposition, while the oracle and a fixed-dimension
+    fit bisect as they need.
 
     trimmed, the sample's 3%-97% quantile range, is computed once: it is
     half-trig's interval when none is given, and the harness's scoring
@@ -207,19 +217,31 @@ class DesignCache:
         return self._eigvals[m]
 
     @functools.cached_property
+    def certified(self) -> tuple[np.ndarray, int, int]:
+        """certified_dims of the cache's Gram and factor, (F, c, u): the
+        dimensions up to c are proved not singular, those from u on
+        singular, with no eigendecomposition."""
+        return certified_dims(self._gram, self.factor)
+
+    @functools.cached_property
     def m_singular(self) -> int:
         """The first admissible dimension whose Gram is singular, by
-        bisection over eigvals; one past the factor's rows if none is (a
-        non-positive pivot at row i makes dimension i + 1 singular)."""
+        bisection over eigvals between the certified bounds c and u; one
+        past the factor's rows if none is (a non-positive pivot at row i
+        makes dimension i + 1 singular)."""
         dims = admissible_dims(self.family, len(self.factor))
-        i = bisect.bisect_left(dims, True, key=lambda m: is_singular(self.eigvals(m)))
+        _, proved_to, singular_from = self.certified
+        i = bisect.bisect_left(dims, True, bisect.bisect_right(dims, proved_to),
+                               bisect.bisect_left(dims, singular_from),
+                               key=lambda m: is_singular(self.eigvals(m)))
         return dims[i] if i < len(dims) else len(self.factor) + 1
 
     def solvable(self, m: int) -> bool:
-        """Whether m lies below m_singular: no bisection at or under the
-        largest non-singular Gram probed so far, since by monotonicity no
-        smaller Gram is singular either."""
-        return m <= self._solvable_to or m < self.m_singular
+        """Whether m lies below m_singular: no bisection at or under c or
+        the largest non-singular Gram probed so far, since by monotonicity
+        no smaller Gram is singular either."""
+        return (m <= self._solvable_to or m <= self.certified[1]
+                or m < self.m_singular)
 
     def theta(self, m: int) -> np.ndarray:
         """Least-squares coefficients at dimension m, L_m^T theta = z[:m]
@@ -346,9 +368,10 @@ def _whitened_derivative_gram(factor: np.ndarray, psi_prime: np.ndarray) -> np.n
     """L^-1 Psi' L^-T for the lower Cholesky factor L, exactly symmetric.
     L is triangular, so its leading m-by-m block is, up to rounding, the
     same product of the leading m-by-m blocks of L and Psi'."""
-    half = scipy.linalg.solve_triangular(factor, psi_prime, lower=True,
-                                         check_finite=False)
-    s = scipy.linalg.solve_triangular(factor, half.T, lower=True, check_finite=False)
+    # LAPACK dtrtrs, the routine solve_triangular calls, without its
+    # checks: BLAS dtrsm rounds a 1-by-1 factor (one member) differently
+    half = scipy.linalg.lapack.dtrtrs(factor, psi_prime, lower=1)[0]
+    s = scipy.linalg.lapack.dtrtrs(factor, half.T, lower=1)[0]
     return (s + s.T) / 2.0
 
 
@@ -365,8 +388,11 @@ def collection_members(cache: DesignCache, m_grid,
     assumes, no Gram smaller than a member's m+p is singular either:
     every member is solvable with no bisection for m_singular.  L(m+p)
     and ||Gram^-1|| do not decrease with m, so the members are a prefix
-    of the grid, found by bisection with stability_check on the probed
-    non-singular Grams only.
+    of the grid, found by bisection.  A probe at or above the cache's
+    certified u fails with no eigenvalue and no L(m+p); one at or under
+    its c is settled by certified_collection where the bounds decide it;
+    the rest read eigvals(m+p), and stability_check on the non-singular
+    ones.
     """
     if any(a >= b for a, b in zip(m_grid, m_grid[1:])):
         raise ValueError(f"the grid must be ascending without repeats, got {list(m_grid)}")
@@ -374,10 +400,18 @@ def collection_members(cache: DesignCache, m_grid,
     if d_constant is None:
         d_constant = default_d_constant(cache.sample.x)
 
+    f, proved_to, singular_from = cache.certified
+
     def fails(m: int) -> bool:
         ext = cache.spec_for(m).extended()
-        # a singular Gram fails the gate: skip stability_check's L(m+p)
-        if ext.m > len(cache.factor) or is_singular(cache.eigvals(ext.m)):
+        # a singular Gram fails the gate, proved or probed: skip L(m+p)
+        if ext.m >= singular_from:
+            return True
+        if ext.m <= proved_to:
+            settled = certified_collection(ext, f[ext.m - 1], n, d_constant)
+            if settled is not None:
+                return not settled
+        if is_singular(cache.eigvals(ext.m)):
             return True
         return not stability_check(ext, cache.eigvals(ext.m), n, d_constant)[1]
 

@@ -138,22 +138,26 @@ def test_recurrences_are_bitwise_the_one_line_formulas(family, m, n, seed, sprea
 def test_values_at_huge_x_are_finite_and_warn_nothing(family):
     """Past x = 746 (Laguerre) or |x| = 40 (Hermite) every value is a
     signed zero; the recurrences used to overflow there (2x, a_j x) and
-    give NaN from inf * 0, or warn while computing x * x.  Values stay the
-    one-line formulas' bits wherever those are finite.  (A half-trig
-    interval as narrow as x's magnitude allows overflows the phase itself;
-    the interval here keeps it finite.)"""
-    spec = make_spec(family, 45, interval=(0.0, 4.0))
+    give NaN from inf * 0, or warn while computing x * x.  Half-trig on
+    [a, b] = [0, 1] takes u = (x - a)/w >= 2^53, an even integer, at the
+    phase of fmod(u, 2) = +-0, the point x = a + w fmod(u, 2); pi u used to
+    overflow.  Values stay the one-line formulas' bits wherever those are
+    finite, at that point for such u."""
+    spec = make_spec(family, 45, interval=(0.0, 1.0))
     x = np.array([1e308, -1e308, 1.7e308, -1.7e308, 8e307, 1e154, -2e154, 1e100,
-                  1e4, 746.0, 745.0, 41.0, -40.0, 39.0, 0.5])
+                  2.0 ** 53, 2.0 ** 53 - 1, 1e4, 746.0, 745.0, 41.0, -40.0, 39.0, 0.5])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         vals = eval_basis(spec, x)
     assert np.isfinite(vals).all()
     lo, hi = spec.support
     inside = (x >= lo) & (x <= hi)
+    at = np.clip(x, lo, hi)
+    if family is Family.HALF_TRIG:
+        at = np.where(np.abs(x) >= 2.0 ** 53, np.fmod(x, 2.0), x)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ref = basis_rows(spec, np.clip(x, lo, hi)).T
+        ref = basis_rows(spec, at).T
     ref[~inside] = 0.0
     finite = np.isfinite(ref).all(axis=1)
     assert vals[finite].tobytes() == ref[finite].tobytes()

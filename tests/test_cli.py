@@ -120,6 +120,30 @@ def test_a_laguerre_point_at_huge_x_is_a_zero_row(tmp_path, capsys, argv):
     assert outputs[0] == outputs[1] and outputs[1][1] == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["fit", "--m", "3"],
+                                  ["select", "--m-max", "3", "--sigma2", "0.1"]])
+def test_a_half_trig_point_at_huge_x_keeps_its_phase(tmp_path, capsys, argv):
+    # on [0, 1], u = x - a = 1e308 is an even integer, so its phase is that
+    # of x = 0; pi u overflowed to inf and made the row NaN, so the fit
+    # failed as "singular" and the selection warned and kept m = 1
+    rng = np.random.default_rng(4)
+    x, y = rng.uniform(0.0, 1.0, 8), rng.standard_normal(8)
+    outputs = []
+    for far in (0.0, 1e308):
+        x[5] = far
+        data, curve = tmp_path / f"far{far:g}.csv", tmp_path / f"curve{far:g}.csv"
+        np.savetxt(data, np.column_stack([x, y]), fmt="%.17g", delimiter=",",
+                   header="x,y", comments="")
+        assert run_cli(argv[0], str(data), "--family", "half-trig", *argv[1:],
+                       "--interval", "0,1", "--grid-lo", "0", "--grid-hi", "1",
+                       "--out", str(curve)) == 0
+        captured = capsys.readouterr()
+        outputs.append((captured.out.replace(str(curve), "c.csv"), captured.err,
+                        curve.read_bytes()))
+    assert outputs[0] == outputs[1] and outputs[1][1] == ""
+
+
 @pytest.mark.parametrize("command", ["fit", "select"])
 def test_negative_interval_end_takes_the_equals_form(sample_csv, tmp_path, capsys,
                                                     command):

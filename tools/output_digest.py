@@ -11,8 +11,9 @@ source trees that behave the same on the corpus print identical lines:
 
 The corpus: ``simulate`` b1-b4 at n = 700 (seed 7); ``fit`` on the b2
 sample over the five families x m in {3, 8} x strategy 1/2 x with and
-without ``--truncate``; ``select`` gl/reuse/oracle x hermite/half-trig on
-the b3 sample; ``bench`` in oracle, gl and reuse mode over b1-b4 x
+without ``--truncate``, and hermite at m in {18, 19}, strategy 1/2, on
+either side of its first singular dimension (19); ``select``
+gl/reuse/oracle x hermite/half-trig on the b3 sample; ``bench`` in oracle, gl and reuse mode over b1-b4 x
 hermite, half-trig x n in {250, 1000} x 4 repetitions (seed 7);
 ``calibrate`` b3/hermite at n = 1000 with 6 seeds and b1/half-trig (whose
 basis rescales to each draw's trimmed range) at n = 250 with 4 seeds;
@@ -68,6 +69,12 @@ def corpus() -> list[list[tuple[str, list[str], list[str]]]]:
                                  ["fit", "b2.csv", "--family", family, "--m", m,
                                   "--strategy", strategy, *truncate, "--out", out],
                                  [out]))
+    for m in ("18", "19"):  # the first singular hermite dimension of b2.csv is 19
+        for strategy in ("1", "2"):
+            out = f"fit-hermite-m{m}-s{strategy}.csv"
+            rest.append((f"fit hermite m={m} strategy={strategy}",
+                         ["fit", "b2.csv", "--family", "hermite", "--m", m,
+                          "--strategy", strategy, "--out", out], [out]))
     for mode in MODES:
         for family in ("hermite", "half-trig"):
             out = f"select-{mode}-{family}.csv"
