@@ -106,7 +106,8 @@ class BasisSpec:
                 raise ValueError("HALF_TRIG requires a rescaling interval (a, b)")
             try:
                 a, b = self.interval
-                ordered = math.isfinite(a) and math.isfinite(b) and a < b
+                # a finite width needs finite ends, and rules out (-1e308, 1e308)
+                ordered = math.isfinite(b - a) and a < b
             except (TypeError, ValueError):
                 raise ValueError(f"the HALF_TRIG interval must be a pair (a, b) of real "
                                  f"numbers, got {self.interval!r}") from None
@@ -227,12 +228,18 @@ def _eval_rows(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
         a, b = spec.interval  # type: ignore[misc]
         w = b - a
         out[0] = 1.0 / np.sqrt(w)
-        u = (x - a) / w
-        # |u| >= 2^53 is an even integer: the same phase as fmod(u, 2) = +-0,
-        # where pi u would overflow for |u| beyond ~5.7e307
-        far = np.abs(u) >= 2.0 ** 53
-        if far.any():
-            u[far] = np.fmod(u[far], 2.0)
+        with np.errstate(over="ignore"):
+            u = (x - a) / w
+            # |u| >= 2^53 is an even integer: the same phase as fmod(u, 2) =
+            # +-0, where pi u would overflow for |u| beyond ~5.7e307
+            far = np.abs(u) >= 2.0 ** 53
+            if far.any():
+                # an inf u is x - a overflowing, for x and a near opposite
+                # ends of the range, where w is large and x/w - a/w finite;
+                # a u still inf (w < 1) is far, at the phase of +-0 too
+                np.copyto(u, x / w - a / w, where=np.isinf(u))
+                far = np.abs(u) >= 2.0 ** 53
+                u[far] = np.copysign(0.0, u[far])
         _trig_pairs(out, np.pi * u, np.sqrt(2.0 / w), sine_first=True)
     elif fam is Family.LAGUERRE:
         # l_j(x) = sqrt2 L_j(2x) e^{-x}; weight folded into the start values:

@@ -22,12 +22,13 @@ Gram, moments and factor, and builds Psi' from the Gram once when gl
 needs it.  One forward substitution z = L^-1 Phi^T y / n, prefix-exact
 like the factor, serves every member's coefficients: theta_m is one
 back-substitution of z[:m] against the leading block of L^T.  The
-residual mean squares that the noise estimate and the reuse contrast
-read come from one n-space product y - Phi theta over the members.  No
-dimension's Gram is eigendecomposed for a solve or a penalty: the edge
-of the collection and the first singular dimension are monotone in m
-(Cauchy interlacing, assumed to hold for the rounded eigenvalues too),
-so each is found by bisection.  The prefix factor settles most probes
+residual mean squares come from n-space products y - Phi theta: the
+noise estimate's, of the top member alone, and then the reuse
+contrast's, of the other members.  No dimension's Gram is
+eigendecomposed for a solve or a penalty: the edge of the collection and
+the first singular dimension are monotone in m (Cauchy interlacing,
+assumed to hold for the rounded eigenvalues too), so each is found by
+bisection.  The prefix factor settles most probes
 with no eigendecomposition (design.certified_dims): every dimension up
 to c is proved not singular and every one from u on singular, and a
 gate probe at m+p <= c is passed or failed from ||L^-1||_F^2 wherever
@@ -40,21 +41,24 @@ once: a member passes the gate at m+p, so no Gram up to m+p is
 singular, and the first singular dimension is sought only by the
 oracle, a fixed-dimension fit or a solve above every member, and only
 between c and u.
-The collection gate (collection_members), the noise estimate and the gl
-and reuse choices are cores that read that cache; the simulation harness
-calls them on the cache of each draw.  The public selectors take their
-tuning constants as keywords (kappa0 = kappa1 = KAPPA by default) and
-resolve their inputs in one prologue before any cache: _check_tuning,
-the one check of kappa0, kappa1, sigma2 (None: estimate it) and d, which
-the harness's config and `derivfit select` also make in every mode and
-calibrate_kappa once per kappa; the grid is taken ascending and without repeats and must be
-admissible, and an estimate of sigma2 must have room; then they build
-one cache, at the largest grid entry the sample can carry (a Gram of more
-columns than points is singular), and call the cores.  The cache is the
-package's one least-squares solve: every theta, the fixed-dimension fits
-included, is one of its leading-block solves, and DesignCache.fit turns
-theta_m into the strategy-1 fit and theta_{m+p} into the strategy-2 fit
--Delta theta_{m+p}.
+A Selection is the one selection pass over a sample, which
+estimate_sigma2, gl_select, reuse_select, the harness's gl and reuse
+draws and calibrate_kappa's draws all build.  It resolves its inputs in
+one prologue before any cache: _check_tuning, the one check of kappa0,
+kappa1 (KAPPA by default), sigma2 (None: estimate it) and d, which the
+harness's config and `derivfit select` also make in every mode and
+calibrate_kappa once per kappa; the grid is taken ascending and without
+repeats and must be admissible, and an estimate of sigma2 must have room.
+Then it builds one cache, at the largest grid entry the sample can carry
+(a Gram of more columns than points is singular), gates the grid
+(collection_members) and estimates sigma^2; the reuse contrast and gl's
+penalties and pairwise distances are computed on first use, once per
+pass; compare(kappa0, kappa1) is gl's choice from them, and gl(kappa0,
+kappa1) the same choice as a SelectionTrace.  The
+cache is the package's one least-squares solve: every theta, the
+fixed-dimension fits included, is one of its leading-block solves, and
+DesignCache.fit turns theta_m into the strategy-1 fit and theta_{m+p}
+into the strategy-2 fit -Delta theta_{m+p}.
 fit_derivative_1/2 are that call on a cache of their own, built at the
 fit's dimension once the sample can carry it (m, or m+p for strategy 2,
 at most n).  Grid scoring (_oracle_error_sweep, the one scoring path of
@@ -127,7 +131,6 @@ class TraceRow:
 class SelectionTrace:
     rows: tuple[TraceRow, ...]
     m_hat: int
-    strategy: str
 
     @property
     def members(self) -> list[int]:
@@ -375,11 +378,10 @@ def _whitened_derivative_gram(factor: np.ndarray, psi_prime: np.ndarray) -> np.n
     return (s + s.T) / 2.0
 
 
-def collection_members(cache: DesignCache, m_grid,
-                       d_constant: float | None) -> list[int]:
+def collection_members(cache: DesignCache, m_grid, d_constant: float) -> list[int]:
     """The dimensions of the ascending grid m_grid (as _checked_m_grid
     returns it) whose extended Gram's conditioning passes the gate under
-    d (None: the sample-dependent default); an empty collection raises
+    the collection constant d; an empty collection raises
     EmptyCollectionError.
 
     Membership is checked at m+p: m is a member when m+p is within the
@@ -397,9 +399,6 @@ def collection_members(cache: DesignCache, m_grid,
     if any(a >= b for a, b in zip(m_grid, m_grid[1:])):
         raise ValueError(f"the grid must be ascending without repeats, got {list(m_grid)}")
     n = cache.sample.n
-    if d_constant is None:
-        d_constant = default_d_constant(cache.sample.x)
-
     f, proved_to, singular_from = cache.certified
 
     def fails(m: int) -> bool:
@@ -436,50 +435,13 @@ def _cache_top(m_grid, n: int) -> int:
 
 def _check_room_for_sigma2(n: int, m_grid, family: Family) -> None:
     """The residual estimate of sigma^2 needs n > 2 m_max: the one check
-    of that rule, made before the first cache by _selection_inputs (the
-    prologue of gl_select, reuse_select and estimate_sigma2), by the
-    harness's config in gl and reuse mode and by calibrate_kappa (and
-    again by _sigma2 on the members)."""
+    of that rule, made before the first cache by every Selection that
+    estimates sigma^2, by the harness's config in gl and reuse mode and by
+    calibrate_kappa before its sweep."""
     m_max = max(m_grid)
     if n <= 2 * m_max:
         raise ValueError(f"estimating sigma2 needs n > 2*m_max, but n = {n} with "
                          f"m_max = {m_max} ({family.value}); raise n or lower m_max")
-
-
-def _sigma2(cache: DesignCache, members: list[int],
-            sigma2: float | None = None) -> float:
-    """The given noise level, or (None) the residual mean square at the
-    largest member, corrected for the fitted degrees of freedom."""
-    if sigma2 is not None:
-        return float(sigma2)
-    n = cache.sample.n
-    _check_room_for_sigma2(n, members, cache.family)
-    m = members[-1]
-    return float(cache.residual_ms([m])[0]) * n / (n - m)
-
-
-def _gl_choice(cache: DesignCache, members: list[int], sigma2: float,
-               kappa0: float, kappa1: float
-               ) -> tuple[int, dict[int, float], dict[int, float]]:
-    """The pairwise-comparison choice: (m_hat, V-hat per member, A per member).
-
-    All pairs at once in coefficient space: the squared empirical distance
-    of the fits at members i < j is (theta_i - theta_j)^T Psi'
-    (theta_i - theta_j) with zero-padded coefficients.  Each member's
-    V-hat reads the leading block of one whitened derivative Gram.
-    """
-    n, k = cache.sample.n, max(members)
-    psi_prime = cache.psi_prime[:k, :k]
-    whitened = _whitened_derivative_gram(cache.factor[:k, :k], psi_prime)
-    v = np.array([penalty_v_hat(whitened[:m, :m], sigma2, n) for m in members])
-    thetas = cache.thetas(members)
-    diff = thetas[:, :, None] - thetas[:, None, :]
-    dist = (diff * np.tensordot(psi_prime, diff, 1)).sum(axis=0)
-    # strict upper pairs (the m-wedge fit coincides with the m2 fit for
-    # m2 <= m); the zeros left on and below the diagonal clip A at 0
-    a = np.triu(dist - kappa0 * v, 1).max(axis=1)
-    m_hat = _first_minimum(members, a + kappa1 * v)
-    return m_hat, dict(zip(members, v.tolist())), dict(zip(members, a.tolist()))
 
 
 def _first_minimum(dims, values) -> int:
@@ -492,27 +454,88 @@ def _first_minimum(dims, values) -> int:
     return best_m
 
 
-def _reuse_choice(cache: DesignCache, members: list[int], sigma2: float) -> int:
-    """The member minimizing the residual empirical norm plus 2 sigma^2 m / n."""
-    n = cache.sample.n
-    return _first_minimum(members, cache.residual_ms(members)
-                          + 2.0 * sigma2 * np.asarray(members) / n)
+class Selection:
+    """One selection pass over a sample: the gate, sigma^2-hat and the
+    terms both choices read, on the sample's one DesignCache.
 
+    Building it runs the prologue before any cache (_check_tuning, the
+    grid as _checked_m_grid returns it and, when sigma2 is None, the room
+    for its estimate), builds the cache at _cache_top of the grid, gates
+    the grid (collection_members) and resolves sigma^2: the given value,
+    or the residual mean square at the largest member, corrected for the
+    fitted degrees of freedom.  cache, grid, members, sigma2 and
+    d_constant are the values as used.  kappa0 and kappa1 are checked
+    with the rest of the tuning; compare and gl take the constants they
+    compare with.
 
-def _selection_inputs(sample: Sample, family: Family, m_grid, sigma2: float | None,
-                      d_constant: float | None,
-                      interval: tuple[float, float] | None,
-                      kappa0: float = KAPPA, kappa1: float = KAPPA):
-    """The prologue of every public selector: the tuning constants and
-    the grid are checked, and the room for an estimate of sigma2 (None),
-    before the one cache is built.  Returns (cache, grid, members, sigma2)."""
-    _check_tuning(sigma2, d_constant, kappa0, kappa1)
-    m_grid = _checked_m_grid(m_grid, family, sample.n)
-    if sigma2 is None:
-        _check_room_for_sigma2(sample.n, m_grid, family)
-    cache = DesignCache(sample, family, _cache_top(m_grid, sample.n), interval)
-    members = collection_members(cache, m_grid, d_constant)
-    return cache, m_grid, members, _sigma2(cache, members, sigma2)
+    The rest is computed on first use, once per pass: the reuse contrast
+    (the residual mean square of each member plus 2 sigma^2 m / n) with
+    its choice m_reuse, and gl's penalty V-hat per member and the squared
+    empirical distances of every pair of member fits, from which
+    compare(kappa0, kappa1) makes gl's choice with one comparison per
+    kappa and gl(kappa0, kappa1) its SelectionTrace.  sigma^2-hat reads
+    the top member's residual in a product of its own, before the
+    contrast reads the rest, so each has the bits of its own product.
+    """
+
+    def __init__(self, sample: Sample, family: Family, m_grid=None,
+                 sigma2: float | None = None, d_constant: float | None = None,
+                 interval: tuple[float, float] | None = None,
+                 kappa0: float = KAPPA, kappa1: float = KAPPA):
+        _check_tuning(sigma2, d_constant, kappa0, kappa1)
+        self.grid = _checked_m_grid(m_grid, family, sample.n)
+        if sigma2 is None:
+            _check_room_for_sigma2(sample.n, self.grid, family)
+        self.cache = DesignCache(sample, family, _cache_top(self.grid, sample.n), interval)
+        # the checks above leave d and sigma2 None or positive
+        self.d_constant = d_constant or default_d_constant(sample.x)
+        self.members = collection_members(self.cache, self.grid, self.d_constant)
+        n, top = sample.n, self.members[-1]
+        self.sigma2 = float(sigma2 or self.cache.residual_ms([top])[0] * n / (n - top))
+
+    @functools.cached_property
+    def m_reuse(self) -> int:
+        """The member minimizing the reuse contrast: the residual mean
+        square plus 2 sigma^2 m / n."""
+        n = self.cache.sample.n
+        return _first_minimum(self.members, self.cache.residual_ms(self.members)
+                              + 2.0 * self.sigma2 * np.asarray(self.members) / n)
+
+    @functools.cached_property
+    def v_hat(self) -> np.ndarray:
+        """gl's penalty per member, each from the leading block of one
+        whitened derivative Gram."""
+        n, k = self.cache.sample.n, self.members[-1]
+        whitened = _whitened_derivative_gram(self.cache.factor[:k, :k],
+                                             self.cache.psi_prime[:k, :k])
+        return np.array([penalty_v_hat(whitened[:m, :m], self.sigma2, n)
+                         for m in self.members])
+
+    @functools.cached_property
+    def distances(self) -> np.ndarray:
+        """The squared empirical distances of the member fits, all pairs at
+        once in coefficient space: (theta_i - theta_j)^T Psi'
+        (theta_i - theta_j) with zero-padded coefficients."""
+        k, thetas = self.members[-1], self.cache.thetas(self.members)
+        diff = thetas[:, :, None] - thetas[:, None, :]
+        return (diff * np.tensordot(self.cache.psi_prime[:k, :k], diff, 1)).sum(axis=0)
+
+    def compare(self, kappa0: float, kappa1: float) -> tuple[int, np.ndarray]:
+        """The pairwise-comparison choice under kappa0 and kappa1 and the
+        bias proxy A per member: (m_hat, A)."""
+        # strict upper pairs (the m-wedge fit coincides with the m2 fit for
+        # m2 <= m); the zeros left on and below the diagonal clip A at 0
+        a = np.triu(self.distances - kappa0 * self.v_hat, 1).max(axis=1)
+        return _first_minimum(self.members, a + kappa1 * self.v_hat), a
+
+    def gl(self, kappa0: float, kappa1: float) -> SelectionTrace:
+        """compare's choice as a SelectionTrace, one row per grid entry with
+        V-hat and A for the members.  A caller that needs the choice alone
+        calls compare: the rows cost more than the comparison."""
+        m_hat, a = self.compare(kappa0, kappa1)
+        terms = dict(zip(self.members, zip(self.v_hat.tolist(), a.tolist())))
+        rows = tuple(TraceRow(m, m in terms, *terms.get(m, (None, None))) for m in self.grid)
+        return SelectionTrace(rows, m_hat)
 
 
 def estimate_sigma2(sample: Sample, family: Family,
@@ -520,7 +543,7 @@ def estimate_sigma2(sample: Sample, family: Family,
                     interval: tuple[float, float] | None = None) -> float:
     """Residual mean square at the largest collection member, corrected
     for the fitted degrees of freedom."""
-    return _selection_inputs(sample, family, m_grid, None, d_constant, interval)[3]
+    return Selection(sample, family, m_grid, None, d_constant, interval).sigma2
 
 
 def gl_select(sample: Sample, family: Family, m_grid=None,
@@ -540,13 +563,10 @@ def gl_select(sample: Sample, family: Family, m_grid=None,
     d_constant None the sample-dependent default, as in reuse_select.
     Returns the trace and the strategy-1 fit at the chosen dimension.
     """
-    cache, m_grid, members, sigma2 = _selection_inputs(
-        sample, family, m_grid, sigma2, d_constant, interval, kappa0, kappa1)
-    m_hat, v_hat, a_value = _gl_choice(cache, members, sigma2, kappa0, kappa1)
-    rows = tuple(TraceRow(m, m in v_hat, v_hat.get(m), a_value.get(m))
-                 for m in m_grid)
-    trace = SelectionTrace(rows=rows, m_hat=m_hat, strategy="gl")
-    return trace, cache.fit(m_hat, Strategy.DERIV_OF_PROJECTION)
+    selection = Selection(sample, family, m_grid, sigma2, d_constant, interval,
+                          kappa0, kappa1)
+    trace = selection.gl(kappa0, kappa1)
+    return trace, selection.cache.fit(trace.m_hat, Strategy.DERIV_OF_PROJECTION)
 
 
 def oracle_select(sample: Sample, family: Family, m_grid, truth,
@@ -619,7 +639,6 @@ def reuse_select(sample: Sample, family: Family, m_grid=None,
     """Select the dimension for the regression fit by penalized contrast
     (residual empirical norm plus 2 sigma^2 m / n) and reuse it for the
     derivative.  Returns (chosen m, strategy-1 derivative fit)."""
-    cache, _, members, sigma2 = _selection_inputs(sample, family, m_grid, sigma2,
-                                                  d_constant, interval)
-    best_m = _reuse_choice(cache, members, sigma2)
-    return best_m, cache.fit(best_m, Strategy.DERIV_OF_PROJECTION)
+    selection = Selection(sample, family, m_grid, sigma2, d_constant, interval)
+    return selection.m_reuse, selection.cache.fit(selection.m_reuse,
+                                                  Strategy.DERIV_OF_PROJECTION)

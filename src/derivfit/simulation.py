@@ -7,16 +7,20 @@ noise, builds the draw's one dimension sweep (a DesignCache, which
 rescales half-trig to the draw's trimmed range), selects a dimension per
 the configured mode for both the regression function and its derivative
 from that sweep, and scores squared L2 errors on the cache's trimmed
-range, the central 3%-97% quantile range of the design.  The gl and
-reuse modes gate the default grid with collection_members and estimate
-sigma^2 at every draw unless the config gives it (sigma2 None, the
-default, means estimate).  A draw on which the scoring finds no
-solvable dimension (its one SingularGramError) or the gate no member
-(EmptyCollectionError) is excluded and counted per cell; calibrate_kappa
-skips such a draw.  Reports aggregate means and standard deviations of
-100*MSE and of the selected dimensions.  Everything is a pure function
-of the config, including the seed, and a cell's rows depend only on its
-index and the seed.
+range, the central 3%-97% quantile range of the design.  A gl or reuse
+draw builds one selection.Selection on the default grid, which gates it
+and estimates sigma^2 unless the config gives it (sigma2 None, the
+default, means estimate), and reads the reuse choice and, in gl mode,
+gl's (Selection.compare, the choice without the trace's rows); a
+calibrate_kappa draw builds one pass and compares at every kappa.
+An oracle draw builds the cache alone and scores the whole grid.  A draw
+on which the scoring finds no solvable dimension (its one
+SingularGramError) or the gate no member (EmptyCollectionError) is
+excluded and counted per cell; calibrate_kappa skips such a draw.
+Reports aggregate means and standard deviations of 100*MSE and of the
+selected dimensions.  Everything is a pure function of the config,
+including the seed, and a cell's rows depend only on its index and the
+seed.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ import numpy as np
 from .basis import Family, parse_family
 from .design import Sample
 from .errors import EmptyCollectionError, SingularGramError
-from .selection import (KAPPA, DesignCache, _cache_top, _check_room_for_sigma2,
-                        _check_tuning, _first_minimum, _gl_choice, _oracle_error_sweep,
-                        _reuse_choice, _sigma2, collection_members, default_m_grid)
+from .selection import (KAPPA, DesignCache, Selection, _cache_top,
+                        _check_room_for_sigma2, _check_tuning, _first_minimum,
+                        _oracle_error_sweep, default_m_grid)
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,8 @@ def generate_sample(fn: TestFunction, n: int, sigma: float,
                     rng: np.random.Generator) -> Sample:
     """X standard normal, independent Gaussian noise with sd sigma."""
     _check_sigma(sigma)
+    if n < 1:
+        raise ValueError(f"the sample size n must be >= 1, got n = {n}")
     x = rng.standard_normal(n)
     eps = sigma * rng.standard_normal(n) if sigma > 0 else np.zeros(n)
     return Sample(x=x, y=fn.b(x) + eps)
@@ -144,14 +150,13 @@ def _run_repetition(config: ExperimentConfig, fn: TestFunction, family: Family,
     """One draw: returns ((err_b, dim_b), (err_bp, dim_bp))."""
     sample = generate_sample(fn, n, config.sigma, rng)
     m_grid = default_m_grid(family, n, config.m_max)
-    cache = DesignCache(sample, family, _cache_top(m_grid, n))
-    scored = m_grid  # the oracle scores the grid, a selector its choices
-    if config.mode != "oracle":
-        members = collection_members(cache, m_grid, config.d_constant)
-        sigma2 = _sigma2(cache, members, config.sigma2)
-        # regression dimension by the penalized contrast over the members
-        m_b = _reuse_choice(cache, members, sigma2)
-        m_bp = (_gl_choice(cache, members, sigma2, config.kappa0, config.kappa1)[0]
+    if config.mode == "oracle":  # no gate: the oracle scores the grid
+        cache, scored = DesignCache(sample, family, _cache_top(m_grid, n)), m_grid
+    else:  # the regression dimension by the reuse contrast over the members
+        selection = Selection(sample, family, m_grid, config.sigma2, config.d_constant,
+                              None, config.kappa0, config.kappa1)
+        cache, m_b = selection.cache, selection.m_reuse
+        m_bp = (selection.compare(config.kappa0, config.kappa1)[0]
                 if config.mode == "gl" else m_b)
         scored = {m_b, m_bp}
     errors = _oracle_error_sweep(cache, scored, cache.trimmed,
@@ -241,6 +246,9 @@ def calibrate_kappa(function: str, family_name: str, n: int, kappas,
     kappas = [float(k) for k in kappas]
     if not kappas:
         raise ValueError("kappas is empty: give at least one value to sweep")
+    # a repeated value would count every draw twice in its row
+    if repeated := sorted({k for k in kappas if kappas.count(k) > 1}):
+        raise ValueError(f"kappas repeats {repeated}: give each value once")
     for kappa in kappas:  # rejects a bad constant before the sweep
         _check_tuning(None, d_constant, kappa, kappa)
     m_grid = default_m_grid(family, n, m_max)
@@ -248,19 +256,16 @@ def calibrate_kappa(function: str, family_name: str, n: int, kappas,
     ratios: dict[float, list[float]] = {k: [] for k in kappas}
     dims: dict[float, list[int]] = {k: [] for k in kappas}
     for i in range(seeds):
-        rng = rng_for(seed, 9000 + i, 0)
-        sample = generate_sample(fn, n, sigma, rng)
-        cache = DesignCache(sample, family, _cache_top(m_grid, n))
+        sample = generate_sample(fn, n, sigma, rng_for(seed, 9000 + i, 0))
         try:
-            errors = _oracle_error_sweep(cache, m_grid, cache.trimmed,
+            selection = Selection(sample, family, m_grid, None, d_constant)
+            errors = _oracle_error_sweep(selection.cache, m_grid, selection.cache.trimmed,
                                          {"derivative": fn.b_prime})
-            members = collection_members(cache, m_grid, d_constant)
-            sigma2_hat = _sigma2(cache, members)
         except (SingularGramError, EmptyCollectionError):
             continue
         oracle_err = min(e["derivative"] for e in errors.values())
         for kappa in kappas:
-            m_hat = _gl_choice(cache, members, sigma2_hat, kappa, kappa)[0]
+            m_hat = selection.compare(kappa, kappa)[0]
             ratios[kappa].append(errors[m_hat]["derivative"] / max(oracle_err, 1e-300))
             dims[kappa].append(m_hat)
     out = []

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from derivfit.basis import BasisSpec, Family, eval_basis, eval_basis_derivative
-from derivfit.design import Sample, trim_interval
+from derivfit.design import Sample, default_d_constant, trim_interval
 from derivfit.dataio import save_report
 from derivfit.estimators import evaluate_fit
 from derivfit.selection import (DesignCache, _oracle_error_sweep,
@@ -162,7 +162,7 @@ def test_criterion_3_monotonicity():
             sample = Sample(x=rng.uniform(0, 1, 600), y=np.zeros(600))
         m_grid = default_m_grid(family, 600, 20)
         cache = DesignCache(sample, family, max(m_grid))
-        members = collection_members(cache, m_grid, None)
+        members = collection_members(cache, m_grid, default_d_constant(sample.x))
         k = max(members)
         whitened = _whitened_derivative_gram(cache.factor[:k, :k],
                                              cache.psi_prime[:k, :k])

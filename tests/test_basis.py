@@ -326,6 +326,36 @@ def test_spec_validation():
         BasisSpec(Family.LEGENDRE, 3, (0.0, 1.0))  # fixed support
 
 
+def test_spec_rejects_a_half_trig_interval_of_non_finite_width():
+    # the width of (-1e308, 1e308) overflows: every row was zero and a fit
+    # on it failed as numerically singular
+    for interval in ((-1e308, 1e308), (-math.inf, 0.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match=re.escape(f"invalid HALF_TRIG interval "
+                                                       f"{interval}")):
+            BasisSpec(Family.HALF_TRIG, 3, interval)
+    assert BasisSpec(Family.HALF_TRIG, 3, (-1e308, 7e307)).interval == (-1e308, 7e307)
+
+
+@pytest.mark.filterwarnings("error")
+def test_half_trig_rows_are_finite_where_x_minus_a_overflows():
+    """x - a overflows only for x and a near opposite ends of the float
+    range, where u = x/w - a/w is finite: on (-1e308, 0), x = 1e308 is
+    u = 2, the phase of x = a, and x = 1.5e308 is u = 2.5, that of
+    x = a + w/2.  A u that overflows itself (w < 1) is far like every
+    |u| >= 2^53, at the phase of x = a.  Each such point's row matches its
+    twin's within rounding, and the twins, where x - a and u are finite,
+    keep the one-line formulas' bits.  These rows used to be NaN."""
+    for interval, far, twins in (((-1e308, 0.0), [1e308, 1.5e308], [-1e308, -5e307]),
+                                 ((0.0, 0.5), [1e308, -1e308], [0.0, 0.0])):
+        spec = BasisSpec(Family.HALF_TRIG, 5, interval)
+        vals = eval_basis(spec, far)
+        twin_vals = eval_basis(spec, twins)
+        assert np.isfinite(vals).all()
+        assert twin_vals.tobytes() == basis_rows(spec, twins).T.tobytes()
+        amp = math.sqrt(2.0 / (interval[1] - interval[0]))
+        assert np.abs(vals - twin_vals).max() <= 1e-14 * amp, interval
+
+
 def test_spec_rejects_a_non_integer_dimension():
     with pytest.raises(TypeError, match=r"m = 3\.0"):
         BasisSpec(Family.HERMITE, 3.0)

@@ -145,6 +145,21 @@ def test_a_half_trig_point_at_huge_x_keeps_its_phase(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("command", ["fit", "select"])
+def test_a_half_trig_interval_of_overflowing_width_is_a_usage_error(sample_csv, tmp_path,
+                                                                     capsys, monkeypatch,
+                                                                     command):
+    # its width is inf, so every row was zero and the fit exited 3 as singular
+    _refuse_caches(monkeypatch)
+    capsys.readouterr()  # the fixture's output
+    m = ["--m", "3"] if command == "fit" else ["--m-max", "3"]
+    assert run_cli(command, str(sample_csv), "--family", "half-trig", *m,
+                   "--interval=-1e308,1e308", "--out", str(tmp_path / "c.csv")) == 1
+    captured = capsys.readouterr()
+    assert "invalid HALF_TRIG interval (-1e+308, 1e+308)" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["fit", "select"])
 def test_negative_interval_end_takes_the_equals_form(sample_csv, tmp_path, capsys,
                                                     command):
     # argparse reads a separate "-1.5,1.5" as an option, so the help text
@@ -571,6 +586,29 @@ def test_calibrate_without_room_for_sigma2_fails_before_any_work(tmp_path, capsy
     assert "needs n > 2*m_max, but n = 20 with m_max = 15" in captured.err
     assert captured.out == ""
     assert not calib.exists()
+
+
+@pytest.mark.parametrize("kappas", ["1,1", "1,1.0,2"])
+def test_calibrate_with_a_repeated_kappa_fails_before_any_work(tmp_path, capsys,
+                                                               monkeypatch, kappas):
+    # a repeated value used to sweep twice and count every draw twice in its row
+    _refuse_caches(monkeypatch)
+    calib = tmp_path / "calib.csv"
+    assert run_cli("calibrate", "--function", "b3", "--n", "250", "--seeds", "6",
+                   "--kappas", kappas, "--out", str(calib)) == 1
+    captured = capsys.readouterr()
+    assert "kappas repeats [1.0]: give each value once" in captured.err
+    assert captured.out == "" and not calib.exists()
+
+
+@pytest.mark.parametrize("n", ["-3", "0"])
+def test_simulate_without_observations_names_n(tmp_path, capsys, monkeypatch, n):
+    _refuse_caches(monkeypatch)
+    out = tmp_path / "sample.csv"
+    assert run_cli("simulate", "--n", n, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert f"the sample size n must be >= 1, got n = {n}" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])

@@ -19,12 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
-from derivfit import simulation
+import derivfit.selection
 from derivfit.basis import BasisSpec, Family, eval_basis, parse_family
 from derivfit.design import Sample, gram, is_singular, trim_interval
-from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, _oracle_error_sweep,
-                                _sigma2, collection_members, default_m_grid,
-                                fit_derivative_1, gl_select, reuse_select)
+from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, Selection,
+                                _oracle_error_sweep, default_m_grid, fit_derivative_1,
+                                gl_select, reuse_select)
 from derivfit.simulation import (TEST_FUNCTIONS, calibrate_kappa, generate_sample,
                                  rng_for)
 from oracles import derivative_columns
@@ -168,13 +168,14 @@ def test_designs_beyond_a_bounded_support(family, centre):
 @pytest.mark.parametrize("family_name", ["hermite", "half-trig"])
 def test_gl_penalties_and_comparisons_match_the_n_space_loop(family_name):
     for family, sample, interval in draws(family_name):
+        selection = Selection(sample, family, interval=interval)
         for kappa in (0.2, 1.0):
             trace, _ = gl_select(sample, family, interval=interval,
                                  kappa0=kappa, kappa1=kappa)
-            cache = DesignCache(sample, family, max(r.m for r in trace.rows), interval)
-            sigma2 = _sigma2(cache, trace.members)
-            m_hat, v_hat, a_value = n_space_gl(sample, cache.spec_for, trace.members,
-                                               sigma2, kappa, kappa)
+            assert selection.gl(kappa, kappa) == trace
+            m_hat, v_hat, a_value = n_space_gl(sample, selection.cache.spec_for,
+                                               trace.members, selection.sigma2,
+                                               kappa, kappa)
             rows = [r for r in trace.rows if r.in_collection]
             np.testing.assert_allclose([r.v_hat for r in rows],
                                        [v_hat[r.m] for r in rows], rtol=1e-10)
@@ -187,29 +188,37 @@ def test_gl_penalties_and_comparisons_match_the_n_space_loop(family_name):
 def test_reuse_choice_matches_the_n_space_loop(family_name):
     for family, sample, interval in draws(family_name):
         m_grid = default_m_grid(family, sample.n)
-        cache = DesignCache(sample, family, max(m_grid), interval)
-        members = collection_members(cache, m_grid, None)
+        selection = Selection(sample, family, m_grid, interval=interval)
         m_hat, _ = reuse_select(sample, family, m_grid, interval=interval)
-        assert m_hat == n_space_reuse(sample, cache.spec_for, members,
-                                      _sigma2(cache, members))
+        assert m_hat == n_space_reuse(sample, selection.cache.spec_for, selection.members,
+                                      selection.sigma2)
 
 
 @pytest.mark.parametrize("family_name", ["hermite", "half-trig"])
 def test_calibration_choices_match_the_n_space_loop(family_name, monkeypatch):
-    calls = []
-    original = simulation._gl_choice
+    """Each draw of the sweep is one pass: every kappa's choice is the
+    n-space loop's, and the penalties are computed once per member per
+    draw, not once per kappa."""
+    calls, penalties = [], []
+    original = Selection.compare
+    penalty = derivfit.selection.penalty_v_hat
 
-    def recording(cache, members, sigma2, kappa0, kappa1):
-        result = original(cache, members, sigma2, kappa0, kappa1)
-        calls.append((cache, list(members), sigma2, kappa0, kappa1, result[0]))
+    def recording(selection, kappa0, kappa1):
+        result = original(selection, kappa0, kappa1)
+        calls.append((selection, kappa0, kappa1, result[0]))
         return result
 
-    monkeypatch.setattr(simulation, "_gl_choice", recording)
+    monkeypatch.setattr(Selection, "compare", recording)
+    monkeypatch.setattr(derivfit.selection, "penalty_v_hat",
+                        lambda *args: penalties.append(args) or penalty(*args))
     calibrate_kappa("b3", family_name, 250, [0.1, 0.5, 2.0], seeds=6, seed=4)
     assert len(calls) == 18
-    for cache, members, sigma2, kappa0, kappa1, m_hat in calls:
-        assert m_hat == n_space_gl(cache.sample, cache.spec_for, members, sigma2,
-                                   kappa0, kappa1)[0]
+    passes = list({id(selection): selection for selection, *_ in calls}.values())
+    assert len(passes) == 6
+    assert len(penalties) == sum(len(selection.members) for selection in passes)
+    for selection, kappa0, kappa1, m_hat in calls:
+        assert m_hat == n_space_gl(selection.cache.sample, selection.cache.spec_for,
+                                   selection.members, selection.sigma2, kappa0, kappa1)[0]
 
 
 @pytest.mark.parametrize("family_name", ["hermite", "half-trig"])

@@ -12,8 +12,8 @@ import derivfit.estimators
 import derivfit.selection
 from derivfit.basis import Family, delta_matrix, eval_basis
 from derivfit.design import Sample, gram, is_singular, moments
-from derivfit.selection import (DesignCache, _gl_choice, _reuse_choice, _sigma2,
-                                collection_members, fit_derivative_1, fit_derivative_2)
+from derivfit.selection import (DesignCache, Selection, fit_derivative_1,
+                                fit_derivative_2)
 from oracles import build_design
 
 
@@ -129,12 +129,11 @@ def test_one_tall_product_per_cache(product_calls, monkeypatch, family):
     x = rng.standard_normal(1000)
     sample = Sample(x=x, y=x * x + 0.25 * rng.standard_normal(1000))
     m_grid = tuple(range(1, 31)) if family is Family.HERMITE else tuple(range(1, 31, 2))
-    cache = DesignCache(sample, family, max(m_grid))
+    selection = Selection(sample, family, m_grid, kappa0=0.5, kappa1=0.5)
+    cache, members = selection.cache, selection.members
     assert product_calls == {"gram": 1, "moments": 1}
-    members = collection_members(cache, m_grid, None)
-    sigma2 = _sigma2(cache, members)
-    _reuse_choice(cache, members, sigma2)
-    _gl_choice(cache, members, sigma2, 0.5, 0.5)
+    selection.m_reuse
+    selection.gl(0.5, 0.5)
     cache.thetas(members)
     assert product_calls == {"gram": 1, "moments": 1}
     for m in members:

@@ -26,7 +26,8 @@ from derivfit.design import (SINGULAR_MARGIN, SINGULAR_RTOL, Sample, _budget,
                              gram, is_singular, prefix_cholesky, stability_check,
                              trim_interval)
 from derivfit.errors import EmptyCollectionError
-from derivfit.selection import DesignCache, collection_members, gl_select, oracle_select
+from derivfit.selection import (DesignCache, Selection, collection_members, gl_select,
+                                oracle_select)
 
 
 def _same_bits(a, b):
@@ -60,11 +61,14 @@ def _scan_members(cache, top_gram, m_grid, n, d_constant):
     return members
 
 
-def _cache(family, n, m_hi, seed):
+def _sample(n, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
-    sample = Sample(x=x, y=x * x + 0.25 * rng.standard_normal(n))
-    return DesignCache(sample, family, m_hi)
+    return Sample(x=x, y=x * x + 0.25 * rng.standard_normal(n))
+
+
+def _cache(family, n, m_hi, seed):
+    return DesignCache(_sample(n, seed), family, m_hi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,12 +141,10 @@ def test_bisected_bounds_match_the_full_scan(family, n, m_hi, log_d, seed):
 def test_a_gated_draw_never_seeks_the_first_singular_dimension(family, n):
     """The gate proves its members solvable: the noise estimate, both
     choices and the scoring of the chosen dimensions read no m_singular."""
-    cache = _cache(family, n, min(40, n // 10), seed=n)
-    m_grid = admissible_dims(family, min(40, n // 10))
-    members = collection_members(cache, m_grid, None)
-    sigma2 = derivfit.selection._sigma2(cache, members)
-    chosen = {derivfit.selection._reuse_choice(cache, members, sigma2),
-              derivfit.selection._gl_choice(cache, members, sigma2, 1.0, 1.0)[0]}
+    selection = Selection(_sample(n, seed=n), family,
+                          admissible_dims(family, min(40, n // 10)))
+    cache = selection.cache
+    chosen = {selection.m_reuse, selection.gl(1.0, 1.0).m_hat}
     errors = derivfit.selection._oracle_error_sweep(
         cache, sorted(chosen), trim_interval(cache.sample), {"derivative": lambda t: 2.0 * t})
     assert sorted(errors) == sorted(chosen)
@@ -178,7 +180,8 @@ def test_one_factorization_and_logarithmically_many_probes(family, monkeypatch):
     assert counts == {"factor": 1, "design": counts["design"]}
     assert 0 <= counts["design"] <= bound  # a fully certified draw probes nothing
     searched = counts["design"]
-    collection_members(cache, admissible_dims(family, 40), None)
+    collection_members(cache, admissible_dims(family, 40),
+                       default_d_constant(cache.sample.x))
     assert counts["design"] - searched <= bound
     assert counts["factor"] == 1
 

@@ -6,7 +6,7 @@ import pytest
 
 import derivfit.selection
 from derivfit.basis import BasisSpec, Family, eval_basis
-from derivfit.design import Sample, trim_interval
+from derivfit.design import Sample, default_d_constant, trim_interval
 from derivfit.errors import EmptyCollectionError
 from derivfit.estimators import Strategy
 from derivfit.selection import (EVAL_GRID_POINTS, KAPPA, DesignCache, _first_minimum,
@@ -269,7 +269,7 @@ def test_reuse_selected_m_in_collection():
     m_grid = default_m_grid(Family.HALF_TRIG, 600)
     m, _ = reuse_select(sample, Family.HALF_TRIG, m_grid, sigma2=0.0625)
     cache = DesignCache(sample, Family.HALF_TRIG, max(m_grid))
-    assert m in collection_members(cache, m_grid, None)
+    assert m in collection_members(cache, m_grid, default_d_constant(sample.x))
 
 
 def test_reuse_tracks_derivative_oracle_dimension():
@@ -372,3 +372,20 @@ def test_an_empty_grid_is_rejected_before_any_cache(monkeypatch, select):
             select(sample, family, grid)
     with pytest.raises(TypeError, match="integer"):
         select(sample, Family.HERMITE, (1.0, 2.0))
+
+
+@pytest.mark.parametrize("family", [Family.HERMITE, Family.HALF_TRIG])
+def test_gl_select_reads_no_residual_but_the_noise_estimates(monkeypatch, family):
+    """gl never computes the reuse contrast: sigma^2-hat's one product, of
+    the top member alone, is the only residual gl_select reads, and a
+    given sigma^2 leaves none."""
+    calls = []
+    original = DesignCache.residual_ms
+    monkeypatch.setattr(DesignCache, "residual_ms",
+                        lambda cache, dims: calls.append(list(dims)) or original(cache, dims))
+    sample = normal_sample(5, 1000, TEST_FUNCTIONS["b3"].b)
+    trace, _ = gl_select(sample, family)
+    assert calls == [[trace.members[-1]]] and len(trace.members) > 1
+    calls.clear()
+    gl_select(sample, family, sigma2=0.0625)
+    assert calls == []

@@ -1,6 +1,7 @@
 """Test functions, sample generation, and the experiment runner."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from derivfit import simulation
 from derivfit.basis import Family
 from derivfit.design import Sample
 from derivfit.errors import SingularGramError
-from derivfit.selection import oracle_select
+from derivfit.selection import Selection, gl_select, oracle_select, reuse_select
 from derivfit.simulation import (ExperimentConfig, TEST_FUNCTIONS, best_kappa,
                                  calibrate_kappa, generate_sample, rng_for,
                                  run_experiment)
@@ -182,6 +183,19 @@ def test_calibration_rejects_an_unknown_function_or_no_kappas_before_any_draw(
         calibrate_kappa("b1", "hermite", 250, kappas=[], seeds=2)
 
 
+def test_calibration_rejects_a_repeated_kappa_before_any_draw(monkeypatch):
+    """A repeated value used to sweep twice and count every draw twice in
+    its row (q90 27.83 for [1.0, 1.0] against 19.47 for [1.0])."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(simulation, "generate_sample", no_draw)
+    for kappas, repeated in (([1.0, 1.0], "[1.0]"), ([1, 1.0, 2], "[1.0]"),
+                             ([0.5, 2, 0.5, 2.0, 4], "[0.5, 2.0]")):
+        with pytest.raises(ValueError, match=re.escape(f"kappas repeats {repeated}")):
+            calibrate_kappa("b3", "hermite", 250, kappas, seeds=6, seed=4)
+
+
 @pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
 def test_bad_collection_constant_is_rejected_up_front(d):
     for mode in ("gl", "reuse"):
@@ -233,8 +247,9 @@ def _all_negative(n, seed, cell_index, repetition):
 
 def test_a_draw_with_nothing_solvable_has_one_error_everywhere(monkeypatch):
     """Laguerre elements vanish on x < 0, so on an all-negative draw every
-    Gram is zero: the oracle raises, the harness excludes the draw and the
-    calibration skips it, all through the scoring's one error."""
+    Gram is zero: the oracle raises and the harness excludes the draw,
+    both through the scoring's one error, and the calibration skips it
+    (its pass finds no member before any scoring)."""
     message = "every candidate dimension has a singular Gram"
     sample = Sample(x=np.array([-1.5, -0.4, -0.1]), y=np.array([0.3, -0.2, 0.1]))
     with pytest.raises(SingularGramError, match=message):
@@ -252,11 +267,27 @@ def test_a_draw_with_nothing_solvable_has_one_error_everywhere(monkeypatch):
     # first and third
     assert [_all_negative(3, 9, 9000 + i, 0) for i in range(3)] == [True, False, True]
     gl_calls = []
-    gl_choice = simulation._gl_choice
-    monkeypatch.setattr(simulation, "_gl_choice",
-                        lambda *args: gl_calls.append(args) or gl_choice(*args))
+    compare = Selection.compare
+    monkeypatch.setattr(Selection, "compare",
+                        lambda *args: gl_calls.append(args) or compare(*args))
     (row,) = calibrate_kappa("b1", "laguerre", 3, [1.0], seeds=3, seed=9, m_max=1)
     assert len(gl_calls) == 1 and math.isfinite(row.median_ratio)
     (row,) = calibrate_kappa("b1", "laguerre", 3, [1.0], seeds=1, seed=9, m_max=1)
     assert row.kappa == 1.0 and all(math.isnan(value) for value in (
         row.median_ratio, row.mean_ratio, row.q90_ratio, row.median_dim))
+
+
+@pytest.mark.parametrize("family_name", ["hermite", "half-trig"])
+def test_a_harness_gl_draw_makes_the_selectors_choices(family_name):
+    """On the sample it draws, a gl repetition picks reuse_select's
+    dimension for the regression and gl_select's for the derivative."""
+    config = ExperimentConfig(functions=("b2",), families=(family_name,),
+                              n_list=(250, 1000), repetitions=3, mode="gl", seed=3)
+    fn, family = TEST_FUNCTIONS["b2"], Family(family_name)
+    for cell, n in enumerate(config.n_list):
+        for rep in range(config.repetitions):
+            (_, m_b), (_, m_bp) = simulation._run_repetition(
+                config, fn, family, n, rng_for(config.seed, cell, rep))
+            sample = generate_sample(fn, n, config.sigma, rng_for(config.seed, cell, rep))
+            assert m_b == reuse_select(sample, family)[0]
+            assert m_bp == gl_select(sample, family)[0].m_hat

@@ -16,9 +16,8 @@ from derivfit.basis import BasisSpec, Family, admissible_dims, eval_basis
 from derivfit.design import Sample
 from derivfit.errors import SingularGramError
 from derivfit.estimators import Strategy
-from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, _gl_choice,
-                                _oracle_error_sweep, _reuse_choice, _sigma2,
-                                collection_members, default_m_grid, estimate_sigma2,
+from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, Selection,
+                                _oracle_error_sweep, default_m_grid, estimate_sigma2,
                                 fit_derivative_1)
 from derivfit.simulation import TEST_FUNCTIONS
 
@@ -152,16 +151,15 @@ def test_an_offset_on_little_noise_keeps_the_n_space_residual(family):
     x = rng.standard_normal(n) if family is Family.HALF_TRIG else rng.uniform(0, 1, n)
     y = 1000.0 + TEST_FUNCTIONS["b1"].b(x) + 1e-3 * rng.standard_normal(n)
     interval = (-1.5, 1.5) if family is Family.HALF_TRIG else None
-    m_grid = default_m_grid(family, n)
-    cache = DesignCache(Sample(x=x, y=y), family, max(m_grid), interval)
-    members = collection_members(cache, m_grid, None)
+    selection = Selection(Sample(x=x, y=y), family, default_m_grid(family, n),
+                          interval=interval)
+    cache, members, sigma2 = selection.cache, selection.members, selection.sigma2
     for m, value in zip(members, cache.residual_ms(members)):
         direct = _n_space_residual_ms(cache, m)
         assert abs(value - direct) <= 1e-9 * direct, m
     m = members[-1]
-    sigma2 = _sigma2(cache, members)
     assert sigma2 == pytest.approx(_n_space_residual_ms(cache, m) * n / (n - m), rel=1e-9)
-    assert _reuse_choice(cache, members, sigma2) == _n_space_reuse(cache, members, sigma2)
+    assert selection.m_reuse == _n_space_reuse(cache, members, sigma2)
 
 
 @pytest.mark.parametrize("seed, family", [(3, Family.HERMITE), (5, Family.HERMITE),
@@ -169,25 +167,29 @@ def test_an_offset_on_little_noise_keeps_the_n_space_residual(family):
 def test_an_ill_conditioned_draw_keeps_the_n_space_residual(seed, family):
     """At the top regular dimension of these draws cond(Gram) is 1.6e9 to
     8.1e9, and the shortcut |y|^2/n - |z[:m]|^2 would be off by 7e-10 to
-    1.5e-9 relative (the Gram's rounding theta^T E theta); the reuse
-    contrast over every regular dimension and sigma^2-hat must match the
-    n-space loop."""
+    1.5e-9 relative (the Gram's rounding theta^T E theta); the residual of
+    every regular dimension must match the n-space product, and so must
+    sigma^2-hat and the reuse contrast of a pass whose gate (d = 1e300)
+    admits every dimension with a regular Gram at m+p (the top member's
+    cond(Gram) is 4.4e8 to 1.2e9)."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(60, 300))
     x = rng.standard_normal(n)
     sample = Sample(x=x, y=np.sin(2 * x) + 0.25 * rng.standard_normal(n))
-    cache = DesignCache(sample, family, 30, (-1.5, 1.5) if family is Family.HALF_TRIG
-                        else None)
+    interval = (-1.5, 1.5) if family is Family.HALF_TRIG else None
+    cache = DesignCache(sample, family, 30, interval)
     dims = [m for m in admissible_dims(family, 30) if m < cache.m_singular]
     top = dims[-1]
     assert np.linalg.cond(cache._gram[:top, :top]) > 1e9
     for m, value in zip(dims, cache.residual_ms(dims)):
         direct = _n_space_residual_ms(cache, m)
         assert abs(value - direct) <= 1e-11 * direct, m
-    sigma2 = _sigma2(cache, dims)
+    selection = Selection(sample, family, dims, d_constant=1e300, interval=interval)
+    members, sigma2, top = selection.members, selection.sigma2, selection.members[-1]
+    assert members == [m for m in dims if selection.cache.spec_for(m).extended().m in dims]
     assert sigma2 == pytest.approx(_n_space_residual_ms(cache, top) * n / (n - top),
                                    rel=1e-11)
-    assert _reuse_choice(cache, dims, sigma2) == _n_space_reuse(cache, dims, sigma2)
+    assert selection.m_reuse == _n_space_reuse(cache, members, sigma2)
 
 
 @pytest.mark.parametrize("family", [Family.HERMITE, Family.HALF_TRIG])
@@ -207,12 +209,13 @@ def test_one_forward_substitution_per_cache(monkeypatch, family):
     x = rng.standard_normal(1000)
     sample = Sample(x=x, y=x * x + 0.25 * rng.standard_normal(1000))
     m_grid = tuple(range(1, 31)) if family is Family.HERMITE else tuple(range(1, 31, 2))
-    cache = DesignCache(sample, family, max(m_grid))
-    built = len(forward)  # the prefix factor's rows
-    members = collection_members(cache, m_grid, None)
-    sigma2 = _sigma2(cache, members)
-    _reuse_choice(cache, members, sigma2)
-    _gl_choice(cache, members, sigma2, 0.5, 0.5)
+    DesignCache(sample, family, max(m_grid))
+    built = len(forward)  # the prefix factor's rows, as the pass's cache builds them
+    forward.clear()
+    selection = Selection(sample, family, m_grid, kappa0=0.5, kappa1=0.5)
+    cache, members = selection.cache, selection.members
+    selection.m_reuse
+    selection.gl(0.5, 0.5)
     _oracle_error_sweep(cache, m_grid, (-1.0, 1.0),
                         {"regression": lambda t: t, "derivative": lambda t: t})
     cache.thetas(members)

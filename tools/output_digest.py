@@ -13,8 +13,11 @@ The corpus: ``simulate`` b1-b4 at n = 700 (seed 7); ``fit`` on the b2
 sample over the five families x m in {3, 8} x strategy 1/2 x with and
 without ``--truncate``, and hermite at m in {18, 19}, strategy 1/2, on
 either side of its first singular dimension (19); ``select``
-gl/reuse/oracle x hermite/half-trig on the b3 sample; ``bench`` in oracle, gl and reuse mode over b1-b4 x
-hermite, half-trig x n in {250, 1000} x 4 repetitions (seed 7);
+gl/reuse/oracle x hermite/half-trig on the b3 sample, and gl/reuse x
+hermite/half-trig there with sigma^2, kappa0, kappa1 and d given
+(``TUNING``); ``bench`` in oracle, gl and reuse mode over b1-b4 x
+hermite, half-trig x n in {250, 1000} x 4 repetitions (seed 7), and in
+gl mode with sigma2 = 0.0625;
 ``calibrate`` b3/hermite at n = 1000 with 6 seeds and b1/half-trig (whose
 basis rescales to each draw's trimmed range) at n = 250 with 4 seeds;
 and, past one block of the basis evaluation (``basis.EVAL_BLOCK``
@@ -47,6 +50,8 @@ repetitions = 4
 seed = 7
 mode = {mode}
 """
+# select's tuning flags at values other than their defaults
+TUNING = ["--sigma2", "0.0625", "--kappa0", "0.5", "--kappa1", "2", "--d-const", "1e5"]
 
 
 def corpus() -> list[list[tuple[str, list[str], list[str]]]]:
@@ -81,6 +86,12 @@ def corpus() -> list[list[tuple[str, list[str], list[str]]]]:
             rest.append((f"select {mode} {family}",
                          ["select", "b3.csv", "--family", family, "--mode", mode,
                           "--function", "b3", "--out", out], [out]))
+    for mode in ("gl", "reuse"):  # sigma^2, kappa and d given: 9 and 13 members
+        for family in ("hermite", "half-trig"):
+            out = f"select-tuned-{mode}-{family}.csv"
+            rest.append((f"select tuned {mode} {family}",
+                         ["select", "b3.csv", "--family", family, "--mode", mode,
+                          *TUNING, "--out", out], [out]))
     for mode in ("gl", "oracle"):
         for family in ("hermite", "half-trig"):
             out = f"select-large-{mode}-{family}.csv"
@@ -95,7 +106,7 @@ def corpus() -> list[list[tuple[str, list[str], list[str]]]]:
         rest.append((f"fit large hermite m=3 strategy={strategy}-truncate",
                      ["fit", "large.csv", "--family", "hermite", "--m", "3",
                       "--strategy", strategy, "--truncate", "--out", out], [out]))
-    for mode in MODES:
+    for mode in (*MODES, "gl-sigma2"):
         rest.append((f"bench {mode}", ["bench", "--config", f"bench-{mode}.cfg",
                                        "--out", f"bench-{mode}.csv"],
                      [f"bench-{mode}.csv"]))
@@ -138,6 +149,8 @@ def main(argv=None) -> int:
         workdir = Path(tmp)
         for mode in MODES:
             (workdir / f"bench-{mode}.cfg").write_text(BENCH_CONFIG.format(mode=mode))
+        (workdir / "bench-gl-sigma2.cfg").write_text(BENCH_CONFIG.format(mode="gl")
+                                                     + "sigma2 = 0.0625\n")
         with ThreadPoolExecutor(max_workers=2) as pool:
             for phase in corpus():
                 for line in pool.map(lambda c: digest(*c, workdir, env), phase):
