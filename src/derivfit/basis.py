@@ -232,14 +232,12 @@ def _eval_rows(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
             u = (x - a) / w
             # |u| >= 2^53 is an even integer: the same phase as fmod(u, 2) =
             # +-0, where pi u would overflow for |u| beyond ~5.7e307
-            far = np.abs(u) >= 2.0 ** 53
-            if far.any():
+            if (np.abs(u) >= 2.0 ** 53).any():
                 # an inf u is x - a overflowing, for x and a near opposite
                 # ends of the range, where w is large and x/w - a/w finite;
                 # a u still inf (w < 1) is far, at the phase of +-0 too
                 np.copyto(u, x / w - a / w, where=np.isinf(u))
-                far = np.abs(u) >= 2.0 ** 53
-                u[far] = np.copysign(0.0, u[far])
+                np.copyto(u, np.copysign(0.0, u), where=np.abs(u) >= 2.0 ** 53)
         _trig_pairs(out, np.pi * u, np.sqrt(2.0 / w), sine_first=True)
     elif fam is Family.LAGUERRE:
         # l_j(x) = sqrt2 L_j(2x) e^{-x}; weight folded into the start values:

@@ -53,8 +53,9 @@ Then it builds one cache, at the largest grid entry the sample can carry
 (a Gram of more columns than points is singular), gates the grid
 (collection_members) and estimates sigma^2; the reuse contrast and gl's
 penalties and pairwise distances are computed on first use, once per
-pass; compare(kappa0, kappa1) is gl's choice from them, and gl(kappa0,
-kappa1) the same choice as a SelectionTrace.  The
+pass; compare() is gl's choice from them under the pass's kappa0 and
+kappa1 (or others given to it), and gl() the same choice as a
+SelectionTrace.  The
 cache is the package's one least-squares solve: every theta, the
 fixed-dimension fits included, is one of its leading-block solves, and
 DesignCache.fit turns theta_m into the strategy-1 fit and theta_{m+p}
@@ -463,10 +464,9 @@ class Selection:
     for its estimate), builds the cache at _cache_top of the grid, gates
     the grid (collection_members) and resolves sigma^2: the given value,
     or the residual mean square at the largest member, corrected for the
-    fitted degrees of freedom.  cache, grid, members, sigma2 and
-    d_constant are the values as used.  kappa0 and kappa1 are checked
-    with the rest of the tuning; compare and gl take the constants they
-    compare with.
+    fitted degrees of freedom.  cache, grid, members, sigma2,
+    d_constant, kappa0 and kappa1 are the values as used; compare and gl
+    use the pass's kappa0 and kappa1 unless given others.
 
     The rest is computed on first use, once per pass: the reuse contrast
     (the residual mean square of each member plus 2 sigma^2 m / n) with
@@ -483,6 +483,7 @@ class Selection:
                  interval: tuple[float, float] | None = None,
                  kappa0: float = KAPPA, kappa1: float = KAPPA):
         _check_tuning(sigma2, d_constant, kappa0, kappa1)
+        self.kappa0, self.kappa1 = kappa0, kappa1
         self.grid = _checked_m_grid(m_grid, family, sample.n)
         if sigma2 is None:
             _check_room_for_sigma2(sample.n, self.grid, family)
@@ -520,15 +521,19 @@ class Selection:
         diff = thetas[:, :, None] - thetas[:, None, :]
         return (diff * np.tensordot(self.cache.psi_prime[:k, :k], diff, 1)).sum(axis=0)
 
-    def compare(self, kappa0: float, kappa1: float) -> tuple[int, np.ndarray]:
-        """The pairwise-comparison choice under kappa0 and kappa1 and the
-        bias proxy A per member: (m_hat, A)."""
+    def compare(self, kappa0=None, kappa1=None) -> tuple[int, np.ndarray]:
+        """The pairwise-comparison choice under kappa0 and kappa1 (None:
+        the pass's own, else checked as _check_tuning does) and the bias
+        proxy A per member: (m_hat, A)."""
+        kappa0 = self.kappa0 if kappa0 is None else kappa0
+        kappa1 = self.kappa1 if kappa1 is None else kappa1
+        _check_tuning(None, None, kappa0, kappa1)
         # strict upper pairs (the m-wedge fit coincides with the m2 fit for
         # m2 <= m); the zeros left on and below the diagonal clip A at 0
         a = np.triu(self.distances - kappa0 * self.v_hat, 1).max(axis=1)
         return _first_minimum(self.members, a + kappa1 * self.v_hat), a
 
-    def gl(self, kappa0: float, kappa1: float) -> SelectionTrace:
+    def gl(self, kappa0=None, kappa1=None) -> SelectionTrace:
         """compare's choice as a SelectionTrace, one row per grid entry with
         V-hat and A for the members.  A caller that needs the choice alone
         calls compare: the rows cost more than the comparison."""
@@ -563,9 +568,8 @@ def gl_select(sample: Sample, family: Family, m_grid=None,
     d_constant None the sample-dependent default, as in reuse_select.
     Returns the trace and the strategy-1 fit at the chosen dimension.
     """
-    selection = Selection(sample, family, m_grid, sigma2, d_constant, interval,
-                          kappa0, kappa1)
-    trace = selection.gl(kappa0, kappa1)
+    selection = Selection(sample, family, m_grid, sigma2, d_constant, interval, kappa0, kappa1)
+    trace = selection.gl()
     return trace, selection.cache.fit(trace.m_hat, Strategy.DERIV_OF_PROJECTION)
 
 

@@ -152,12 +152,13 @@ def _run_repetition(config: ExperimentConfig, fn: TestFunction, family: Family,
     m_grid = default_m_grid(family, n, config.m_max)
     if config.mode == "oracle":  # no gate: the oracle scores the grid
         cache, scored = DesignCache(sample, family, _cache_top(m_grid, n)), m_grid
-    else:  # the regression dimension by the reuse contrast over the members
-        selection = Selection(sample, family, m_grid, config.sigma2, config.d_constant,
-                              None, config.kappa0, config.kappa1)
+    else:  # the regression dimension by the reuse contrast over the members;
+        # with m_max None the pass gets no grid and builds the default one
+        # itself, skipping the check a given grid needs (~5 us a draw)
+        selection = Selection(sample, family, config.m_max and m_grid, config.sigma2,
+                              config.d_constant, None, config.kappa0, config.kappa1)
         cache, m_b = selection.cache, selection.m_reuse
-        m_bp = (selection.compare(config.kappa0, config.kappa1)[0]
-                if config.mode == "gl" else m_b)
+        m_bp = selection.compare()[0] if config.mode == "gl" else m_b
         scored = {m_b, m_bp}
     errors = _oracle_error_sweep(cache, scored, cache.trimmed,
                                  {"regression": fn.b, "derivative": fn.b_prime})

@@ -133,7 +133,7 @@ def test_one_tall_product_per_cache(product_calls, monkeypatch, family):
     cache, members = selection.cache, selection.members
     assert product_calls == {"gram": 1, "moments": 1}
     selection.m_reuse
-    selection.gl(0.5, 0.5)
+    selection.gl()
     cache.thetas(members)
     assert product_calls == {"gram": 1, "moments": 1}
     for m in members:

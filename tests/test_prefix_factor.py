@@ -144,7 +144,7 @@ def test_a_gated_draw_never_seeks_the_first_singular_dimension(family, n):
     selection = Selection(_sample(n, seed=n), family,
                           admissible_dims(family, min(40, n // 10)))
     cache = selection.cache
-    chosen = {selection.m_reuse, selection.gl(1.0, 1.0).m_hat}
+    chosen = {selection.m_reuse, selection.gl().m_hat}
     errors = derivfit.selection._oracle_error_sweep(
         cache, sorted(chosen), trim_interval(cache.sample), {"derivative": lambda t: 2.0 * t})
     assert sorted(errors) == sorted(chosen)

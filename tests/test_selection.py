@@ -9,11 +9,11 @@ from derivfit.basis import BasisSpec, Family, eval_basis
 from derivfit.design import Sample, default_d_constant, trim_interval
 from derivfit.errors import EmptyCollectionError
 from derivfit.estimators import Strategy
-from derivfit.selection import (EVAL_GRID_POINTS, KAPPA, DesignCache, _first_minimum,
-                                _oracle_error_sweep, _whitened_derivative_gram,
-                                collection_members, default_m_grid, estimate_sigma2,
-                                fit_derivative_1, gl_select, oracle_select,
-                                penalty_v_hat, reuse_select)
+from derivfit.selection import (EVAL_GRID_POINTS, KAPPA, DesignCache, Selection,
+                                _first_minimum, _oracle_error_sweep,
+                                _whitened_derivative_gram, collection_members,
+                                default_m_grid, estimate_sigma2, fit_derivative_1,
+                                gl_select, oracle_select, penalty_v_hat, reuse_select)
 from derivfit.simulation import (TEST_FUNCTIONS, ExperimentConfig, generate_sample,
                                  rng_for)
 
@@ -143,6 +143,23 @@ def test_bad_tuning_is_rejected_before_any_cache_in_every_mode(monkeypatch):
         if not tuning.keys() & {"kappa0", "kappa1"}:  # reuse has no kappa
             with pytest.raises(ValueError, match=message):
                 reuse_select(sample, Family.HERMITE, **tuning)
+
+
+def test_a_pass_compares_with_its_own_checked_kappas():
+    """compare and gl default to the pass's kappa0 and kappa1; constants
+    given to them are checked as the pass's own are."""
+    sample = normal_sample(5, 1000, TEST_FUNCTIONS["b3"].b)
+    selection = Selection(sample, Family.HALF_TRIG, kappa0=0.5, kappa1=2.0)
+    assert (selection.kappa0, selection.kappa1) == (0.5, 2.0)
+    trace = gl_select(sample, Family.HALF_TRIG, kappa0=0.5, kappa1=2.0)[0]
+    assert selection.gl() == selection.gl(0.5, 2.0) == trace
+    assert selection.compare()[0] == trace.m_hat
+    assert selection.gl(kappa1=8.0) == selection.gl(0.5, 8.0)
+    for kappa0, kappa1 in ((-1.0, -1.0), (0.0, None), (3.0, None), (None, np.inf)):
+        with pytest.raises(ValueError, match="require finite 0 < kappa0 <= kappa1"):
+            selection.compare(kappa0, kappa1)
+        with pytest.raises(ValueError, match="require finite 0 < kappa0 <= kappa1"):
+            selection.gl(kappa0, kappa1)
 
 
 def test_an_interval_for_a_fixed_support_family_is_rejected_before_the_basis(

@@ -17,8 +17,8 @@ from derivfit.design import Sample
 from derivfit.errors import SingularGramError
 from derivfit.estimators import Strategy
 from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, Selection,
-                                _oracle_error_sweep, default_m_grid, estimate_sigma2,
-                                fit_derivative_1)
+                                _first_minimum, _oracle_error_sweep, default_m_grid,
+                                estimate_sigma2, fit_derivative_1)
 from derivfit.simulation import TEST_FUNCTIONS
 
 EPS = np.finfo(float).eps
@@ -169,9 +169,11 @@ def test_an_ill_conditioned_draw_keeps_the_n_space_residual(seed, family):
     8.1e9, and the shortcut |y|^2/n - |z[:m]|^2 would be off by 7e-10 to
     1.5e-9 relative (the Gram's rounding theta^T E theta); the residual of
     every regular dimension must match the n-space product, and so must
-    sigma^2-hat and the reuse contrast of a pass whose gate (d = 1e300)
-    admits every dimension with a regular Gram at m+p (the top member's
-    cond(Gram) is 4.4e8 to 1.2e9)."""
+    sigma^2-hat's own one-dimension product at the top regular dimension
+    and the reuse contrast over every regular dimension, and sigma^2-hat
+    and the reuse contrast of a pass whose gate (d = 1e300) admits every
+    dimension with a regular Gram at m+p (the top member's cond(Gram) is
+    4.4e8 to 1.2e9)."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(60, 300))
     x = rng.standard_normal(n)
@@ -184,6 +186,13 @@ def test_an_ill_conditioned_draw_keeps_the_n_space_residual(seed, family):
     for m, value in zip(dims, cache.residual_ms(dims)):
         direct = _n_space_residual_ms(cache, m)
         assert abs(value - direct) <= 1e-11 * direct, m
+    # sigma^2-hat's product: the top alone, on a cache of its own (no memo)
+    own = DesignCache(sample, family, top, interval).residual_ms([top])[0]
+    sigma2 = own * n / (n - top)
+    assert sigma2 == pytest.approx(_n_space_residual_ms(cache, top) * n / (n - top),
+                                   rel=1e-11)
+    contrast = cache.residual_ms(dims) + 2.0 * sigma2 * np.asarray(dims) / n
+    assert _first_minimum(dims, contrast) == _n_space_reuse(cache, dims, sigma2)
     selection = Selection(sample, family, dims, d_constant=1e300, interval=interval)
     members, sigma2, top = selection.members, selection.sigma2, selection.members[-1]
     assert members == [m for m in dims if selection.cache.spec_for(m).extended().m in dims]
@@ -215,7 +224,7 @@ def test_one_forward_substitution_per_cache(monkeypatch, family):
     selection = Selection(sample, family, m_grid, kappa0=0.5, kappa1=0.5)
     cache, members = selection.cache, selection.members
     selection.m_reuse
-    selection.gl(0.5, 0.5)
+    selection.gl()
     _oracle_error_sweep(cache, m_grid, (-1.0, 1.0),
                         {"regression": lambda t: t, "derivative": lambda t: t})
     cache.thetas(members)
