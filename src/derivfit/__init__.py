@@ -17,7 +17,7 @@ from .design import (Sample, default_d_constant, stability_check, trim_interval,
 from .errors import (DataFormatError, DerivfitError, EmptyCollectionError,
                      SingularGramError)
 from .estimators import DerivativeFit, Strategy, evaluate_fit, truncate_fit
-from .selection import (SelectionTrace, default_m_grid, estimate_sigma2, fit_derivative_1,
+from .selection import (Selection, default_m_grid, estimate_sigma2, fit_derivative_1,
                         fit_derivative_2, gl_select, oracle_select, reuse_select)
 from .simulation import (ExperimentConfig, ExperimentReport, TEST_FUNCTIONS,
                          TestFunction, calibrate_kappa, generate_sample,

@@ -62,10 +62,11 @@ def _spec_for(family: Family, m: int, sample: Sample, interval: Range | None,
 def _parse_interval(text: str | None) -> Range | None:
     if text is None:
         return None
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--interval expects 'a,b', got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:  # a count other than two fails the unpacking, a non-number float()
+        lo, hi = (float(s) for s in text.split(","))
+    except ValueError:
+        raise ValueError(f"--interval expects 'a,b', got {text!r}") from None
+    return lo, hi
 
 
 def _trim(sample: Sample, trimmed: Range | None, purpose: str) -> Range:
@@ -134,10 +135,10 @@ def _cmd_select(args) -> int:
         eval_iv = _trim(sample, trimmed, "the oracle's scoring interval")
     grid = _grid_for(args, sample, trimmed) if args.out else None
     if args.mode == "gl":
-        trace, fit = gl_select(sample, family, m_grid, args.sigma2, args.d_const,
-                               interval, args.kappa0, args.kappa1)
-        m_hat = trace.m_hat
-        print(f"selected m = {m_hat} from members {trace.members}")
+        selection, fit = gl_select(sample, family, m_grid, args.sigma2, args.d_const,
+                                   interval, args.kappa0, args.kappa1)
+        m_hat = selection.m_hat
+        print(f"selected m = {m_hat} from members {selection.members}")
     elif args.mode == "reuse":
         m_hat, fit = reuse_select(sample, family, m_grid, sigma2=args.sigma2,
                                   d_constant=args.d_const, interval=interval)
@@ -169,7 +170,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    kappas = [float(s) for s in args.kappas.split(",")]
+    try:
+        kappas = [float(s) for s in args.kappas.split(",")]
+    except ValueError:
+        raise ValueError(f"--kappas expects comma-separated numbers, "
+                         f"got {args.kappas!r}") from None
     rows = simulation.calibrate_kappa(
         args.function, args.family, args.n, kappas, seeds=args.seeds,
         sigma=args.sigma, seed=args.seed, d_constant=args.d_const,

@@ -159,11 +159,10 @@ _CONFIG_FIELDS = {
 _CONFIG_KEYS = {*_CONFIG_FIELDS, "output"}
 
 
-def parse_config_text(text: str) -> dict:
-    """The config's key -> value strings; a malformed line, an unknown
-    key or a key set twice raises DataFormatError with its line."""
-    values: dict[str, str] = {}
-    lines: dict[str, int] = {}
+def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
+    """The config's key -> (value string, 1-based line); a malformed line,
+    an unknown key or a key set twice raises DataFormatError with its line."""
+    entries: dict[str, tuple[str, int]] = {}
     for i, raw in enumerate(text.splitlines()):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -174,20 +173,27 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise DataFormatError(f"unknown config key {key!r}", line=i + 1)
-        if key in lines:
+        if key in entries:
             raise DataFormatError(f"config key {key!r} is set twice, on lines "
-                                  f"{lines[key]} and {i + 1}", line=i + 1)
-        values[key], lines[key] = val.strip(), i + 1
-    return values
+                                  f"{entries[key][1]} and {i + 1}", line=i + 1)
+        entries[key] = val.strip(), i + 1
+    return entries
 
 
 def read_config(path) -> tuple[ExperimentConfig, str | None]:
     """Parse an experiment config file.  Returns (config, output path)."""
-    values = parse_config_text(Path(path).read_text(encoding="utf-8-sig"))
+    entries = parse_config_text(Path(path).read_text(encoding="utf-8-sig"))
+    fields = {}
+    for key, (field, parse) in _CONFIG_FIELDS.items():
+        if key in entries:
+            value, line = entries[key]
+            try:
+                fields[field] = parse(value)
+            except ValueError as exc:
+                raise DataFormatError(f"bad value for config key {key!r}: {exc}",
+                                      line=line) from exc
     try:
-        config = ExperimentConfig(**{field: parse(values[key])
-                                     for key, (field, parse) in _CONFIG_FIELDS.items()
-                                     if key in values})
+        config = ExperimentConfig(**fields)
     except ValueError as exc:
         raise DataFormatError(f"bad config value: {exc}") from exc
-    return config, values.get("output")
+    return config, entries["output"][0] if "output" in entries else None

@@ -22,14 +22,13 @@ certified_collection most collection gates, with no eigendecomposition
 and with the answer the eigenvalues give; an eigendecomposition is left
 for the dimensions the bounds leave open.  The basis values, the Gram,
 its eigenvalues per dimension and every least-squares coefficient
-vector belong to selection.DesignCache, which owns the factor.  The gates
-(stability_check, on spec, eigenvalues, n and d; truncation_gate is the
-first alone, on spec, eigenvalues and n):
+vector belong to selection.DesignCache, which owns the factor.  Each gate
+has one function, on spec, eigenvalues and n:
 
-* the truncation gate: L(m) * (||Gram^-1||_op or 1) <= c * n/log(n) with
+* truncation_gate: L(m) * (||Gram^-1||_op or 1) <= c * n/log(n) with
   the fixed constant c = (3 log(3/2) - 1)/9;
-* the collection gate: L(m) * (||Gram^-1||_op^2 or 1) <= d * n/log(n)
-  with a configurable constant d.
+* stability_check, the collection gate: L(m) * (||Gram^-1||_op^2 or 1)
+  <= d * n/log(n) with a configurable constant d, its fourth argument.
 
 Both gates are meant to be evaluated at the extended dimension m+p of the
 fit under consideration; singular Grams fail both.
@@ -260,30 +259,24 @@ def _in_collection(lfac: float, op_inv: float, n: int, d_constant: float) -> boo
 
 
 def truncation_gate(spec: BasisSpec, eigvals: np.ndarray, n: int) -> bool:
-    """The truncation gate alone, stability_check's in_lambda, on the
-    ascending eigenvalues of spec's Gram (evaluate it at dimension m+p):
-    it reads no collection constant.  A singular Gram fails it."""
+    """The truncation gate, with the first power of the Gram-inverse norm,
+    on the ascending eigenvalues of spec's Gram (evaluate it at dimension
+    m+p).  A singular Gram fails it."""
     return not is_singular(eigvals) and _in_lambda(l_factor(spec), 1.0 / eigvals[0], n)
 
 
 def stability_check(spec: BasisSpec, eigvals: np.ndarray, n: int,
-                    d_constant: float) -> tuple[bool, bool]:
-    """The two gates, (in_lambda, in_collection), on the ascending
-    eigenvalues of spec's Gram (evaluate them at dimension m+p).
-
-    in_lambda uses the first power of the Gram-inverse norm (truncation
-    gate), in_collection the square (selection gate); a singular Gram
-    fails both rather than raising.
-    """
-    if is_singular(eigvals):
-        return False, False
-    lfac, op_inv = l_factor(spec), 1.0 / eigvals[0]
-    return _in_lambda(lfac, op_inv, n), _in_collection(lfac, op_inv, n, d_constant)
+                    d_constant: float) -> bool:
+    """The collection gate, with the square of the Gram-inverse norm and
+    the constant d, on the ascending eigenvalues of spec's Gram (evaluate
+    it at dimension m+p).  A singular Gram fails it."""
+    return (not is_singular(eigvals)
+            and _in_collection(l_factor(spec), 1.0 / eigvals[0], n, d_constant))
 
 
 def certified_collection(spec: BasisSpec, f_m: float, n: int,
                          d_constant: float) -> bool | None:
-    """stability_check's in_collection at spec's dimension m, settled
+    """stability_check at spec's dimension m, settled
     from f_m = ||L_m^-1||_F^2 (certified_dims' F) of a Gram proved not
     singular, with no eigenvalue: ||Gram^-1||_op lies in [f_m/m, f_m],
     so the gate passes where it passes at SINGULAR_MARGIN * f_m and fails

@@ -54,9 +54,10 @@ Then it builds one cache, at the largest grid entry the sample can carry
 (collection_members) and estimates sigma^2; the reuse contrast and gl's
 penalties and pairwise distances are computed on first use, once per
 pass; compare() is gl's choice from them under the pass's kappa0 and
-kappa1 (or others given to it), and gl() the same choice as a
-SelectionTrace.  The
-cache is the package's one least-squares solve: every theta, the
+kappa1 (or others given to it) and m_hat that choice under its own.
+The pass is the selection's one record: gl_select returns it, and its
+grid, members, v_hat, compare()[1] and m_hat are what a caller reads.
+The cache is the package's one least-squares solve: every theta, the
 fixed-dimension fits included, is one of its leading-block solves, and
 DesignCache.fit turns theta_m into the strategy-1 fit and theta_{m+p}
 into the strategy-2 fit -Delta theta_{m+p}.
@@ -80,7 +81,6 @@ import functools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -118,24 +118,6 @@ def _check_tuning(sigma2: float | None, d_constant: float | None,
     if not _none_or_positive(d_constant):
         raise ValueError(f"the collection constant d must be finite and "
                          f"positive, got d = {d_constant!r}")
-
-
-@dataclass(frozen=True)
-class TraceRow:
-    m: int
-    in_collection: bool
-    v_hat: float | None = None
-    a_value: float | None = None
-
-
-@dataclass(frozen=True)
-class SelectionTrace:
-    rows: tuple[TraceRow, ...]
-    m_hat: int
-
-    @property
-    def members(self) -> list[int]:
-        return [r.m for r in self.rows if r.in_collection]
 
 
 class DesignCache:
@@ -334,12 +316,13 @@ def fit_derivative_2(sample: Sample, spec: BasisSpec) -> DerivativeFit:
 
 
 def default_m_grid(family: Family, n: int, m_max: int | None = None) -> tuple[int, ...]:
-    """Admissible dimensions up to min(40, n // 10) (or an explicit cap)."""
+    """Admissible dimensions up to min(40, n // 10) (or an explicit cap, at most n)."""
     if m_max is None:
         m_max = min(40, max(1, n // 10))
     elif m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    return tuple(admissible_dims(family, m_max))
+    # a Gram of more columns than points is singular: no entry above n is a member
+    return tuple(admissible_dims(family, min(m_max, n)))
 
 
 def _checked_m_grid(m_grid, family: Family, n: int) -> tuple[int, ...]:
@@ -394,8 +377,8 @@ def collection_members(cache: DesignCache, m_grid, d_constant: float) -> list[in
     of the grid, found by bisection.  A probe at or above the cache's
     certified u fails with no eigenvalue and no L(m+p); one at or under
     its c is settled by certified_collection where the bounds decide it;
-    the rest read eigvals(m+p), and stability_check on the non-singular
-    ones.
+    the rest read stability_check on eigvals(m+p), which fails a singular
+    Gram.
     """
     if any(a >= b for a, b in zip(m_grid, m_grid[1:])):
         raise ValueError(f"the grid must be ascending without repeats, got {list(m_grid)}")
@@ -411,9 +394,7 @@ def collection_members(cache: DesignCache, m_grid, d_constant: float) -> list[in
             settled = certified_collection(ext, f[ext.m - 1], n, d_constant)
             if settled is not None:
                 return not settled
-        if is_singular(cache.eigvals(ext.m)):
-            return True
-        return not stability_check(ext, cache.eigvals(ext.m), n, d_constant)[1]
+        return not stability_check(ext, cache.eigvals(ext.m), n, d_constant)
 
     members = list(m_grid[:bisect.bisect_left(m_grid, True, key=fails)])
     if not members:
@@ -465,17 +446,18 @@ class Selection:
     the grid (collection_members) and resolves sigma^2: the given value,
     or the residual mean square at the largest member, corrected for the
     fitted degrees of freedom.  cache, grid, members, sigma2,
-    d_constant, kappa0 and kappa1 are the values as used; compare and gl
-    use the pass's kappa0 and kappa1 unless given others.
+    d_constant, kappa0 and kappa1 are the values as used; compare uses
+    the pass's kappa0 and kappa1 unless given others, and m_hat is its
+    choice under them.
 
     The rest is computed on first use, once per pass: the reuse contrast
     (the residual mean square of each member plus 2 sigma^2 m / n) with
     its choice m_reuse, and gl's penalty V-hat per member and the squared
     empirical distances of every pair of member fits, from which
     compare(kappa0, kappa1) makes gl's choice with one comparison per
-    kappa and gl(kappa0, kappa1) its SelectionTrace.  sigma^2-hat reads
-    the top member's residual in a product of its own, before the
-    contrast reads the rest, so each has the bits of its own product.
+    kappa.  sigma^2-hat reads the top member's residual in a product of
+    its own, before the contrast reads the rest, so each has the bits of
+    its own product.
     """
 
     def __init__(self, sample: Sample, family: Family, m_grid=None,
@@ -533,14 +515,10 @@ class Selection:
         a = np.triu(self.distances - kappa0 * self.v_hat, 1).max(axis=1)
         return _first_minimum(self.members, a + kappa1 * self.v_hat), a
 
-    def gl(self, kappa0=None, kappa1=None) -> SelectionTrace:
-        """compare's choice as a SelectionTrace, one row per grid entry with
-        V-hat and A for the members.  A caller that needs the choice alone
-        calls compare: the rows cost more than the comparison."""
-        m_hat, a = self.compare(kappa0, kappa1)
-        terms = dict(zip(self.members, zip(self.v_hat.tolist(), a.tolist())))
-        rows = tuple(TraceRow(m, m in terms, *terms.get(m, (None, None))) for m in self.grid)
-        return SelectionTrace(rows, m_hat)
+    @functools.cached_property
+    def m_hat(self) -> int:
+        """gl's choice under the pass's own kappa0 and kappa1."""
+        return self.compare()[0]
 
 
 def estimate_sigma2(sample: Sample, family: Family,
@@ -556,7 +534,7 @@ def gl_select(sample: Sample, family: Family, m_grid=None,
               d_constant: float | None = None,
               interval: tuple[float, float] | None = None,
               kappa0: float = KAPPA, kappa1: float = KAPPA
-              ) -> tuple[SelectionTrace, DerivativeFit]:
+              ) -> tuple[Selection, DerivativeFit]:
     """Pick the dimension minimizing the pairwise-comparison criterion.
 
     For each member m, the bias proxy is the largest clipped excess of
@@ -566,11 +544,11 @@ def gl_select(sample: Sample, family: Family, m_grid=None,
     m_grid None means the family's admissible dimensions up to
     min(40, n // 10), sigma2 None an estimate from the residuals and
     d_constant None the sample-dependent default, as in reuse_select.
-    Returns the trace and the strategy-1 fit at the chosen dimension.
+    Returns the pass, whose m_hat is the chosen dimension, and the
+    strategy-1 fit there.
     """
     selection = Selection(sample, family, m_grid, sigma2, d_constant, interval, kappa0, kappa1)
-    trace = selection.gl()
-    return trace, selection.cache.fit(trace.m_hat, Strategy.DERIV_OF_PROJECTION)
+    return selection, selection.cache.fit(selection.m_hat, Strategy.DERIV_OF_PROJECTION)
 
 
 def oracle_select(sample: Sample, family: Family, m_grid, truth,

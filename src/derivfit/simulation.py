@@ -11,8 +11,8 @@ range, the central 3%-97% quantile range of the design.  A gl or reuse
 draw builds one selection.Selection on the default grid, which gates it
 and estimates sigma^2 unless the config gives it (sigma2 None, the
 default, means estimate), and reads the reuse choice and, in gl mode,
-gl's (Selection.compare, the choice without the trace's rows); a
-calibrate_kappa draw builds one pass and compares at every kappa.
+gl's (Selection.m_hat); a calibrate_kappa draw builds one pass and
+compares at every kappa.
 An oracle draw builds the cache alone and scores the whole grid.  A draw
 on which the scoring finds no solvable dimension (its one
 SingularGramError) or the gate no member (EmptyCollectionError) is
@@ -158,7 +158,7 @@ def _run_repetition(config: ExperimentConfig, fn: TestFunction, family: Family,
         selection = Selection(sample, family, config.m_max and m_grid, config.sigma2,
                               config.d_constant, None, config.kappa0, config.kappa1)
         cache, m_b = selection.cache, selection.m_reuse
-        m_bp = selection.compare()[0] if config.mode == "gl" else m_b
+        m_bp = selection.m_hat if config.mode == "gl" else m_b
         scored = {m_b, m_bp}
     errors = _oracle_error_sweep(cache, scored, cache.trimmed,
                                  {"regression": fn.b, "derivative": fn.b_prime})

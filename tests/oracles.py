@@ -15,7 +15,8 @@ the derivative sup factor) are direct n-space or dense forms of
 quantities the package computes another way.  The regression fit is the
 exception: it wraps the package's one least-squares solve, so the tests
 of its residual orthogonality and optimality check that solve.
-report_row looks up one cell of an experiment report.
+report_row looks up one cell of an experiment report, and gl_record
+reads a selection pass's gl terms as one comparable value.
 
 Tests import them as ``from oracles import ...``.
 """
@@ -278,6 +279,13 @@ def report_row(report: ExperimentReport, function: str, family: str, n: int,
         if (r.function, r.family, r.n, r.target) == (function, family, n, target):
             return r
     raise KeyError((function, family, n, target))
+
+
+def gl_record(selection, kappa0=None, kappa1=None) -> tuple:
+    """The pass's (members, m_hat, V-hat, A) under kappa0 and kappa1 (None:
+    its own), the arrays as lists, so == compares them entry by entry."""
+    m_hat, a_value = selection.compare(kappa0, kappa1)
+    return selection.members, m_hat, selection.v_hat.tolist(), a_value.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -273,9 +273,9 @@ def _gl_risk_ratios(function, family, n, kappa, seeds, seed_base):
                             (lo, hi) if family is Family.HALF_TRIG else None)
         errors = _oracle_error_sweep(cache, m_grid, (lo, hi), {"derivative": fn.b_prime})
         oracle_err = min(e["derivative"] for e in errors.values())
-        trace, _ = gl_select(sample, family, m_grid, sigma2=None,
-                             interval=cache.spec.interval, kappa0=kappa, kappa1=kappa)
-        ratios.append(errors[trace.m_hat]["derivative"] / max(oracle_err, 1e-300))
+        selection, _ = gl_select(sample, family, m_grid, sigma2=None,
+                                 interval=cache.spec.interval, kappa0=kappa, kappa1=kappa)
+        ratios.append(errors[selection.m_hat]["derivative"] / max(oracle_err, 1e-300))
     return np.asarray(ratios)
 
 

@@ -358,23 +358,24 @@ def test_selectors_build_no_cache_wider_than_the_sample(tmp_path, capsys, monkey
                                                         sample_csv, mode, family):
     """A Gram of more columns than points is singular, so a grid reaching
     past n = 400 selects as one that stops at n, from a cache of at most
-    n columns; the dimensions above n stay in the trace as excluded."""
+    n columns; a grid given to the library keeps its entries above n,
+    none of them a member."""
     _refuse_caches_wider_than_the_sample(monkeypatch)
     capsys.readouterr()  # the fixture's output
     outputs = []
-    for m_max in ("400", "450"):
+    for m_max in ("400", "450", "1000000"):
         curve = tmp_path / f"c{m_max}.csv"
         assert run_cli("select", str(sample_csv), "--family", family, "--mode", mode,
                        "--sigma2", "0.06", "--function", "b2", "--m-max", m_max,
                        "--out", str(curve)) == 0
         outputs.append((capsys.readouterr().out.replace(str(curve), "c.csv"),
                         curve.read_bytes()))
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     if mode == "gl" and family == "hermite":
-        trace, _ = derivfit.selection.gl_select(load_csv(sample_csv), Family.HERMITE,
-                                                range(1, 451), sigma2=0.06)
-        assert [r.m for r in trace.rows] == list(range(1, 451))
-        assert max(trace.members) < 400
+        selection, _ = derivfit.selection.gl_select(load_csv(sample_csv), Family.HERMITE,
+                                                    range(1, 451), sigma2=0.06)
+        assert list(selection.grid) == list(range(1, 451))
+        assert max(selection.members) < 400
 
 
 def test_the_harness_builds_no_cache_wider_than_the_sample(tmp_path, monkeypatch):
@@ -601,6 +602,28 @@ def test_calibrate_with_a_repeated_kappa_fails_before_any_work(tmp_path, capsys,
     assert captured.out == "" and not calib.exists()
 
 
+def test_calibrate_with_a_non_numeric_kappa_names_the_flag(tmp_path, capsys, monkeypatch):
+    _refuse_caches(monkeypatch)
+    calib = tmp_path / "calib.csv"
+    assert run_cli("calibrate", "--function", "b3", "--n", "250", "--seeds", "6",
+                   "--kappas", "1,abc", "--out", str(calib)) == 1
+    captured = capsys.readouterr()
+    assert "--kappas expects comma-separated numbers, got '1,abc'" in captured.err
+    assert captured.out == "" and not calib.exists()
+
+
+@pytest.mark.parametrize("line, key", [("kappa0 = abc", "kappa0"), ("n = 250, x", "n")])
+def test_a_config_value_that_does_not_parse_names_its_key_and_line(tmp_path, capsys,
+                                                                    monkeypatch, line, key):
+    _refuse_caches(monkeypatch)
+    cfg, out = tmp_path / "bench.cfg", tmp_path / "report.csv"
+    cfg.write_text(f"functions = b1\nfamilies = hermite\n{line}\nrepetitions = 2\n")
+    assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert f"line 3: bad value for config key {key!r}: " in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("n", ["-3", "0"])
 def test_simulate_without_observations_names_n(tmp_path, capsys, monkeypatch, n):
     _refuse_caches(monkeypatch)
@@ -662,7 +685,7 @@ def test_interval_for_a_fixed_support_fails_before_any_work(tmp_path, capsys,
     assert captured.out == "" and not curve.exists()
 
 
-@pytest.mark.parametrize("interval", ["1,2,3", "1"])
+@pytest.mark.parametrize("interval", ["1,2,3", "1", "a,b"])
 def test_malformed_interval_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                              sample_csv, interval):
     _refuse_caches(monkeypatch)

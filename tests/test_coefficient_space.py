@@ -27,7 +27,7 @@ from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, Selection,
                                 gl_select, reuse_select)
 from derivfit.simulation import (TEST_FUNCTIONS, calibrate_kappa, generate_sample,
                                  rng_for)
-from oracles import derivative_columns
+from oracles import derivative_columns, gl_record
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +155,10 @@ def test_designs_beyond_a_bounded_support(family, centre):
         reference = phi_prime.T @ phi_prime / sample.n
         assert (np.abs(cache.psi_prime[:m, :m] - reference).max()
                 <= 1e-12 * np.abs(reference).max())
-    trace, fit = gl_select(sample, family, range(1, 13))
-    assert trace.m_hat in trace.members and fit.m == trace.m_hat
+    selection, fit = gl_select(sample, family, range(1, 13))
+    assert selection.m_hat in selection.members and fit.m == selection.m_hat
     m_reuse, _ = reuse_select(sample, family, range(1, 13))
-    assert m_reuse in trace.members
+    assert m_reuse in selection.members
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +170,18 @@ def test_gl_penalties_and_comparisons_match_the_n_space_loop(family_name):
     for family, sample, interval in draws(family_name):
         selection = Selection(sample, family, interval=interval)
         for kappa in (0.2, 1.0):
-            trace, _ = gl_select(sample, family, interval=interval,
-                                 kappa0=kappa, kappa1=kappa)
-            assert selection.gl(kappa, kappa) == trace
+            chosen, _ = gl_select(sample, family, interval=interval,
+                                  kappa0=kappa, kappa1=kappa)
+            assert gl_record(selection, kappa, kappa) == gl_record(chosen)
+            members = chosen.members
             m_hat, v_hat, a_value = n_space_gl(sample, selection.cache.spec_for,
-                                               trace.members, selection.sigma2,
+                                               members, selection.sigma2,
                                                kappa, kappa)
-            rows = [r for r in trace.rows if r.in_collection]
-            np.testing.assert_allclose([r.v_hat for r in rows],
-                                       [v_hat[r.m] for r in rows], rtol=1e-10)
-            np.testing.assert_allclose([r.a_value for r in rows],
-                                       [a_value[r.m] for r in rows], rtol=1e-10)
-            assert trace.m_hat == m_hat
+            np.testing.assert_allclose(chosen.v_hat, [v_hat[m] for m in members],
+                                       rtol=1e-10)
+            np.testing.assert_allclose(chosen.compare()[1], [a_value[m] for m in members],
+                                       rtol=1e-10)
+            assert chosen.m_hat == m_hat
 
 
 @pytest.mark.parametrize("family_name", ["hermite", "half-trig"])
@@ -243,12 +243,9 @@ def test_gl_choice_is_invariant_under_permuting_the_sample(family_name):
     for i, (family, sample, interval) in enumerate(draws(family_name)):
         perm = np.random.default_rng(i).permutation(sample.n)
         shuffled = Sample(x=sample.x[perm], y=sample.y[perm])
-        trace, _ = gl_select(sample, family, interval=interval)
-        trace_p, _ = gl_select(shuffled, family, interval=interval)
-        assert trace_p.members == trace.members and trace_p.m_hat == trace.m_hat
-        rows = [r for r in trace.rows if r.in_collection]
-        rows_p = [r for r in trace_p.rows if r.in_collection]
-        np.testing.assert_allclose([r.v_hat for r in rows_p],
-                                   [r.v_hat for r in rows], rtol=1e-10)
-        np.testing.assert_allclose([r.a_value for r in rows_p],
-                                   [r.a_value for r in rows], rtol=1e-10)
+        selection, _ = gl_select(sample, family, interval=interval)
+        permuted, _ = gl_select(shuffled, family, interval=interval)
+        assert permuted.members == selection.members and permuted.m_hat == selection.m_hat
+        np.testing.assert_allclose(permuted.v_hat, selection.v_hat, rtol=1e-10)
+        np.testing.assert_allclose(permuted.compare()[1], selection.compare()[1],
+                                   rtol=1e-10)

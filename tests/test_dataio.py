@@ -125,8 +125,8 @@ def test_config_parsing():
     output = out.csv
     """
     values = parse_config_text(text)
-    assert values["functions"] == "b1, b3"
-    assert values["output"] == "out.csv"
+    assert values["functions"] == ("b1, b3", 3)
+    assert values["output"] == ("out.csv", 10)
 
 
 def test_config_rejects_unknown_key():

@@ -113,8 +113,9 @@ def test_stability_identity_gram_passes():
     n = 1000
     sample = Sample(x=rng.uniform(0, 1, n), y=np.zeros(n))
     spec = BasisSpec(Family.TRIG_ODD, 3)
-    in_lambda, in_collection = stability_check(spec, build_design(sample, spec), n,
-                                               default_d_constant(sample.x))
+    eigvals = build_design(sample, spec)
+    in_lambda = truncation_gate(spec, eigvals, n)
+    in_collection = stability_check(spec, eigvals, n, default_d_constant(sample.x))
     assert in_lambda and in_collection
     assert l_factor(spec) == 3.0
     # frozen constant value
@@ -127,7 +128,8 @@ def test_stability_singular_gram_fails_both():
     spec = BasisSpec(Family.TRIG_ODD, 3)
     eigvals = build_design(sample, spec)
     assert is_singular(eigvals)
-    flags = stability_check(spec, eigvals, 2, default_d_constant(sample.x))
+    flags = (truncation_gate(spec, eigvals, 2),
+             stability_check(spec, eigvals, 2, default_d_constant(sample.x)))
     assert flags == (False, False)
 
 
@@ -142,10 +144,9 @@ def test_stability_membership_monotone_in_m(family):
         spec = (BasisSpec(family, m, (-2.0, 2.0)) if family is Family.HALF_TRIG
                 else BasisSpec(family, m))
         ext = spec.extended()
-        in_lambda, in_collection = stability_check(ext, build_design(sample, ext), n,
-                                                   d_const)
-        flags_lambda.append(in_lambda)
-        flags_coll.append(in_collection)
+        eigvals = build_design(sample, ext)
+        flags_lambda.append(truncation_gate(ext, eigvals, n))
+        flags_coll.append(stability_check(ext, eigvals, n, d_const))
     assert flags_coll[0]  # m=1 is in the collection with the default constant
     for flags in (flags_lambda, flags_coll):
         seen_false = False
@@ -203,19 +204,3 @@ def test_trim_interval_is_bitwise_numpy_quantile(n, seed, ties, constant, scale)
     got = trim_interval(Sample(x=x, y=np.zeros(n)))
     assert all(type(end) is float for end in got)
     assert np.array(got).tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("family", [Family.HERMITE, Family.HALF_TRIG, Family.LEGENDRE])
-def test_truncation_gate_is_the_first_flag_of_stability_check(family):
-    rng = np.random.default_rng(9)
-    for n in (5, 60, 3000):
-        x = rng.uniform(-0.9, 0.9, n)
-        sample = Sample(x=x, y=np.zeros(n))
-        for m in (1, 2, 3, 6, 10):
-            spec = (BasisSpec(family, m, (-1.0, 1.0)) if family is Family.HALF_TRIG
-                    else BasisSpec(family, m))
-            eigvals = build_design(sample, spec)
-            gate = truncation_gate(spec, eigvals, n)
-            assert gate == stability_check(spec, eigvals, n, 1.0)[0]
-            if is_singular(eigvals):
-                assert not gate

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from derivfit.basis import BasisSpec, Family, eval_basis
-from derivfit.design import Sample, default_d_constant, stability_check
+from derivfit.design import Sample, truncation_gate
 from derivfit.errors import SingularGramError
 from derivfit.estimators import DerivativeFit, Strategy, evaluate_fit, truncate_fit
 from derivfit.selection import fit_derivative_1, fit_derivative_2
@@ -176,8 +176,7 @@ def test_strategies_agree_for_periodic_function():
 
 def _in_lambda(sample, spec):
     ext = spec.extended()
-    return stability_check(ext, build_design(sample, ext), sample.n,
-                           default_d_constant(sample.x))[0]
+    return truncation_gate(ext, build_design(sample, ext), sample.n)
 
 
 def test_truncation_behavior():

@@ -16,6 +16,7 @@ from derivfit.selection import (EVAL_GRID_POINTS, KAPPA, DesignCache, Selection,
                                 gl_select, oracle_select, penalty_v_hat, reuse_select)
 from derivfit.simulation import (TEST_FUNCTIONS, ExperimentConfig, generate_sample,
                                  rng_for)
+from oracles import gl_record
 
 
 def normal_sample(seed, n, fn=None, sigma=0.25):
@@ -61,42 +62,55 @@ def test_penalty_monotone_in_m():
 def test_gl_singleton_collection():
     fn = TEST_FUNCTIONS["b2"]
     sample = normal_sample(3, 500, fn.b)
-    trace, fit = gl_select(sample, Family.HERMITE, (2,), sigma2=0.0625)
-    assert trace.m_hat == 2
+    selection, fit = gl_select(sample, Family.HERMITE, (2,), sigma2=0.0625)
+    assert selection.m_hat == 2
     assert fit.m == 2
-    row = [r for r in trace.rows if r.m == 2][0]
-    assert row.a_value == 0.0  # sup over the single member clips at zero
-    assert trace.members == [2]
+    a_value = selection.compare()[1][selection.members.index(2)]
+    assert a_value == 0.0  # sup over the single member clips at zero
+    assert selection.members == [2]
 
 
 def test_gl_tie_break_prefers_smaller_m():
     # constant responses: every fit has zero derivative, every criterion ties
     rng = np.random.default_rng(4)
     sample = Sample(x=rng.uniform(0, 1, 400), y=np.ones(400))
-    trace, _ = gl_select(sample, Family.TRIG_ODD, (1, 3, 5), sigma2=1e-6)
-    assert trace.m_hat == 1
+    selection, _ = gl_select(sample, Family.TRIG_ODD, (1, 3, 5), sigma2=1e-6)
+    assert selection.m_hat == 1
 
 
 def test_gl_penalties_scale_with_sigma2():
     fn = TEST_FUNCTIONS["b3"]
     sample = normal_sample(5, 400, fn.b)
-    t1, _ = gl_select(sample, Family.HERMITE, range(1, 8), sigma2=0.0625)
-    t2, _ = gl_select(sample, Family.HERMITE, range(1, 8), sigma2=0.125)
-    for r1, r2 in zip(t1.rows, t2.rows):
-        if r1.v_hat is not None:
-            assert r2.v_hat == pytest.approx(2 * r1.v_hat, rel=1e-12)
+    s1, _ = gl_select(sample, Family.HERMITE, range(1, 8), sigma2=0.0625)
+    s2, _ = gl_select(sample, Family.HERMITE, range(1, 8), sigma2=0.125)
+    v_hat2 = dict(zip(s2.members, s2.v_hat.tolist()))
+    for m, v_hat1 in zip(s1.members, s1.v_hat.tolist()):
+        assert v_hat2[m] == pytest.approx(2 * v_hat1, rel=1e-12)
 
 
 def test_gl_selected_m_is_member_and_attains_minimum():
     fn = TEST_FUNCTIONS["b1"]
     sample = normal_sample(6, 800, fn.b)
-    trace, _ = gl_select(sample, Family.HALF_TRIG, sigma2=0.0625)
-    assert trace.m_hat in trace.members
-    crits = {r.m: r.a_value + KAPPA * r.v_hat
-             for r in trace.rows if r.in_collection}
-    assert crits[trace.m_hat] <= min(crits.values()) + 1e-12
-    member_vhats = [r.v_hat for r in trace.rows if r.in_collection]
-    assert np.all(np.diff(member_vhats) >= -1e-12)
+    selection, _ = gl_select(sample, Family.HALF_TRIG, sigma2=0.0625)
+    assert selection.m_hat in selection.members
+    crits = dict(zip(selection.members,
+                     (selection.compare()[1] + KAPPA * selection.v_hat).tolist()))
+    assert crits[selection.m_hat] <= min(crits.values()) + 1e-12
+    assert np.all(np.diff(selection.v_hat) >= -1e-12)
+
+
+def test_gl_select_returns_its_pass():
+    """gl_select's first value is the Selection pass itself, whose m_hat is
+    compare()'s choice under the pass's kappas and one of its members, and
+    its fit is the strategy-1 fit there: what callers of gl_select read."""
+    sample = normal_sample(5, 1000, TEST_FUNCTIONS["b3"].b)
+    for family in (Family.HERMITE, Family.HALF_TRIG):
+        selection, fit = gl_select(sample, family, kappa0=0.5, kappa1=2.0)
+        assert isinstance(selection, Selection)
+        assert selection.m_hat == selection.compare()[0]
+        assert selection.m_hat in selection.members
+        assert fit.m == selection.m_hat and fit.strategy is Strategy.DERIV_OF_PROJECTION
+        np.testing.assert_array_equal(fit.theta, selection.cache.theta(selection.m_hat))
 
 
 def test_gl_small_dimension_for_in_span_target():
@@ -107,8 +121,8 @@ def test_gl_small_dimension_for_in_span_target():
     seeds = 50
     for seed in range(seeds):
         sample = normal_sample(1000 + seed, 1000, fn.b)
-        trace, _ = gl_select(sample, Family.HERMITE, sigma2=0.0625)
-        if trace.m_hat <= 3:
+        selection, _ = gl_select(sample, Family.HERMITE, sigma2=0.0625)
+        if selection.m_hat <= 3:
             small += 1
     assert small >= 0.8 * seeds
 
@@ -146,20 +160,18 @@ def test_bad_tuning_is_rejected_before_any_cache_in_every_mode(monkeypatch):
 
 
 def test_a_pass_compares_with_its_own_checked_kappas():
-    """compare and gl default to the pass's kappa0 and kappa1; constants
-    given to them are checked as the pass's own are."""
+    """compare and m_hat default to the pass's kappa0 and kappa1; constants
+    given to compare are checked as the pass's own are."""
     sample = normal_sample(5, 1000, TEST_FUNCTIONS["b3"].b)
     selection = Selection(sample, Family.HALF_TRIG, kappa0=0.5, kappa1=2.0)
     assert (selection.kappa0, selection.kappa1) == (0.5, 2.0)
-    trace = gl_select(sample, Family.HALF_TRIG, kappa0=0.5, kappa1=2.0)[0]
-    assert selection.gl() == selection.gl(0.5, 2.0) == trace
-    assert selection.compare()[0] == trace.m_hat
-    assert selection.gl(kappa1=8.0) == selection.gl(0.5, 8.0)
+    chosen = gl_select(sample, Family.HALF_TRIG, kappa0=0.5, kappa1=2.0)[0]
+    assert gl_record(selection) == gl_record(selection, 0.5, 2.0) == gl_record(chosen)
+    assert selection.compare()[0] == chosen.m_hat
+    assert gl_record(selection, kappa1=8.0) == gl_record(selection, 0.5, 8.0)
     for kappa0, kappa1 in ((-1.0, -1.0), (0.0, None), (3.0, None), (None, np.inf)):
         with pytest.raises(ValueError, match="require finite 0 < kappa0 <= kappa1"):
             selection.compare(kappa0, kappa1)
-        with pytest.raises(ValueError, match="require finite 0 < kappa0 <= kappa1"):
-            selection.gl(kappa0, kappa1)
 
 
 def test_an_interval_for_a_fixed_support_family_is_rejected_before_the_basis(
@@ -185,8 +197,8 @@ def test_an_interval_for_a_fixed_support_family_is_rejected_before_the_basis(
 def test_sigma2_none_means_estimate_it_everywhere():
     sample = normal_sample(16, 1000, np.sin)
     sigma2 = estimate_sigma2(sample, Family.HERMITE)
-    assert gl_select(sample, Family.HERMITE, sigma2=None)[0] == \
-        gl_select(sample, Family.HERMITE, sigma2=sigma2)[0]
+    assert gl_record(gl_select(sample, Family.HERMITE, sigma2=None)[0]) == \
+        gl_record(gl_select(sample, Family.HERMITE, sigma2=sigma2)[0])
     assert reuse_select(sample, Family.HERMITE, sigma2=None)[0] == \
         reuse_select(sample, Family.HERMITE, sigma2=sigma2)[0]
     for mode in ("gl", "reuse"):
@@ -345,22 +357,29 @@ def test_sigma2_requires_enough_observations():
 # The caller's grid
 # ---------------------------------------------------------------------------
 
+def test_the_default_grid_stops_at_n():
+    """No entry above n can be a member (its Gram is singular), so an m_max
+    above n builds the grid m_max = n builds, at a cost independent of m_max."""
+    for family in (Family.HERMITE, Family.TRIG_ODD):
+        assert default_m_grid(family, 300, 10**6) == default_m_grid(family, 300, 300)
+
+
 def test_selectors_do_not_depend_on_the_grid_order():
     """A reversed, shuffled or repeating grid gives the ascending grid's
-    sigma^2-hat, gl choice, trace rows and members, and reuse choice."""
+    sigma^2-hat, grid, gl record (members, choice, V-hat and A) and reuse
+    choice."""
     rng = np.random.default_rng(1)
     x = rng.standard_normal(1000)
     sample = Sample(x=x, y=np.sin(2 * x) + 0.25 * rng.standard_normal(1000))
 
     def outcome(m_grid):
-        trace, _ = gl_select(sample, Family.HERMITE, m_grid)
-        return (estimate_sigma2(sample, Family.HERMITE, m_grid), trace.m_hat,
-                trace.rows, trace.members,
-                reuse_select(sample, Family.HERMITE, m_grid)[0])
+        selection, _ = gl_select(sample, Family.HERMITE, m_grid)
+        return (estimate_sigma2(sample, Family.HERMITE, m_grid), selection.grid,
+                gl_record(selection), reuse_select(sample, Family.HERMITE, m_grid)[0])
 
     grid = tuple(range(1, 21))
     expected = outcome(grid)
-    assert [r.m for r in expected[2]] == list(grid)
+    assert expected[1] == grid
     shuffled = tuple(np.random.default_rng(0).permutation(grid).tolist())
     for m_grid in (grid[::-1], shuffled, grid + grid[10::-2]):
         assert outcome(m_grid) == expected, m_grid
@@ -401,8 +420,8 @@ def test_gl_select_reads_no_residual_but_the_noise_estimates(monkeypatch, family
     monkeypatch.setattr(DesignCache, "residual_ms",
                         lambda cache, dims: calls.append(list(dims)) or original(cache, dims))
     sample = normal_sample(5, 1000, TEST_FUNCTIONS["b3"].b)
-    trace, _ = gl_select(sample, family)
-    assert calls == [[trace.members[-1]]] and len(trace.members) > 1
+    selection, _ = gl_select(sample, family)
+    assert calls == [[selection.members[-1]]] and len(selection.members) > 1
     calls.clear()
     gl_select(sample, family, sigma2=0.0625)
     assert calls == []

@@ -50,9 +50,9 @@ def test_harness_repetition_picks_the_public_selectors_dims(mode):
             m_grid = default_m_grid(family, n)
             m_reuse, _ = reuse_select(sample, family, m_grid, interval=interval)
             if mode == "gl":
-                trace, _ = gl_select(sample, family, m_grid, interval=interval,
-                                     kappa0=0.5, kappa1=0.5)
-                assert (m_b, m_bp) == (m_reuse, trace.m_hat)
+                selection, _ = gl_select(sample, family, m_grid, interval=interval,
+                                         kappa0=0.5, kappa1=0.5)
+                assert (m_b, m_bp) == (m_reuse, selection.m_hat)
             else:
                 assert m_b == m_bp == m_reuse
             errors = _oracle_error_sweep(

@@ -224,7 +224,7 @@ def test_one_forward_substitution_per_cache(monkeypatch, family):
     selection = Selection(sample, family, m_grid, kappa0=0.5, kappa1=0.5)
     cache, members = selection.cache, selection.members
     selection.m_reuse
-    selection.gl()
+    selection.m_hat
     _oracle_error_sweep(cache, m_grid, (-1.0, 1.0),
                         {"regression": lambda t: t, "derivative": lambda t: t})
     cache.thetas(members)

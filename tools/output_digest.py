@@ -15,7 +15,8 @@ without ``--truncate``, and hermite at m in {18, 19}, strategy 1/2, on
 either side of its first singular dimension (19); ``select``
 gl/reuse/oracle x hermite/half-trig on the b3 sample, and gl/reuse x
 hermite/half-trig there with sigma^2, kappa0, kappa1 and d given
-(``TUNING``); ``bench`` in oracle, gl and reuse mode over b1-b4 x
+(``TUNING``), and gl/oracle x hermite there with ``--m-max 1000`` (past
+n = 700) and sigma^2 given; ``bench`` in oracle, gl and reuse mode over b1-b4 x
 hermite, half-trig x n in {250, 1000} x 4 repetitions (seed 7), and in
 gl mode with sigma2 = 0.0625;
 ``calibrate`` b3/hermite at n = 1000 with 6 seeds and b1/half-trig (whose
@@ -92,6 +93,12 @@ def corpus() -> list[list[tuple[str, list[str], list[str]]]]:
             rest.append((f"select tuned {mode} {family}",
                          ["select", "b3.csv", "--family", family, "--mode", mode,
                           *TUNING, "--out", out], [out]))
+    for mode in ("gl", "oracle"):  # m_max past n: the grid stops at n = 700
+        out = f"select-capped-{mode}.csv"
+        rest.append((f"select capped {mode} hermite",
+                     ["select", "b3.csv", "--family", "hermite", "--mode", mode,
+                      "--m-max", "1000", "--sigma2", "0.0625", "--function", "b3",
+                      "--out", out], [out]))
     for mode in ("gl", "oracle"):
         for family in ("hermite", "half-trig"):
             out = f"select-large-{mode}-{family}.csv"
