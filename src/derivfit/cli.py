@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -190,6 +191,7 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
+@functools.cache  # built on first use, once per process; parsing leaves it as it was
 def build_parser() -> _Parser:
     parser = _Parser(prog="derivfit",
                      description="Orthogonal-series regression derivative estimation")
@@ -258,8 +260,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DataFormatError, OSError) as exc:

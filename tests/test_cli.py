@@ -719,3 +719,34 @@ def test_bench_names_both_exclusion_causes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert ("note: 2 repetitions excluded (singular Gram or empty collection) "
             "in ('b1', 'hermite', 250)") in err
+
+
+def test_one_parser_serves_every_call_as_fresh_processes_do(tmp_path, capsys, monkeypatch,
+                                                            sample_csv):
+    calls = [("fit", ["fit", str(sample_csv), "--family", "hermite", "--m", "4",
+                      "--strategy", "2", "--truncate", "--out", "fit.csv"]),
+             ("select", ["select", str(sample_csv), "--family", "hermite",
+                         "--out", "select.csv"]),
+             ("select m-max 5", ["select", str(sample_csv), "--family", "hermite",
+                                 "--m-max", "5", "--out", "select5.csv"]),
+             ("select again", ["select", str(sample_csv), "--family", "hermite",
+                               "--out", "select-again.csv"])]
+    src = str(Path(derivfit.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
+    expected = []
+    for _, argv in calls:
+        result = subprocess.run([sys.executable, "-m", "derivfit.cli", *argv], cwd=fresh,
+                                env=env, check=True, capture_output=True, text=True)
+        expected.append((result.stdout, (fresh / argv[-1]).read_bytes()))
+    monkeypatch.chdir(here)
+    capsys.readouterr()  # the fixture's own output
+    derivfit.cli.build_parser.cache_clear()
+    for (label, argv), (stdout, curve) in zip(calls, expected):
+        assert run_cli(*argv) == 0, label
+        assert capsys.readouterr().out == stdout, label
+        assert (here / argv[-1]).read_bytes() == curve, label
+    assert derivfit.cli.build_parser.cache_info().misses == 1

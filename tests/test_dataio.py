@@ -1,5 +1,8 @@
 """CSV round trips, malformed-input reporting, config parsing."""
 
+import os
+import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,8 +12,8 @@ from hypothesis import strategies as st
 
 import derivfit.cli
 import derivfit.dataio
-from derivfit.dataio import (load_csv, parse_config_text, read_config,
-                             save_report, save_sample, emit_curve)
+from derivfit.dataio import (_fmt, emit_curve, load_csv, parse_config_text,
+                             read_config, save_report, save_sample)
 from derivfit.design import Sample
 from derivfit.errors import DataFormatError
 from derivfit.simulation import ExperimentConfig, run_experiment
@@ -97,6 +100,19 @@ def test_curve_writer(tmp_path):
     rows = path2.read_text().splitlines()[1:]
     values = np.array([float(r.split(",")[1]) for r in rows])
     np.testing.assert_allclose(values, eval_basis(spec, grid)[:, 0])
+
+
+def test_sample_and_curve_rows_keep_the_bytes_of_the_value_format(tmp_path, monkeypatch):
+    # one "%.17g,%.17g" per row is the conversion of _fmt, byte for byte
+    values = np.array([0.0, -0.0, 5e-324, 1e308, -1e308, 2.0, 0.1])
+    path = tmp_path / "edge.csv"
+    save_sample(Sample(x=values, y=values[::-1].copy()), path)
+    expected = "".join(f"{_fmt(a)},{_fmt(b)}\n" for a, b in zip(values, values[::-1]))
+    assert path.read_bytes() == ("x,y\n" + expected).encode()
+    monkeypatch.setattr(derivfit.dataio, "evaluate_fit", lambda fit, grid: values[::-1])
+    curve = tmp_path / "curve.csv"
+    emit_curve(None, values, curve)
+    assert curve.read_bytes() == ("x,estimate\n" + expected).encode()
 
 
 def test_report_writer_fixed_columns(tmp_path):
@@ -230,16 +246,22 @@ _ODD_LINE = st.one_of(
 @st.composite
 def _csv_text(draw):
     """Mostly good two-cell rows, with odd cells, rows of other widths,
-    blank lines, line breaks inside a line and any header."""
+    blank lines (leading ones too), characters that str.splitlines (but
+    not numpy) breaks a line at, any header (or a header alone), any of
+    the three line endings and a byte-order mark."""
     line = st.integers(0, 7).flatmap(lambda i: _PAIR if i else _ODD_LINE)
     lines = draw(st.lists(line, max_size=8))
     for _ in range(draw(st.sampled_from([0] * 6 + [1, 2]))):
         if lines:
             i = draw(st.integers(0, len(lines) - 1))
             cut = draw(st.integers(0, len(lines[i])))
-            lines[i] = lines[i][:cut] + draw(st.sampled_from("\x1c\x0c\r")) + lines[i][cut:]
+            odd = draw(st.sampled_from("\x1c\x0c\r\x0b\x1d\x1e\x85\u2028"))
+            lines[i] = lines[i][:cut] + odd + lines[i][cut:]
     header = draw(st.sampled_from([[], [], ["x,y"], ["x,y"], ["x,y,z"], ["", "x,y"]]))
-    return "\n".join(header + lines) + draw(st.sampled_from(["", "\n"]))
+    leading = draw(st.sampled_from([[]] * 4 + [[""], ["", "  "]]))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    return bom + end.join(leading + header + lines) + draw(st.sampled_from(["", end]))
 
 
 def _outcome(path):
@@ -261,3 +283,84 @@ def test_numpy_reader_agrees_with_the_per_row_checks(tmp_path, text):
     with mock.patch.object(derivfit.dataio.np, "loadtxt", side_effect=ValueError):
         per_row = _outcome(path)
     assert _outcome(path) == per_row
+
+
+@pytest.mark.parametrize("text, line", [
+    ("x,y\n", 1), ("x,y\r\n\r\n  \n", 3), ("\ufeff\nx,y\n", 2),
+    ("\n  \n", 0), ("", 0), ("\ufeff", 0)],
+    ids=["header", "header-crlf-blanks", "bom-blank-header", "blank", "empty", "bom"])
+def test_a_file_without_rows_is_reported_and_numpy_warns_nothing(tmp_path, text, line):
+    path = tmp_path / "norows.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError) as err:
+            load_csv(path)
+    assert err.value.line == line
+    assert ("no data rows" if line else "empty file") in str(err.value)
+
+
+def test_a_plain_large_file_is_read_from_its_path(tmp_path, monkeypatch):
+    rng = np.random.default_rng(24)
+    sample = Sample(x=rng.standard_normal(20_000), y=rng.standard_normal(20_000))
+    path = tmp_path / "large.csv"
+    save_sample(sample, path)
+
+    def refuse(lines):
+        raise AssertionError("a plain file went to the line list")
+    monkeypatch.setattr(derivfit.dataio, "_line_rows", refuse)
+    loaded = load_csv(path)
+    np.testing.assert_array_equal(loaded.x, sample.x)
+    np.testing.assert_array_equal(loaded.y, sample.y)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_loads_the_values_of_a_regular_file(tmp_path):
+    text = "x,y\n" + "".join(f"{i / 7!r},{-i / 3!r}\n" for i in range(3000))
+    regular, fifo = tmp_path / "regular.csv", tmp_path / "pipe.csv"
+    regular.write_text(text)
+    expected = load_csv(regular)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    read_list = np.loadtxt
+
+    def lines_only(source, *args, **kwargs):  # a second open of the pipe would block
+        if not isinstance(source, list):
+            raise AssertionError(f"numpy reopened {source}")
+        return read_list(source, *args, **kwargs)
+    with mock.patch.object(derivfit.dataio.np, "loadtxt", side_effect=lines_only):
+        loaded = load_csv(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    np.testing.assert_array_equal(loaded.x, expected.x)
+    np.testing.assert_array_equal(loaded.y, expected.y)
+
+
+@pytest.mark.parametrize("line, key, message", [
+    ("m_max = 0", "m_max", "m_max must be >= 1, got 0"),
+    ("mode = fast", "mode", "unknown selection mode 'fast'"),
+    ("repetitions = 0", "repetitions", "repetitions must be >= 1"),
+    ("sigma = -1", "sigma", "sigma must be nonnegative, got sigma = -1.0")])
+def test_a_rejected_config_value_names_its_key_and_line(tmp_path, capsys, line, key,
+                                                       message):
+    path, out = tmp_path / "bad.cfg", tmp_path / "r.csv"
+    path.write_text(f"functions = b1\nfamilies = hermite\n{line}\nn = 250\n")
+    with pytest.raises(DataFormatError) as err:
+        read_config(path)
+    assert err.value.line == 3
+    assert str(err.value) == f"line 3: bad value for config key {key!r}: {message}"
+    assert derivfit.cli.main(["bench", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"derivfit: data error: {err.value}\n"
+    assert not out.exists()
+
+
+def test_a_rejection_of_several_keys_names_each(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("functions = b1\nkappa1 = 2\nn = 250\nkappa0 = 5\nseed = 3\n")
+    with pytest.raises(DataFormatError) as err:
+        read_config(path)
+    assert err.value.line == 2
+    assert str(err.value).startswith(
+        "line 2: bad values for config keys 'kappa1' (line 2), 'kappa0' (line 4): "
+        "require finite 0 < kappa0 <= kappa1")

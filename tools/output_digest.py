@@ -26,7 +26,12 @@ points), ``simulate`` b3 at n = 5000 (seed 7) with ``select`` gl/oracle
 x hermite/half-trig, a hermite ``fit`` at m = 12 and hermite ``fit
 --truncate`` at m = 3, strategy 1/2, on it.  Every ``--truncate`` fit on
 the n = 700 sample fails the truncation gate and prints the zero curve;
-hermite m = 3 at n = 5000 is the corpus's fit that passes it.
+hermite m = 3 at n = 5000 is the corpus's fit that passes it.  Last,
+``select`` gl x hermite on five rewrites of the b3 sample (``VARIANTS``),
+written after the simulate phase, which take both of ``load_csv``'s
+read paths: a byte-order mark with CRLF endings and blank lines, no
+header, a form feed inside a line (which only the line list honours),
+the header alone and a bad cell on a known line.
 """
 
 from __future__ import annotations
@@ -53,6 +58,21 @@ mode = {mode}
 """
 # select's tuning flags at values other than their defaults
 TUNING = ["--sigma2", "0.0625", "--kappa0", "0.5", "--kappa1", "2", "--d-const", "1e5"]
+VARIANTS = ("bom-crlf-blanks", "no-header", "form-feed", "header-only", "bad-cell")
+BAD_LINE = 101  # the line of the bad-cell variant's bad cell
+
+
+def variants(text: str) -> dict[str, str]:
+    """VARIANTS' texts, rewritten from a sample CSV's ("x,y", then a row a line)."""
+    header, *rows = text.splitlines()
+    bad = rows.copy()
+    bad[BAD_LINE - 2] = "oops," + bad[BAD_LINE - 2].split(",")[1]
+    return {"bom-crlf-blanks": "\ufeff\r\n\r\n" + "\r\n".join(
+                [header, *rows[:300], "", *rows[300:]]) + "\r\n\r\n",
+            "no-header": "\n".join(rows) + "\n",
+            "form-feed": "\n".join([header, rows[0] + "\x0c", *rows[1:]]) + "\n",
+            "header-only": header + "\n",
+            "bad-cell": "\n".join([header, *bad]) + "\n"}
 
 
 def corpus() -> list[list[tuple[str, list[str], list[str]]]]:
@@ -113,6 +133,11 @@ def corpus() -> list[list[tuple[str, list[str], list[str]]]]:
         rest.append((f"fit large hermite m=3 strategy={strategy}-truncate",
                      ["fit", "large.csv", "--family", "hermite", "--m", "3",
                       "--strategy", strategy, "--truncate", "--out", out], [out]))
+    for name in VARIANTS:
+        out = f"select-b3-{name}.csv"
+        rest.append((f"select gl hermite b3 {name}",
+                     ["select", f"b3-{name}.csv", "--family", "hermite", "--mode", "gl",
+                      "--out", out], [out]))
     for mode in (*MODES, "gl-sigma2"):
         rest.append((f"bench {mode}", ["bench", "--config", f"bench-{mode}.cfg",
                                        "--out", f"bench-{mode}.csv"],
@@ -159,7 +184,11 @@ def main(argv=None) -> int:
         (workdir / "bench-gl-sigma2.cfg").write_text(BENCH_CONFIG.format(mode="gl")
                                                      + "sigma2 = 0.0625\n")
         with ThreadPoolExecutor(max_workers=2) as pool:
-            for phase in corpus():
+            for i, phase in enumerate(corpus()):
+                if i == 1:  # the simulate phase has written b3.csv
+                    b3 = (workdir / "b3.csv").read_text()
+                    for name, text in variants(b3).items():
+                        (workdir / f"b3-{name}.csv").write_bytes(text.encode())
                 for line in pool.map(lambda c: digest(*c, workdir, env), phase):
                     print(line, flush=True)
     return 0
