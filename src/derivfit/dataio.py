@@ -2,11 +2,12 @@
 
 Samples are two-column CSV (optional "x,y" header) and configs flat
 "key = value" lines, both UTF-8; a leading byte-order mark, as Excel's
-"CSV UTF-8" and some editors write, is skipped.  A plain sample file
-(ASCII, with the line breaks numpy's reader and str.splitlines share)
-is parsed by numpy straight from its path; any other file, and any file
-numpy rejects, goes through its list of lines and, where a row fails,
-the per-row checks that name the line (load_csv).  Floats are written with
+"CSV UTF-8" and some editors write, is skipped, and a byte that does
+not decode is a data error on its line.  A sample has two readers
+(load_csv): numpy's, straight from the path of a plain regular file (one
+whose only line breaks are those numpy's reader and str.splitlines
+share), and the per-row checks, which name the bad line, for every other
+file and every file numpy rejects.  Floats are written with
 17 significant digits so a save/load round trip is exact.  Report and
 curve writers use a fixed column order so identical runs produce
 byte-identical files.
@@ -30,7 +31,7 @@ REPORT_COLUMNS = ("function", "family", "n", "target", "mse100_mean",
 
 
 # str.splitlines also breaks a line at these; numpy's reader does not
-_OTHER_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+_OTHER_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 _NON_BLANK = re.compile(r"\S")
 
 
@@ -38,47 +39,72 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _read_text(path) -> str:
+    """The file's text: UTF-8, a leading byte-order mark skipped, \\r and
+    \\r\\n read as \\n.  A byte that does not decode raises a
+    DataFormatError naming its line."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:  # a ValueError: cli.main's usage exit
+        before = exc.object[:exc.start].decode("utf-8")  # exc.object: the bytes decoded
+        line = len((before + "?").splitlines())  # "?" holds the bad byte's place
+        raise DataFormatError(f"the file is not UTF-8: byte {exc.object[exc.start]:#04x} "
+                              "does not decode", line=line) from None
+
+
 def load_csv(path) -> Sample:
     """Read a two-column numeric CSV; header row "x,y" is optional.
 
-    A plain regular file (ASCII with no \\x0b, \\x0c, \\x1c, \\x1d or
-    \\x1e, so that its only line breaks are \\n, \\r and \\r\\n, where
-    numpy's reader and str.splitlines agree) goes to numpy's C reader
-    straight from its path, past its leading blank lines and header; the
-    values are float()'s bit for bit and are kept if they come out as
-    N >= 1 rows of two finite values.  Every other file, a header of more
-    than two cells or without rows, and every result not kept, go through
-    the line list: numpy's reader on the non-blank data lines, and where
-    it rejects them, their rows are not two cells each or a value is not
-    finite, the per-row checks, which name the offending line.
+    Two readers.  A plain regular file, one with none of the characters
+    str.splitlines breaks a line at and numpy's reader does not (\\x0b,
+    \\x0c, \\x1c, \\x1d, \\x1e, \\x85, \\u2028, \\u2029), goes to numpy's
+    C reader straight from its path, past its leading blank lines and
+    header; its values are float()'s bit for bit and are kept if they
+    come out as N >= 1 rows of two finite values.  Every other file, a
+    header without rows, and every result not kept, go through the
+    per-row checks, which name the offending line.  Both find the header
+    the same way (_data_start).
     """
-    text = Path(path).read_text(encoding="utf-8-sig")
+    text = _read_text(path)
     values = _plain_rows(path, text)
     if values is None:
-        values = _line_rows(text.splitlines())
+        values = _checked_rows(text.splitlines())
     x, y = values.T.copy()
     return Sample(x=x, y=y)
 
 
+def _data_start(lines: list[str]) -> int:
+    """The index of the first data line: the first non-blank line, or the
+    one after it if that is a header.  An empty file raises a
+    DataFormatError on line 0, a header of more than two cells on its line."""
+    for i, line in enumerate(lines):
+        if line.strip():
+            cells = [c.strip() for c in line.split(",")]
+            if _is_numeric_row(cells):
+                return i
+            if len(cells) > 2:
+                raise DataFormatError(
+                    f"expected two columns (x,y); extra column {cells[2]!r}", line=i + 1)
+            return i + 1
+    raise DataFormatError("empty file", line=0)
+
+
 def _plain_rows(path, text: str) -> np.ndarray | None:
     """A plain regular file's rows from numpy's reader on the path, or
-    None where the line list must decide (see load_csv)."""
-    if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
+    None where the per-row checks must decide (see load_csv)."""
+    if any(c in text for c in _OTHER_BREAKS):
         return None
     first = _NON_BLANK.search(text)
-    if first is None:
-        return None
-    end = text.find("\n", first.start())  # read_text made every line break \n
+    end = text.find("\n", first.start()) if first else -1  # read_text made \r, \r\n into \n
     end = len(text) if end < 0 else end
     head = text[:end].splitlines()  # the blank lines, then the first non-blank one
-    header = _header(head[-1])
-    if header is not None and (len(header) > 2 or not _NON_BLANK.search(text, end)):
-        return None  # the line list raises the extra column or the missing rows
+    start = _data_start(head)
+    if start == len(head) and not _NON_BLANK.search(text, end):
+        return None  # a header without rows: numpy would warn, the per-row checks name it
     if not Path(path).is_file():  # a pipe cannot be read twice
         return None
-    skip = len(head) if header is not None else len(head) - 1
     try:
-        values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip,
+        values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=start,
                             encoding="utf-8-sig")
     except ValueError:
         return None
@@ -87,55 +113,19 @@ def _plain_rows(path, text: str) -> np.ndarray | None:
     return values
 
 
-def _line_rows(lines: list[str]) -> np.ndarray:
-    """The rows of the file's lines: numpy's reader on the non-blank data
-    lines, or the per-row checks where it rejects them."""
-    start = 0
-    header: list[str] | None = None
-    for i, line in enumerate(lines):
-        if line.strip():
-            header = _header(line)
-            if header is not None:
-                start = i + 1
-            break
-    else:
-        raise DataFormatError("empty file", line=0)
-    if header is not None and len(header) > 2:
-        raise DataFormatError(
-            f"expected two columns (x,y); extra column {header[2]!r}", line=start)
-    data = [line for line in lines[start:] if line.strip()]
-    values = None
-    if data:  # numpy warns on no rows; _checked_rows names that error
-        try:
-            values = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
-        except ValueError:  # a cell numpy rejects, or a row of another width
-            pass
-    if values is None or values.shape != (len(data), 2) or not np.isfinite(values).all():
-        values = _checked_rows(lines, start, header)
-    return values
-
-
-def _header(line: str) -> list[str] | None:
-    """The cells of the first non-blank line if it is a header, else None."""
-    cells = [c.strip() for c in line.split(",")]
-    return None if _is_numeric_row(cells) else cells
-
-
-def _checked_rows(lines: list[str], start: int, header: list[str] | None) -> np.ndarray:
+def _checked_rows(lines: list[str]) -> np.ndarray:
     """The data rows as an (n, 2) array, converted one row at a time; the
     first bad row raises a DataFormatError with its line number."""
     rows: list[tuple[float, float]] = []
-    for i in range(start, len(lines)):
+    for i in range(_data_start(lines), len(lines)):
         line = lines[i].strip()
         if not line:
             continue
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 2:
-            if len(cells) > 2:
-                name = header[2] if header and len(header) > 2 else f"column {len(cells)}"
-                raise DataFormatError(f"expected two columns, got {len(cells)} "
-                                      f"(extra {name})", line=i + 1)
-            raise DataFormatError(f"expected two columns, got {len(cells)}", line=i + 1)
+            extra = f" (extra column {len(cells)})" if len(cells) > 2 else ""
+            raise DataFormatError(f"expected two columns, got {len(cells)}{extra}",
+                                  line=i + 1)
         try:
             x, y = float(cells[0]), float(cells[1])
         except ValueError:
@@ -144,7 +134,7 @@ def _checked_rows(lines: list[str], start: int, header: list[str] | None) -> np.
             raise DataFormatError("non-finite value rejected", line=i + 1)
         rows.append((x, y))
     if not rows:
-        raise DataFormatError("no data rows", line=0 if not lines else len(lines))
+        raise DataFormatError("no data rows", line=len(lines))
     return np.array(rows)
 
 
@@ -245,7 +235,7 @@ def read_config(path) -> tuple[ExperimentConfig, str | None]:
     A value that does not parse, or that ExperimentConfig rejects, is a
     DataFormatError naming its key (each key, for a rejection of several)
     and line."""
-    entries = parse_config_text(Path(path).read_text(encoding="utf-8-sig"))
+    entries = parse_config_text(_read_text(path))
     fields = {}
     for key, (field, parse) in _CONFIG_FIELDS.items():
         if key in entries:

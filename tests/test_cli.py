@@ -213,6 +213,23 @@ def test_data_errors_exit_two(tmp_path):
                    "--m", "2", "--out", str(tmp_path / "c.csv")) == 2
 
 
+@pytest.mark.parametrize("data, line", [
+    ("x,ý\n1,2\n0.5,3\n".encode("cp1252"), 1), (b"x,y\n1,2\n\xff\xfe,3\n", 3)],
+    ids=["cp1252-header", "bad-byte-line-3"])
+def test_a_file_that_is_not_utf8_is_a_data_error_on_its_line(tmp_path, capsys, data, line):
+    sample, config = tmp_path / "sample.csv", tmp_path / "bench.cfg"
+    sample.write_bytes(data)
+    config.write_bytes(b"".join(b"# " + row + b"\n" for row in data.splitlines())
+                       + b"functions = b2\nfamilies = hermite\nn = 250\n"
+                         b"repetitions = 1\nmode = oracle\n")
+    for argv in (["select", str(sample), "--family", "hermite"],
+                 ["bench", "--config", str(config)]):
+        out = tmp_path / "out.csv"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert f"line {line}: the file is not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_numerical_failure_exit_three(tmp_path):
     tiny = tmp_path / "tiny.csv"
     tiny.write_text("x,y\n0.1,1\n0.2,2\n0.3,3\n")

@@ -233,7 +233,8 @@ _GOOD = st.one_of(
     st.floats(-1e6, 1e6).map(lambda v: f" {v:.6g}\t"),
     st.integers(-10 ** 25, 10 ** 25).map(str))
 _ODD = st.sampled_from(["1_0", "１２.5", "٣.٥", "inf", "-inf", "nan", "1e400",
-                        "-1e400", "4.9e-324", "2e-324", "2 # c", "", " "])
+                        "-1e400", "4.9e-324", "2e-324", "2 # c", "", " ",
+                        "1\xa0", "\u30001.5", "ŷ"])
 _PAIR = st.tuples(_GOOD, _GOOD).map(",".join)
 _ODD_LINE = st.one_of(
     st.tuples(st.one_of(_GOOD, _ODD), _ODD).map(",".join),
@@ -255,7 +256,7 @@ def _csv_text(draw):
         if lines:
             i = draw(st.integers(0, len(lines) - 1))
             cut = draw(st.integers(0, len(lines[i])))
-            odd = draw(st.sampled_from("\x1c\x0c\r\x0b\x1d\x1e\x85\u2028"))
+            odd = draw(st.sampled_from("\x1c\x0c\r\x0b\x1d\x1e\x85\u2028\u2029"))
             lines[i] = lines[i][:cut] + odd + lines[i][cut:]
     header = draw(st.sampled_from([[], [], ["x,y"], ["x,y"], ["x,y,z"], ["", "x,y"]]))
     leading = draw(st.sampled_from([[]] * 4 + [[""], ["", "  "]]))
@@ -300,16 +301,34 @@ def test_a_file_without_rows_is_reported_and_numpy_warns_nothing(tmp_path, text,
     assert ("no data rows" if line else "empty file") in str(err.value)
 
 
+def _load_from_its_path(path, monkeypatch):
+    """load_csv(path), failing unless numpy's reader alone reads it, from the path."""
+    def refuse(lines):
+        raise AssertionError("a plain file went to the per-row checks")
+    monkeypatch.setattr(derivfit.dataio, "_checked_rows", refuse)
+    with mock.patch.object(derivfit.dataio.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        loaded = load_csv(path)
+    assert [call.args[0] for call in loadtxt.call_args_list] == [path]
+    return loaded
+
+
 def test_a_plain_large_file_is_read_from_its_path(tmp_path, monkeypatch):
     rng = np.random.default_rng(24)
     sample = Sample(x=rng.standard_normal(20_000), y=rng.standard_normal(20_000))
     path = tmp_path / "large.csv"
     save_sample(sample, path)
+    loaded = _load_from_its_path(path, monkeypatch)
+    np.testing.assert_array_equal(loaded.x, sample.x)
+    np.testing.assert_array_equal(loaded.y, sample.y)
 
-    def refuse(lines):
-        raise AssertionError("a plain file went to the line list")
-    monkeypatch.setattr(derivfit.dataio, "_line_rows", refuse)
-    loaded = load_csv(path)
+
+def test_a_non_ascii_header_is_read_from_its_path(tmp_path, monkeypatch):
+    rng = np.random.default_rng(25)
+    sample = Sample(x=rng.standard_normal(20_000), y=rng.standard_normal(20_000))
+    path = tmp_path / "large.csv"
+    save_sample(sample, path)
+    path.write_text(path.read_text().replace("x,y", "x,ŷ", 1), encoding="utf-8")
+    loaded = _load_from_its_path(path, monkeypatch)
     np.testing.assert_array_equal(loaded.x, sample.x)
     np.testing.assert_array_equal(loaded.y, sample.y)
 
@@ -323,16 +342,13 @@ def test_a_pipe_loads_the_values_of_a_regular_file(tmp_path):
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
     writer.start()
-    read_list = np.loadtxt
-
-    def lines_only(source, *args, **kwargs):  # a second open of the pipe would block
-        if not isinstance(source, list):
-            raise AssertionError(f"numpy reopened {source}")
-        return read_list(source, *args, **kwargs)
-    with mock.patch.object(derivfit.dataio.np, "loadtxt", side_effect=lines_only):
+    # a second open of the pipe would block: numpy must not read it at all
+    with mock.patch.object(derivfit.dataio.np, "loadtxt",
+                           side_effect=AssertionError(f"numpy reopened {fifo}")) as loadtxt:
         loaded = load_csv(fifo)
     writer.join(timeout=10)
     assert not writer.is_alive()
+    loadtxt.assert_not_called()
     np.testing.assert_array_equal(loaded.x, expected.x)
     np.testing.assert_array_equal(loaded.y, expected.y)
 

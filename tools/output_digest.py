@@ -27,11 +27,14 @@ x hermite/half-trig, a hermite ``fit`` at m = 12 and hermite ``fit
 --truncate`` at m = 3, strategy 1/2, on it.  Every ``--truncate`` fit on
 the n = 700 sample fails the truncation gate and prints the zero curve;
 hermite m = 3 at n = 5000 is the corpus's fit that passes it.  Last,
-``select`` gl x hermite on five rewrites of the b3 sample (``VARIANTS``),
+``select`` gl x hermite on eight rewrites of the b3 sample (``VARIANTS``),
 written after the simulate phase, which take both of ``load_csv``'s
-read paths: a byte-order mark with CRLF endings and blank lines, no
-header, a form feed inside a line (which only the line list honours),
-the header alone and a bad cell on a known line.
+readers: a byte-order mark with CRLF endings and blank lines, no header
+and an ``x,ŷ`` header go to numpy's reader on the path; a form feed and a
+next-line character (U+0085) inside a line (line breaks only
+``str.splitlines`` honours), a whitespace-only line in mid-file (which
+numpy rejects), the header alone and a bad cell on a known line end in
+the per-row checks.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ mode = {mode}
 """
 # select's tuning flags at values other than their defaults
 TUNING = ["--sigma2", "0.0625", "--kappa0", "0.5", "--kappa1", "2", "--d-const", "1e5"]
-VARIANTS = ("bom-crlf-blanks", "no-header", "form-feed", "header-only", "bad-cell")
+VARIANTS = ("bom-crlf-blanks", "no-header", "non-ascii-header", "form-feed", "next-line",
+            "blank-line", "header-only", "bad-cell")
 BAD_LINE = 101  # the line of the bad-cell variant's bad cell
 
 
@@ -70,7 +74,10 @@ def variants(text: str) -> dict[str, str]:
     return {"bom-crlf-blanks": "\ufeff\r\n\r\n" + "\r\n".join(
                 [header, *rows[:300], "", *rows[300:]]) + "\r\n\r\n",
             "no-header": "\n".join(rows) + "\n",
+            "non-ascii-header": "\n".join(["x,ŷ", *rows]) + "\n",
             "form-feed": "\n".join([header, rows[0] + "\x0c", *rows[1:]]) + "\n",
+            "next-line": "\n".join([header, rows[0] + "\x85", *rows[1:]]) + "\n",
+            "blank-line": "\n".join([header, *rows[:300], "  ", *rows[300:]]) + "\n",
             "header-only": header + "\n",
             "bad-cell": "\n".join([header, *bad]) + "\n"}
 
