@@ -6,11 +6,11 @@ Samples are two-column CSV (optional "x,y" header) and configs flat
 not decode is a data error on its line.  A sample has two readers
 (load_csv): numpy's, straight from the path of a plain regular file (one
 whose only line breaks are those numpy's reader and str.splitlines
-share), and the per-row checks, which name the bad line, for every other
-file and every file numpy rejects.  Floats are written with
-17 significant digits so a save/load round trip is exact.  Report and
-curve writers use a fixed column order so identical runs produce
-byte-identical files.
+share, and with no line of blanks that numpy would raise at), and the
+per-row checks, which name the bad line, for every other file and every
+file numpy rejects.  Floats are written with 17 significant digits so a
+save/load round trip is exact.  Report and curve writers use a fixed
+column order so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ REPORT_COLUMNS = ("function", "family", "n", "target", "mse100_mean",
 # str.splitlines also breaks a line at these; numpy's reader does not
 _OTHER_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 _NON_BLANK = re.compile(r"\S")
+# a line of blanks that starts with a space or a tab; _plain_rows runs it
+# only on a text that holds one, which two searches for one character
+# tell far faster than the regex (memchr against a step per line)
+_BLANK_LINE = re.compile(r"\n[ \t][^\S\n]*(?![^\n])")
 
 
 def _fmt(value: float) -> str:
@@ -42,9 +46,11 @@ def _fmt(value: float) -> str:
 def _read_text(path) -> str:
     """The file's text: UTF-8, a leading byte-order mark skipped, \\r and
     \\r\\n read as \\n.  A byte that does not decode raises a
-    DataFormatError naming its line."""
+    DataFormatError naming its line; so does a cut-off mark (\\xef or
+    \\xef\\xbb alone), which the utf-8-sig decoder of text mode drops at
+    the end of the input without an error, and the utf-8 decoder does not."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:  # a ValueError: cli.main's usage exit
         before = exc.object[:exc.start].decode("utf-8")  # exc.object: the bytes decoded
         line = len((before + "?").splitlines())  # "?" holds the bad byte's place
@@ -57,13 +63,14 @@ def load_csv(path) -> Sample:
 
     Two readers.  A plain regular file, one with none of the characters
     str.splitlines breaks a line at and numpy's reader does not (\\x0b,
-    \\x0c, \\x1c, \\x1d, \\x1e, \\x85, \\u2028, \\u2029), goes to numpy's
-    C reader straight from its path, past its leading blank lines and
-    header; its values are float()'s bit for bit and are kept if they
-    come out as N >= 1 rows of two finite values.  Every other file, a
-    header without rows, and every result not kept, go through the
-    per-row checks, which name the offending line.  Both find the header
-    the same way (_data_start).
+    \\x0c, \\x1c, \\x1d, \\x1e, \\x85, \\u2028, \\u2029) and no line of
+    blanks that starts with a space or a tab past the first line, at
+    which numpy's reader would raise, goes to numpy's C reader straight
+    from its path, past its leading blank lines and header; its values
+    are float()'s bit for bit and are kept if they come out as N >= 1
+    rows of two finite values.  Every other file, a header without rows,
+    and every result not kept, go through the per-row checks, which name
+    the offending line.  Both find the header the same way (_data_start).
     """
     text = _read_text(path)
     values = _plain_rows(path, text)
@@ -92,7 +99,10 @@ def _data_start(lines: list[str]) -> int:
 def _plain_rows(path, text: str) -> np.ndarray | None:
     """A plain regular file's rows from numpy's reader on the path, or
     None where the per-row checks must decide (see load_csv)."""
-    if any(c in text for c in _OTHER_BREAKS):
+    # numpy's reader keeps lines that str.splitlines breaks, and raises at a
+    # line of blanks
+    if (any(c in text for c in _OTHER_BREAKS)
+            or (" " in text or "\t" in text) and _BLANK_LINE.search(text)):
         return None
     first = _NON_BLANK.search(text)
     end = text.find("\n", first.start()) if first else -1  # read_text made \r, \r\n into \n

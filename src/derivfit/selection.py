@@ -7,10 +7,13 @@ variance proxy, and restricts candidates to the collection whose Gram
 conditioning passes the squared-norm gate.  Both live in coefficient
 space and no derivative columns are formed: the derivatives of the
 first m elements are the link matrix Delta applied to the first m+p, so
-the derivative Gram is Psi' = Delta Gram_{m+p} Delta^T, the distance of
-two fits at the sample points is the quadratic form of their
-(zero-padded) coefficient difference in Psi', and each member's penalty
-reads the leading block of that one matrix.
+the derivative Gram is Psi' = Delta Gram_{m+p} Delta^T = B B^T with
+B = Delta L_{m+p} for the Gram's Cholesky factor L, and Psi' itself is
+never built.  The distance of two fits at the sample points is
+|B^T (theta_i - theta_j)|^2 with zero-padded coefficients, one product
+B^T Theta for all members and O(k M^2) for all pairs, and each member's
+penalty is the top eigenvalue alone of the leading block of one
+whitened W = C C^T, C = L^-1 B.
 The oracle selector uses the known target (simulation only); the reuse
 selector picks the dimension by a penalized least-squares contrast on
 the regression fit and reuses it for the derivative.
@@ -18,7 +21,7 @@ the regression fit and reuses it for the derivative.
 Each sample gets one sweep: a DesignCache evaluates the basis once,
 builds one panel Gram, one Phi^T y and one prefix Cholesky factor of the
 Gram at the top dimension, whose leading blocks are every dimension's
-Gram, moments and factor, and builds Psi' from the Gram once when gl
+Gram, moments and factor, and B from the factor once per pass when gl
 needs it.  One forward substitution z = L^-1 Phi^T y / n, prefix-exact
 like the factor, serves every member's coefficients: theta_m is one
 back-substitution of z[:m] against the leading block of L^T.  The
@@ -83,7 +86,7 @@ import numbers
 import operator
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from .basis import BasisSpec, Family, admissible_dims, delta_matrix, eval_basis
 from .design import (Sample, certified_collection, certified_dims, default_d_constant,
@@ -155,10 +158,12 @@ class DesignCache:
     trimmed, the sample's 3%-97% quantile range, is computed once: it is
     half-trig's interval when none is given, and the harness's scoring
     interval.  The gate, the noise estimate, every selector and the error
-    scoring share one cache.  The derivative Gram psi_prime =
-    Delta Gram Delta^T of the top dimension is built on first use from
-    the Gram alone; its leading m-by-m block is the derivative Gram of
-    dimension m.
+    scoring share one cache.  The derivative Gram is never formed:
+    derivative_root(k) is its square root B = Delta_k L_{k+p}, with
+    Psi'_k = Delta Gram_{k+p} Delta^T = B B^T, from the factor alone.
+    The first m rows of Delta are zero past dimension m's m+p columns and
+    L is lower triangular, so the first m rows of B are exactly zero
+    there too: they are the root of dimension m's derivative Gram.
     """
 
     def __init__(self, sample: Sample, family: Family, m_hi: int,
@@ -235,8 +240,7 @@ class DesignCache:
         if m not in self._thetas:
             if not self.solvable(m):
                 raise _singular_at(m, self.family)
-            self._thetas[m] = scipy.linalg.blas.dtrsv(self.factor[:m, :m], self.z[:m],
-                                                      lower=1, trans=1)
+            self._thetas[m] = blas.dtrsv(self.factor[:m, :m], self.z[:m], lower=1, trans=1)
         return self._thetas[m]
 
     def fit(self, m: int, strategy: Strategy) -> DerivativeFit:
@@ -254,7 +258,7 @@ class DesignCache:
         """z = L^-1 Phi^T y / n, one forward substitution against the
         factor, prefix-exact like the factor: its first m entries are
         dimension m's, and theta_m solves L_m^T theta = z[:m]."""
-        return scipy.linalg.blas.dtrsv(self.factor, self._rhs[:len(self.factor)], lower=1)
+        return blas.dtrsv(self.factor, self._rhs[:len(self.factor)], lower=1)
 
     def thetas(self, dims) -> np.ndarray:
         """The coefficient vectors of dims as columns, zero-padded to max(dims)."""
@@ -263,13 +267,12 @@ class DesignCache:
             out[:m, col] = self.theta(m)
         return out
 
-    @functools.cached_property
-    def psi_prime(self) -> np.ndarray:
-        """The derivative Gram Phi'^T Phi' / n at the top dimension, as
-        Delta Gram Delta^T (exactly symmetric)."""
-        delta = delta_matrix(self.spec)
-        raw = delta @ self._gram @ delta.T
-        return (raw + raw.T) / 2.0
+    def derivative_root(self, m: int) -> np.ndarray:
+        """B = Delta_m L_{m+p}, the m-by-(m+p) square root of dimension m's
+        derivative Gram Phi'^T Phi' / n = B B^T (m+p within the factor);
+        its first j rows are dimension j's root."""
+        ext = self.spec_for(m).extended().m
+        return delta_matrix(self.spec_for(m)) @ self.factor[:ext, :ext]
 
     def residual_ms(self, dims) -> np.ndarray:
         """Residual mean squares (1/n)|y - Phi theta_m|^2 for m in dims
@@ -345,21 +348,23 @@ def _checked_m_grid(m_grid, family: Family, n: int) -> tuple[int, ...]:
 def penalty_v_hat(whitened: np.ndarray, sigma2: float, n: int) -> float:
     """Variance proxy: (sigma^2 m / n) times the top eigenvalue of the
     m-by-m derivative Gram in the Gram's metric, whitened = L^-1 Psi' L^-T
-    with L L^T the Gram (the spectrum of Gram^-1 Psi'; see
-    _whitened_derivative_gram)."""
-    lam = np.linalg.eigvalsh(whitened)
-    return sigma2 * len(whitened) / n * max(lam[-1], 0.0)
+    with L L^T the Gram (the spectrum of Gram^-1 Psi'; see _whitened).
+    LAPACK dsyevr computes that one eigenvalue alone (tridiagonalization
+    and bisection), reading the lower triangle; a 1-by-1 block is its own."""
+    m = len(whitened)
+    top = lapack.dsyevr(whitened, compute_v=0, range="I", il=m, iu=m, lower=1)[0][0]
+    return sigma2 * m / n * max(top, 0.0)
 
 
-def _whitened_derivative_gram(factor: np.ndarray, psi_prime: np.ndarray) -> np.ndarray:
-    """L^-1 Psi' L^-T for the lower Cholesky factor L, exactly symmetric.
-    L is triangular, so its leading m-by-m block is, up to rounding, the
-    same product of the leading m-by-m blocks of L and Psi'."""
+def _whitened(factor: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """W = C C^T with C = L^-1 B, for the lower Cholesky factor L of the
+    Gram and the derivative Gram's root B: L^-1 Psi' L^-T, exactly
+    symmetric.  L^-1 is lower triangular, so the first m rows of C are
+    L_m^-1 B_m and W's leading m-by-m block is dimension m's."""
     # LAPACK dtrtrs, the routine solve_triangular calls, without its
     # checks: BLAS dtrsm rounds a 1-by-1 factor (one member) differently
-    half = scipy.linalg.lapack.dtrtrs(factor, psi_prime, lower=1)[0]
-    s = scipy.linalg.lapack.dtrtrs(factor, half.T, lower=1)[0]
-    return (s + s.T) / 2.0
+    c = lapack.dtrtrs(factor, root, lower=1)[0]
+    return c @ c.T  # numpy forms a matrix times its own transpose with one syrk
 
 
 def collection_members(cache: DesignCache, m_grid, d_constant: float) -> list[int]:
@@ -485,23 +490,27 @@ class Selection:
                               + 2.0 * self.sigma2 * np.asarray(self.members) / n)
 
     @functools.cached_property
+    def _root(self) -> np.ndarray:
+        """The root B of the top member's derivative Gram, which the
+        penalties and the distances both read."""
+        return self.cache.derivative_root(self.members[-1])
+
+    @functools.cached_property
     def v_hat(self) -> np.ndarray:
         """gl's penalty per member, each from the leading block of one
         whitened derivative Gram."""
         n, k = self.cache.sample.n, self.members[-1]
-        whitened = _whitened_derivative_gram(self.cache.factor[:k, :k],
-                                             self.cache.psi_prime[:k, :k])
-        return np.array([penalty_v_hat(whitened[:m, :m], self.sigma2, n)
-                         for m in self.members])
+        whitened = _whitened(self.cache.factor[:k, :k], self._root)
+        return np.array([penalty_v_hat(whitened[:m, :m], self.sigma2, n) for m in self.members])
 
     @functools.cached_property
     def distances(self) -> np.ndarray:
         """The squared empirical distances of the member fits, all pairs at
-        once in coefficient space: (theta_i - theta_j)^T Psi'
-        (theta_i - theta_j) with zero-padded coefficients."""
-        k, thetas = self.members[-1], self.cache.thetas(self.members)
-        diff = thetas[:, :, None] - thetas[:, None, :]
-        return (diff * np.tensordot(self.cache.psi_prime[:k, :k], diff, 1)).sum(axis=0)
+        once: with zero-padded coefficients, (theta_i - theta_j)^T Psi'
+        (theta_i - theta_j) = |B^T theta_i - B^T theta_j|^2."""
+        u = self._root.T @ self.cache.thetas(self.members)
+        diff = u[:, :, None] - u[:, None, :]
+        return np.einsum("rij,rij->ij", diff, diff)
 
     def compare(self, kappa0=None, kappa1=None) -> tuple[int, np.ndarray]:
         """The pairwise-comparison choice under kappa0 and kappa1 (None:

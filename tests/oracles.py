@@ -11,10 +11,12 @@ closed forms and the population penalty from integrals, never from the
 empirical machinery.  The remaining helpers (a Gram's eigenvalues from a
 basis evaluation and Gram of its own, matrix and empirical norms, the Gram's
 symmetric inverse square root, fitted derivatives at the design points,
-the derivative sup factor) are direct n-space or dense forms of
-quantities the package computes another way.  The regression fit is the
-exception: it wraps the package's one least-squares solve, so the tests
-of its residual orthogonality and optimality check that solve.
+the derivative sup factor, the derivative Gram formed in full and the
+penalties from all of its whitened eigenvalues) are direct n-space or
+dense forms of quantities the package computes another way.  The
+regression fit is the exception: it wraps the package's one
+least-squares solve, so the tests of its residual orthogonality and
+optimality check that solve.
 report_row looks up one cell of an experiment report, and gl_record
 reads a selection pass's gl terms as one comparable value.
 
@@ -270,6 +272,33 @@ def fitted_derivative_at_sample(fit: DerivativeFit, x: np.ndarray) -> np.ndarray
     if fit.strategy is Strategy.PROJECTION_OF_DERIV:
         return eval_basis(fit.spec, x) @ fit.theta
     return derivative_columns(fit.spec, x) @ fit.theta
+
+
+def derivative_gram(cache: DesignCache, m: int) -> np.ndarray:
+    """Dimension m's derivative Gram formed in full, Delta Gram_{m+p}
+    Delta^T of the cache's Gram, exactly symmetric: the matrix whose root
+    DesignCache.derivative_root is."""
+    spec = cache.spec_for(m)
+    ext = spec.extended().m
+    delta = delta_matrix(spec)
+    raw = delta @ cache._gram[:ext, :ext] @ delta.T
+    return (raw + raw.T) / 2.0
+
+
+def penalties_from_all_eigenvalues(cache: DesignCache, members, sigma2: float
+                                   ) -> np.ndarray:
+    """V-hat per member from the whitened derivative Gram formed in full:
+    S = L^-1 Psi' L^-T at the top member by two triangular solves (LAPACK
+    dtrtrs), symmetrized, and every eigenvalue of each member's leading
+    block (eigvalsh), of which V-hat reads the largest."""
+    k = members[-1]
+    factor = cache.factor[:k, :k]
+    half = scipy.linalg.lapack.dtrtrs(factor, derivative_gram(cache, k), lower=1)[0]
+    s = scipy.linalg.lapack.dtrtrs(factor, half.T, lower=1)[0]
+    whitened = (s + s.T) / 2.0
+    n = cache.sample.n
+    return np.array([sigma2 * m / n * max(np.linalg.eigvalsh(whitened[:m, :m])[-1], 0.0)
+                     for m in members])
 
 
 def report_row(report: ExperimentReport, function: str, family: str, n: int,

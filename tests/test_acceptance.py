@@ -16,7 +16,7 @@ from derivfit.design import Sample, default_d_constant, trim_interval
 from derivfit.dataio import save_report
 from derivfit.estimators import evaluate_fit
 from derivfit.selection import (DesignCache, _oracle_error_sweep,
-                                _whitened_derivative_gram, collection_members,
+                                _whitened, collection_members,
                                 default_m_grid, fit_derivative_1,
                                 gl_select, penalty_v_hat)
 from derivfit.simulation import (ExperimentConfig, TEST_FUNCTIONS, best_kappa,
@@ -164,8 +164,7 @@ def test_criterion_3_monotonicity():
         cache = DesignCache(sample, family, max(m_grid))
         members = collection_members(cache, m_grid, default_d_constant(sample.x))
         k = max(members)
-        whitened = _whitened_derivative_gram(cache.factor[:k, :k],
-                                             cache.psi_prime[:k, :k])
+        whitened = _whitened(cache.factor[:k, :k], cache.derivative_root(k))
         traces, penalties = [], []
         for m in members:
             w = whitener(cache._gram[:m, :m])

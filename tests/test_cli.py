@@ -214,8 +214,9 @@ def test_data_errors_exit_two(tmp_path):
 
 
 @pytest.mark.parametrize("data, line", [
-    ("x,ý\n1,2\n0.5,3\n".encode("cp1252"), 1), (b"x,y\n1,2\n\xff\xfe,3\n", 3)],
-    ids=["cp1252-header", "bad-byte-line-3"])
+    ("x,ý\n1,2\n0.5,3\n".encode("cp1252"), 1), (b"x,y\n1,2\n\xff\xfe,3\n", 3),
+    (b"\xef\xbb", 1), (b"\xef", 1)],
+    ids=["cp1252-header", "bad-byte-line-3", "cut-off-mark", "cut-off-mark-1-byte"])
 def test_a_file_that_is_not_utf8_is_a_data_error_on_its_line(tmp_path, capsys, data, line):
     sample, config = tmp_path / "sample.csv", tmp_path / "bench.cfg"
     sample.write_bytes(data)

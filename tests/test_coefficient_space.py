@@ -20,14 +20,15 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 import derivfit.selection
-from derivfit.basis import BasisSpec, Family, eval_basis, parse_family
+from derivfit.basis import BasisSpec, Family, admissible_dims, eval_basis, parse_family
 from derivfit.design import Sample, gram, is_singular, trim_interval
 from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, Selection,
-                                _oracle_error_sweep, default_m_grid, fit_derivative_1,
-                                gl_select, reuse_select)
+                                _oracle_error_sweep, _whitened, default_m_grid,
+                                fit_derivative_1, gl_select, reuse_select)
 from derivfit.simulation import (TEST_FUNCTIONS, calibrate_kappa, generate_sample,
                                  rng_for)
-from oracles import derivative_columns, gl_record
+from oracles import (derivative_columns, derivative_gram, gl_record,
+                     penalties_from_all_eigenvalues)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +136,15 @@ def test_basis_matrices_take_derivatives_through_the_link_matrix(family, m, a, w
     # the recursion's columns, zero outside the support
     phi_prime = derivative_columns(spec, x)
     reference = phi_prime.T @ phi_prime / x.size
-    assert np.all(np.abs(cache.psi_prime - reference)
-                  <= 1e-12 * np.abs(reference).max())
+    # Delta Gram Delta^T of the whole Gram, and B B^T where the factor
+    # reaches m+p (it stops at a singular leading block)
+    formed = [derivative_gram(cache, m)]
+    if len(cache.factor) >= spec.extended().m:
+        root = cache.derivative_root(m)
+        formed.append(root @ root.T)
+    for psi_prime in formed:
+        assert np.all(np.abs(psi_prime - reference)
+                      <= 1e-12 * np.abs(reference).max())
 
 
 @pytest.mark.parametrize("family,centre", [(Family.LEGENDRE, 0.0),
@@ -149,11 +157,13 @@ def test_designs_beyond_a_bounded_support(family, centre):
     outside = (x < lo) | (x > hi)
     assert 50 < outside.sum() < 350
     cache = DesignCache(sample, family, 12)
+    root = cache.derivative_root(12)
     for m in (1, 5, 12):
         assert not cache._phi[outside, :m].any()
         phi_prime = derivative_columns(cache.spec_for(m), x)
         reference = phi_prime.T @ phi_prime / sample.n
-        assert (np.abs(cache.psi_prime[:m, :m] - reference).max()
+        # the first m rows of the top root are dimension m's root
+        assert (np.abs(root[:m] @ root[:m].T - reference).max()
                 <= 1e-12 * np.abs(reference).max())
     selection, fit = gl_select(sample, family, range(1, 13))
     assert selection.m_hat in selection.members and fit.m == selection.m_hat
@@ -182,6 +192,64 @@ def test_gl_penalties_and_comparisons_match_the_n_space_loop(family_name):
             np.testing.assert_allclose(chosen.compare()[1], [a_value[m] for m in members],
                                        rtol=1e-10)
             assert chosen.m_hat == m_hat
+
+
+# points per family for the draws of gl's terms below
+POINTS = {Family.TRIG_ODD: lambda rng, n: rng.uniform(0, 1, n),
+          Family.HALF_TRIG: lambda rng, n: rng.uniform(-0.5, 1.5, n),
+          Family.LAGUERRE: lambda rng, n: rng.exponential(1.0, n),
+          Family.HERMITE: lambda rng, n: rng.standard_normal(n),
+          Family.LEGENDRE: lambda rng, n: rng.uniform(-1, 1, n)}
+
+# (family, seed, grid, d): the five families at n = 300 under the default
+# gate (trig-odd's grid is its odd dimensions), two one-member collections
+# (trig-odd's constant, whose penalty is 0), and an ill-conditioned draw:
+# Laguerre under a gate that admits every non-singular Gram, where the
+# top member's Gram has kappa ~ 2.6e9
+ROOT_DRAWS = [(family, 5, None, None) for family in Family] + [
+    (Family.HERMITE, 5, (2,), None), (Family.TRIG_ODD, 5, (1,), None),
+    (Family.LAGUERRE, 28, None, 1e300)]
+
+
+def root_selection(family, seed, grid, d_constant):
+    rng = np.random.default_rng(seed)
+    x = POINTS[family](rng, 300)
+    sample = Sample(x=x, y=np.sin(3 * x) + 0.1 * rng.standard_normal(300))
+    return Selection(sample, family, grid, 1.0, d_constant,
+                     (-0.5, 1.5) if family is Family.HALF_TRIG else None)
+
+
+@pytest.mark.parametrize("draw", ROOT_DRAWS, ids=str)
+def test_penalties_are_the_top_eigenvalues_of_the_formed_whitened_gram(draw):
+    """V-hat from the root's whitening and one eigenvalue against every
+    eigenvalue of the whitened derivative Gram formed in full, within
+    k kappa(Gram_{k+p}) eps relative at the top member k; the first j rows
+    of the root are zero past dimension j's j+p columns (j admissible)."""
+    selection = root_selection(*draw)
+    cache, k = selection.cache, selection.members[-1]
+    ext = cache.spec_for(k).extended().m
+    lam = scipy.linalg.eigvalsh(cache._gram[:ext, :ext])
+    oracle = penalties_from_all_eigenvalues(cache, selection.members, selection.sigma2)
+    np.testing.assert_allclose(selection.v_hat, oracle, atol=0,
+                               rtol=k * lam[-1] / lam[0] * np.finfo(float).eps)
+    root = cache.derivative_root(k)
+    for j in admissible_dims(cache.family, k):
+        assert not root[:j, cache.spec_for(j).extended().m:].any()
+    whitened = _whitened(cache.factor[:k, :k], root)
+    assert np.array_equal(whitened, whitened.T)
+
+
+@pytest.mark.parametrize("draw", ROOT_DRAWS, ids=str)
+def test_distances_are_those_of_the_fit_vectors_at_the_sample(draw):
+    """D_ij against (1/n)|Phi'(theta_i - theta_j)|^2 with the recursion's
+    derivative columns, within 1e-10 of the largest."""
+    selection = root_selection(*draw)
+    sample, members = selection.cache.sample, selection.members
+    fits = (derivative_columns(selection.cache.spec_for(members[-1]), sample.x)
+            @ selection.cache.thetas(members))
+    diff = fits[:, :, None] - fits[:, None, :]
+    reference = np.einsum("nij,nij->ij", diff, diff) / sample.n
+    assert np.abs(selection.distances - reference).max() <= 1e-10 * reference.max()
 
 
 @pytest.mark.parametrize("family_name", ["hermite", "half-trig"])

@@ -301,6 +301,41 @@ def test_a_file_without_rows_is_reported_and_numpy_warns_nothing(tmp_path, text,
     assert ("no data rows" if line else "empty file") in str(err.value)
 
 
+@pytest.mark.parametrize("data", [b"\xef\xbb", b"\xef", b"\xef\xbb\xbf\xef\xbb"],
+                         ids=["cut-off-mark", "one-byte", "mark-then-cut-off-mark"])
+def test_a_cut_off_byte_order_mark_is_not_utf8(tmp_path, data):
+    """Text mode's decoder drops a cut-off mark at the end of the input, so
+    the file would read as empty; it is a byte that does not decode."""
+    path = tmp_path / "cut.csv"
+    path.write_bytes(data)
+    for read in (load_csv, read_config):
+        with pytest.raises(DataFormatError) as err:
+            read(path)
+        assert err.value.line == 1
+        assert "the file is not UTF-8: byte 0xef does not decode" in str(err.value)
+
+
+@pytest.mark.parametrize("blanks", [[20_000], [5, 6_000, 13_000]],
+                         ids=["trailing", "three-mid-file"])
+def test_a_line_of_blanks_goes_straight_to_the_per_row_checks(tmp_path, blanks):
+    """numpy's reader raises at a line of blanks, so such a file is not
+    given to it: the per-row checks read it once, with the plain file's
+    values."""
+    rng = np.random.default_rng(26)
+    sample = Sample(x=rng.standard_normal(20_000), y=rng.standard_normal(20_000))
+    path = tmp_path / "blanks.csv"
+    save_sample(sample, path)
+    lines = path.read_text().splitlines()
+    for row in reversed(blanks):  # after data row `row`
+        lines.insert(row + 1, "  " if row == 20_000 else " ")
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(derivfit.dataio.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        loaded = load_csv(path)
+    assert loadtxt.call_count == 0
+    np.testing.assert_array_equal(loaded.x, sample.x)
+    np.testing.assert_array_equal(loaded.y, sample.y)
+
+
 def _load_from_its_path(path, monkeypatch):
     """load_csv(path), failing unless numpy's reader alone reads it, from the path."""
     def refuse(lines):

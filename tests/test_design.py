@@ -73,7 +73,8 @@ def test_phi_prime_consistency_with_link(family, xgen):
     # recursion evaluates the derivative columns without it
     phi_prime = derivative_recursion(cache.spec_for(m), sample.x)
     reference = phi_prime.T @ phi_prime / sample.n
-    assert np.abs(cache.psi_prime - reference).max() <= 1e-12 * np.abs(reference).max()
+    root = cache.derivative_root(m)
+    assert np.abs(root @ root.T - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_operator_and_frobenius_norms():

@@ -11,7 +11,7 @@ from derivfit.errors import EmptyCollectionError
 from derivfit.estimators import Strategy
 from derivfit.selection import (EVAL_GRID_POINTS, KAPPA, DesignCache, Selection,
                                 _first_minimum, _oracle_error_sweep,
-                                _whitened_derivative_gram, collection_members,
+                                _whitened, collection_members,
                                 default_m_grid, estimate_sigma2, fit_derivative_1,
                                 gl_select, oracle_select, penalty_v_hat, reuse_select)
 from derivfit.simulation import (TEST_FUNCTIONS, ExperimentConfig, generate_sample,
@@ -28,7 +28,7 @@ def normal_sample(seed, n, fn=None, sigma=0.25):
 
 def whitened_block(cache, m):
     """The m-by-m whitened derivative Gram L^-1 Psi' L^-T of the cache."""
-    return _whitened_derivative_gram(cache.factor[:m, :m], cache.psi_prime[:m, :m])
+    return _whitened(cache.factor[:m, :m], cache.derivative_root(m))
 
 
 def test_penalty_zero_for_constant_basis():

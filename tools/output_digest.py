@@ -19,21 +19,25 @@ hermite/half-trig there with sigma^2, kappa0, kappa1 and d given
 n = 700) and sigma^2 given; ``bench`` in oracle, gl and reuse mode over b1-b4 x
 hermite, half-trig x n in {250, 1000} x 4 repetitions (seed 7), and in
 gl mode with sigma2 = 0.0625;
-``calibrate`` b3/hermite at n = 1000 with 6 seeds and b1/half-trig (whose
-basis rescales to each draw's trimmed range) at n = 250 with 4 seeds;
-and, past one block of the basis evaluation (``basis.EVAL_BLOCK``
-points), ``simulate`` b3 at n = 5000 (seed 7) with ``select`` gl/oracle
-x hermite/half-trig, a hermite ``fit`` at m = 12 and hermite ``fit
---truncate`` at m = 3, strategy 1/2, on it.  Every ``--truncate`` fit on
-the n = 700 sample fails the truncation gate and prints the zero curve;
-hermite m = 3 at n = 5000 is the corpus's fit that passes it.  Last,
+``calibrate`` b3/hermite at n = 1000 with 6 seeds, b1/half-trig (whose
+basis rescales to each draw's trimmed range) at n = 250 with 4 seeds,
+and b3/hermite at n = 4000 with 3 seeds and kappa in {0.2, 0.5, 1, 2, 5},
+whose grid runs to dimension 40 (16-17 members pass the gate) and where
+each kappa's choice reads every member's penalty and every pair's
+distance; and, past one block of the basis evaluation
+(``basis.EVAL_BLOCK`` points), ``simulate`` b3 at n = 5000 (seed 7)
+with ``select`` gl/oracle x hermite/half-trig, a hermite ``fit`` at
+m = 12 and hermite ``fit --truncate`` at m = 3, strategy 1/2, on it.
+Every ``--truncate`` fit on the n = 700 sample fails the truncation gate
+and prints the zero curve; hermite m = 3 at n = 5000 is the corpus's fit
+that passes it.  Last,
 ``select`` gl x hermite on eight rewrites of the b3 sample (``VARIANTS``),
 written after the simulate phase, which take both of ``load_csv``'s
 readers: a byte-order mark with CRLF endings and blank lines, no header
 and an ``x,ŷ`` header go to numpy's reader on the path; a form feed and a
 next-line character (U+0085) inside a line (line breaks only
 ``str.splitlines`` honours), a whitespace-only line in mid-file (which
-numpy rejects), the header alone and a bad cell on a known line end in
+numpy would reject), the header alone and a bad cell on a known line end in
 the per-row checks.
 """
 
@@ -156,6 +160,11 @@ def corpus() -> list[list[tuple[str, list[str], list[str]]]]:
                                             "half-trig", "--n", "250", "--seeds", "4",
                                             "--out", "calibrate-ht.csv"],
                  ["calibrate-ht.csv"]))
+    rest.append(("calibrate b3 hermite large", ["calibrate", "--function", "b3", "--family",
+                                                "hermite", "--n", "4000", "--kappas",
+                                                "0.2,0.5,1,2,5", "--seeds", "3",
+                                                "--out", "calibrate-large.csv"],
+                 ["calibrate-large.csv"]))
     return [simulate, rest]
 
 
