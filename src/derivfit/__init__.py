@@ -10,17 +10,13 @@ or reused from the regression fit; a Monte Carlo harness benchmarks all
 of it.
 """
 
-from .basis import (BasisSpec, Family, admissible_dims, delta_matrix, eval_basis,
-                    eval_basis_derivative, l_factor, parse_family)
-from .design import (Sample, default_d_constant, stability_check, trim_interval,
-                     truncation_gate, STABILITY_C)
+from .basis import BasisSpec, Family
+from .design import Sample
 from .errors import (DataFormatError, DerivfitError, EmptyCollectionError,
                      SingularGramError)
-from .estimators import DerivativeFit, Strategy, evaluate_fit, truncate_fit
-from .selection import (Selection, default_m_grid, estimate_sigma2, fit_derivative_1,
-                        fit_derivative_2, gl_select, oracle_select, reuse_select)
-from .simulation import (ExperimentConfig, ExperimentReport, TEST_FUNCTIONS,
-                         TestFunction, calibrate_kappa, generate_sample,
-                         rng_for, run_experiment)
+from .estimators import DerivativeFit, Strategy, evaluate_fit
+from .selection import Selection, fit_derivative, gl_select, oracle_select, reuse_select
+from .simulation import (ExperimentConfig, TEST_FUNCTIONS, calibrate_kappa,
+                         generate_sample, run_experiment)
 
 __version__ = "0.1.0"

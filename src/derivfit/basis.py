@@ -365,10 +365,11 @@ def delta_matrix(spec: BasisSpec) -> np.ndarray:
             delta[j, j] = -1.0
             delta[j, :j] = -2.0
     elif fam is Family.HERMITE:
-        for j in range(m):
-            if j >= 1:
-                delta[j, j - 1] = np.sqrt(j / 2.0)
-            delta[j, j + 1] = -np.sqrt((j + 1) / 2.0)
+        # one fill per diagonal: a DesignCache builds its top dimension's
+        # matrix, often wider than any dimension it solves
+        j = np.arange(m)
+        delta[j[1:], j[1:] - 1] = np.sqrt(j[1:] / 2.0)
+        delta[j, j + 1] = -np.sqrt((j + 1) / 2.0)
     else:  # LEGENDRE, lower triangular with zero diagonal
         for n in range(1, m):
             if n % 2 == 1:

@@ -18,11 +18,11 @@ import numpy as np
 
 from . import dataio, simulation
 from .basis import BasisSpec, Family, parse_family
-from .design import Sample, trim_interval, truncation_gate
+from .design import Sample, trim_interval
 from .errors import DataFormatError, EmptyCollectionError, SingularGramError
-from .estimators import Strategy, truncate_fit
-from .selection import (EVAL_GRID_POINTS, KAPPA, _check_tuning, _fit_cache,
-                        default_m_grid, gl_select, oracle_select, reuse_select)
+from .estimators import Strategy
+from .selection import (EVAL_GRID_POINTS, KAPPA, _check_tuning, default_m_grid,
+                        fit_derivative, gl_select, oracle_select, reuse_select)
 
 USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 1, 2, 3
 
@@ -108,12 +108,7 @@ def _cmd_fit(args) -> int:
     trimmed = _trimmed(sample)
     spec = _spec_for(family, args.m, sample, _parse_interval(args.interval), trimmed)
     grid = _grid_for(args, sample, trimmed)
-    strategy = Strategy(args.strategy)
-    cache = _fit_cache(sample, spec, strategy)
-    fit = cache.fit(spec.m, strategy)
-    if args.truncate:
-        ext = spec.extended()
-        fit = truncate_fit(fit, truncation_gate(ext, cache.eigvals(ext.m), sample.n))
+    fit = fit_derivative(sample, spec, Strategy(args.strategy), args.truncate)
     dataio.emit_curve(fit, grid, args.out)
     status = " (truncated to zero)" if fit.truncated_to_zero else ""
     print(f"strategy-{args.strategy} derivative fit at m={args.m}{status} -> {args.out}")

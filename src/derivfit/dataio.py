@@ -33,10 +33,11 @@ REPORT_COLUMNS = ("function", "family", "n", "target", "mse100_mean",
 # str.splitlines also breaks a line at these; numpy's reader does not
 _OTHER_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 _NON_BLANK = re.compile(r"\S")
-# a line of blanks that starts with a space or a tab; _plain_rows runs it
-# only on a text that holds one, which two searches for one character
-# tell far faster than the regex (memchr against a step per line)
-_BLANK_LINE = re.compile(r"\n[ \t][^\S\n]*(?![^\n])")
+# a line of blanks; _plain_rows runs it only on a text that is not ASCII or
+# holds a space or a tab, which isascii and two searches for one character
+# tell far faster than the regex (memchr against a step per line); an
+# ASCII line of other blanks (U+001F) is left to numpy's reader to reject
+_BLANK_LINE = re.compile(r"\n[^\S\n]+(?![^\n])")
 
 
 def _fmt(value: float) -> str:
@@ -102,7 +103,8 @@ def _plain_rows(path, text: str) -> np.ndarray | None:
     # numpy's reader keeps lines that str.splitlines breaks, and raises at a
     # line of blanks
     if (any(c in text for c in _OTHER_BREAKS)
-            or (" " in text or "\t" in text) and _BLANK_LINE.search(text)):
+            or (not text.isascii() or " " in text or "\t" in text)
+            and _BLANK_LINE.search(text)):
         return None
     first = _NON_BLANK.search(text)
     end = text.find("\n", first.start()) if first else -1  # read_text made \r, \r\n into \n

@@ -11,16 +11,16 @@ minus the link matrix applied to the (m+p)-dimensional regression
 coefficients, -Delta theta_{m+p}, and the result is evaluated against
 the basis functions themselves.
 
-This module holds the fit record (DerivativeFit and its Strategy), the
-truncation rule and the curve evaluation.  The fits themselves come from
-the one least-squares solve, selection.DesignCache.fit; the
-fixed-dimension fit_derivative_1/2 live beside it.
+This module holds the fit record (DerivativeFit and its Strategy) and
+the curve evaluation.  The fits themselves come from the one
+least-squares solve, selection.DesignCache.fit; the fixed-dimension
+selection.fit_derivative, with its truncation, lives beside it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,15 +44,6 @@ class DerivativeFit:
     @property
     def m(self) -> int:
         return self.spec.m
-
-
-def truncate_fit(fit: DerivativeFit, in_lambda: bool) -> DerivativeFit:
-    """Zero out the fit unless the truncation gate at m+p passed
-    (in_lambda: design.truncation_gate)."""
-    truncated = fit.truncated_to_zero or not in_lambda
-    if truncated == fit.truncated_to_zero:
-        return fit
-    return replace(fit, truncated_to_zero=truncated)
 
 
 def evaluate_fit(fit: DerivativeFit, grid) -> np.ndarray:

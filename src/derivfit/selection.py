@@ -64,9 +64,10 @@ The cache is the package's one least-squares solve: every theta, the
 fixed-dimension fits included, is one of its leading-block solves, and
 DesignCache.fit turns theta_m into the strategy-1 fit and theta_{m+p}
 into the strategy-2 fit -Delta theta_{m+p}.
-fit_derivative_1/2 are that call on a cache of their own, built at the
-fit's dimension once the sample can carry it (m, or m+p for strategy 2,
-at most n).  Grid scoring (_oracle_error_sweep, the one scoring path of
+fit_derivative is that call on a cache of its own, built at the fit's
+dimension once the sample can carry it (m, or m+p for strategy 2, at
+most n), with the truncation gate at m+p when asked for.
+Grid scoring (_oracle_error_sweep, the one scoring path of
 the oracle and the harness) builds the EVAL_GRID_POINTS grid over the
 interval it is given, evaluates the basis and the target functions once
 on it, and all dimensions' curves in one product per target, the
@@ -84,6 +85,7 @@ import functools
 import math
 import numbers
 import operator
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -91,7 +93,7 @@ from scipy.linalg import blas, lapack
 from .basis import BasisSpec, Family, admissible_dims, delta_matrix, eval_basis
 from .design import (Sample, certified_collection, certified_dims, default_d_constant,
                      design_from_matrices, gram, is_singular, moments, prefix_cholesky,
-                     stability_check, trim_interval)
+                     stability_check, trim_interval, truncation_gate)
 from .errors import EmptyCollectionError, SingularGramError
 from .estimators import DerivativeFit, Strategy
 
@@ -163,7 +165,10 @@ class DesignCache:
     Psi'_k = Delta Gram_{k+p} Delta^T = B B^T, from the factor alone.
     The first m rows of Delta are zero past dimension m's m+p columns and
     L is lower triangular, so the first m rows of B are exactly zero
-    there too: they are the root of dimension m's derivative Gram.
+    there too: they are the root of dimension m's derivative Gram.  Every
+    Delta the cache reads, the root's, a strategy-2 fit's and the error
+    scoring's, is link(m), a leading block of the top dimension's link
+    matrix, which is built once, on first use.
     """
 
     def __init__(self, sample: Sample, family: Family, m_hi: int,
@@ -250,8 +255,19 @@ class DesignCache:
         if strategy is Strategy.DERIV_OF_PROJECTION:
             theta = self.theta(m)
         else:
-            theta = -(delta_matrix(spec) @ self.theta(spec.extended().m))
+            theta = -(self.link(m) @ self.theta(spec.extended().m))
         return DerivativeFit(theta=theta, strategy=strategy, spec=spec)
+
+    @functools.cached_property
+    def _delta(self) -> np.ndarray:
+        """The top dimension's link matrix, built on first use."""
+        return delta_matrix(self.spec)
+
+    def link(self, m: int) -> np.ndarray:
+        """Dimension m's link matrix Delta_m: the leading m-by-(m+p) block
+        of the top dimension's, bitwise a direct build at m (row j expands
+        phi_j' alone, whatever the top dimension)."""
+        return self._delta[:m, :self.spec_for(m).extended().m]
 
     @functools.cached_property
     def z(self) -> np.ndarray:
@@ -272,7 +288,7 @@ class DesignCache:
         derivative Gram Phi'^T Phi' / n = B B^T (m+p within the factor);
         its first j rows are dimension j's root."""
         ext = self.spec_for(m).extended().m
-        return delta_matrix(self.spec_for(m)) @ self.factor[:ext, :ext]
+        return self.link(m) @ self.factor[:ext, :ext]
 
     def residual_ms(self, dims) -> np.ndarray:
         """Residual mean squares (1/n)|y - Phi theta_m|^2 for m in dims
@@ -293,29 +309,26 @@ def _singular_at(m: int, family: Family) -> SingularGramError:
                              f"(family {family.value})")
 
 
-def _fit_cache(sample: Sample, spec: BasisSpec, strategy: Strategy) -> DesignCache:
-    """The cache of strategy's fit at spec, built at the fit's dimension.
-    The fit solves at m (strategy 1) or m+p (strategy 2), and a Gram of
-    that many columns on n points has rank <= n, so one wider than the
-    sample raises SingularGramError before the basis is evaluated."""
-    solved_at = spec.m if strategy is Strategy.DERIV_OF_PROJECTION else spec.extended().m
+def fit_derivative(sample: Sample, spec: BasisSpec,
+                   strategy: Strategy = Strategy.DERIV_OF_PROJECTION,
+                   truncate: bool = False) -> DerivativeFit:
+    """Strategy's derivative fit at spec, from a cache built at spec's
+    dimension: theta_m for strategy 1 (the derivative of the regression
+    fit), -Delta theta_{m+p} for strategy 2 (the projection estimator of
+    the derivative).  The fit solves at m (strategy 1) or m+p (strategy
+    2), and a Gram of that many columns on n points has rank <= n, so one
+    wider than the sample raises SingularGramError before the basis is
+    evaluated.  With truncate, the fit is zeroed unless the truncation
+    gate passes at m+p (design.truncation_gate)."""
+    ext = spec.extended()
+    solved_at = spec.m if strategy is Strategy.DERIV_OF_PROJECTION else ext.m
     if solved_at > sample.n:
         raise _singular_at(solved_at, spec.family)
-    return DesignCache(sample, spec.family, spec.m, spec.interval)
-
-
-def fit_derivative_1(sample: Sample, spec: BasisSpec) -> DerivativeFit:
-    """Derivative of the regression fit (same coefficients, derivative basis)."""
-    strategy = Strategy.DERIV_OF_PROJECTION
-    return _fit_cache(sample, spec, strategy).fit(spec.m, strategy)
-
-
-def fit_derivative_2(sample: Sample, spec: BasisSpec) -> DerivativeFit:
-    """Projection estimator of the derivative: theta =
-    -(1/n) Delta Gram_{m+p}^-1 Phi_{m+p}^T y, evaluated against
-    (phi_1..phi_m)."""
-    strategy = Strategy.PROJECTION_OF_DERIV
-    return _fit_cache(sample, spec, strategy).fit(spec.m, strategy)
+    cache = DesignCache(sample, spec.family, spec.m, spec.interval)
+    fit = cache.fit(spec.m, strategy)
+    if truncate and not truncation_gate(ext, cache.eigvals(ext.m), sample.n):
+        return replace(fit, truncated_to_zero=True)
+    return fit
 
 
 def default_m_grid(family: Family, n: int, m_max: int | None = None) -> tuple[int, ...]:
@@ -615,7 +628,7 @@ def _oracle_error_sweep(cache: DesignCache, m_grid, interval: tuple[float, float
     errors = {}
     for kind, target in targets.items():
         curves = (ext[:, :spec.m] @ thetas if kind == "regression"
-                  else ext @ (delta_matrix(spec).T @ thetas))
+                  else ext @ (cache.link(spec.m).T @ thetas))
         sq = (curves - eval_on_grid(target, grid)[:, None]) ** 2
         errors[kind] = (steps * (sq[1:] + sq[:-1]) / 2.0).sum(0).tolist()
     return {m: {kind: err[col] for kind, err in errors.items()}

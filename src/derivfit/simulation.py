@@ -79,12 +79,17 @@ def _check_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must be nonnegative, got sigma = {sigma}")
 
 
+def _check_n(n: int) -> None:
+    """Reject a sample size below 1, naming it."""
+    if n < 1:
+        raise ValueError(f"the sample size n must be >= 1, got n = {n}")
+
+
 def generate_sample(fn: TestFunction, n: int, sigma: float,
                     rng: np.random.Generator) -> Sample:
     """X standard normal, independent Gaussian noise with sd sigma."""
     _check_sigma(sigma)
-    if n < 1:
-        raise ValueError(f"the sample size n must be >= 1, got n = {n}")
+    _check_n(n)
     x = rng.standard_normal(n)
     eps = sigma * rng.standard_normal(n) if sigma > 0 else np.zeros(n)
     return Sample(x=x, y=fn.b(x) + eps)
@@ -241,6 +246,7 @@ def calibrate_kappa(function: str, family_name: str, n: int, kappas,
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got seeds = {seeds}")
     _check_sigma(sigma)
+    _check_n(n)  # before the grid, which is empty for n < 1
     _check_functions([function])
     fn = TEST_FUNCTIONS[function]
     family = parse_family(family_name)

@@ -17,7 +17,7 @@ from derivfit.dataio import save_report
 from derivfit.estimators import evaluate_fit
 from derivfit.selection import (DesignCache, _oracle_error_sweep,
                                 _whitened, collection_members,
-                                default_m_grid, fit_derivative_1,
+                                default_m_grid, fit_derivative,
                                 gl_select, penalty_v_hat)
 from derivfit.simulation import (ExperimentConfig, TEST_FUNCTIONS, best_kappa,
                                  calibrate_kappa, generate_sample, rng_for,
@@ -245,7 +245,7 @@ def test_criterion_5_exact_recovery():
     x = rng.standard_normal(10000)
     sample = Sample(x=x, y=np.exp(-x * x / 2.0))
     spec = BasisSpec(Family.HERMITE, 1)
-    fit = fit_derivative_1(sample, spec)
+    fit = fit_derivative(sample, spec)
     coeff_err = abs(fit.theta[0] - math.pi ** 0.25)
     grid = np.linspace(-2, 2, 801)
     sup_err = np.abs(evaluate_fit(fit, grid) -

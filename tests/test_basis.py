@@ -451,6 +451,17 @@ def test_link_matrix_exactness(family):
         assert np.abs(derivs - linked).max() <= bound
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_a_caches_link_matrices_are_direct_builds(family):
+    """A cache reads every dimension's link matrix as a leading block of
+    its top dimension's: bitwise a direct build at that dimension."""
+    x = np.linspace(0.3, 0.7, 100)
+    top = make_spec(family, 41)
+    cache = DesignCache(Sample(x=x, y=x), family, top.m, top.interval)
+    for m in admissible_dims(family, top.m):
+        assert np.array_equal(cache.link(m), delta_matrix(cache.spec_for(m)))
+
+
 def test_delta_laguerre_m2():
     delta = delta_matrix(BasisSpec(Family.LAGUERRE, 2))
     np.testing.assert_allclose(delta, [[-1.0, 0.0], [-2.0, -1.0]], atol=1e-15)

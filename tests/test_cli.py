@@ -17,8 +17,8 @@ from derivfit.basis import BasisSpec, Family
 from derivfit.cli import main
 from derivfit.dataio import load_csv
 from derivfit.errors import SingularGramError
-from derivfit.estimators import evaluate_fit
-from derivfit.selection import fit_derivative_1
+from derivfit.estimators import Strategy, evaluate_fit
+from derivfit.selection import fit_derivative
 
 
 def run_cli(*argv):
@@ -173,8 +173,8 @@ def test_negative_interval_end_takes_the_equals_form(sample_csv, tmp_path, capsy
                    "--interval=-1.5,1.5", "--out", str(out)) == 0
     grid, values = np.loadtxt(out, delimiter=",", skiprows=1).T
     if command == "fit":
-        fit = fit_derivative_1(load_csv(sample_csv),
-                               BasisSpec(Family.HALF_TRIG, 3, (-1.5, 1.5)))
+        fit = fit_derivative(load_csv(sample_csv),
+                             BasisSpec(Family.HALF_TRIG, 3, (-1.5, 1.5)))
         assert np.array_equal(values, evaluate_fit(fit, grid))
 
 
@@ -355,10 +355,9 @@ def test_a_fit_wider_than_the_sample_fails_before_any_cache(tmp_path, capsys, mo
                    "--strategy", strategy, "--out", str(out)) == 3
     message = "Gram matrix is numerically singular at m=401 (family hermite)"
     assert message in capsys.readouterr().err and not out.exists()
-    fit = (derivfit.selection.fit_derivative_1 if strategy == "1"
-           else derivfit.selection.fit_derivative_2)
     with pytest.raises(SingularGramError, match=re.escape(message)):
-        fit(load_csv(sample_csv), BasisSpec(Family.HERMITE, m))
+        fit_derivative(load_csv(sample_csv), BasisSpec(Family.HERMITE, m),
+                       Strategy(int(strategy)))
 
 
 def _refuse_caches_wider_than_the_sample(monkeypatch):
@@ -595,14 +594,22 @@ def test_calibrate_without_draws_fails_before_any_work(tmp_path, capsys, monkeyp
     assert not calib.exists()
 
 
-def test_calibrate_without_room_for_sigma2_fails_before_any_work(tmp_path, capsys,
-                                                                 monkeypatch):
+@pytest.mark.parametrize("argv, message", [
+    (("--n", "20", "--m-max", "15"), "needs n > 2*m_max, but n = 20 with m_max = 15"),
+    (("--n", "1"), "needs n > 2*m_max, but n = 1 with m_max = 1"),
+    (("--n", "2"), "needs n > 2*m_max, but n = 2 with m_max = 1"),
+    (("--n", "0"), "the sample size n must be >= 1, got n = 0"),
+    (("--n", "-3"), "the sample size n must be >= 1, got n = -3")])
+def test_calibrate_on_a_sample_too_small_fails_before_any_work(tmp_path, capsys,
+                                                               monkeypatch, argv, message):
+    """n at most 2*m_max leaves no room for the noise estimate; n < 1 is
+    named before the grid, which it would leave empty."""
     _refuse_caches(monkeypatch)
     calib = tmp_path / "calib.csv"
-    assert run_cli("calibrate", "--function", "b1", "--n", "20", "--m-max", "15",
-                   "--seeds", "5", "--kappas", "0.5,1", "--out", str(calib)) == 1
+    assert run_cli("calibrate", "--function", "b1", *argv, "--seeds", "5",
+                   "--kappas", "0.5,1", "--out", str(calib)) == 1
     captured = capsys.readouterr()
-    assert "needs n > 2*m_max, but n = 20 with m_max = 15" in captured.err
+    assert message in captured.err
     assert captured.out == ""
     assert not calib.exists()
 

@@ -24,7 +24,7 @@ from derivfit.basis import BasisSpec, Family, admissible_dims, eval_basis, parse
 from derivfit.design import Sample, gram, is_singular, trim_interval
 from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, Selection,
                                 _oracle_error_sweep, _whitened, default_m_grid,
-                                fit_derivative_1, gl_select, reuse_select)
+                                fit_derivative, gl_select, reuse_select)
 from derivfit.simulation import (TEST_FUNCTIONS, calibrate_kappa, generate_sample,
                                  rng_for)
 from oracles import (derivative_columns, derivative_gram, gl_record,
@@ -49,7 +49,7 @@ def n_space_gl(sample, spec_for, members, sigma2, kappa0, kappa1):
     for m in members:
         spec = spec_for(m)
         phi_prime = derivative_columns(spec, sample.x)
-        fits[m] = phi_prime @ fit_derivative_1(sample, spec).theta
+        fits[m] = phi_prime @ fit_derivative(sample, spec).theta
         lam = scipy.linalg.eigh(phi_prime.T @ phi_prime / n,
                                 gram(eval_basis(spec, sample.x)), eigvals_only=True)
         v_hat[m] = sigma2 * m / n * max(lam[-1], 0.0)
@@ -77,7 +77,7 @@ def n_space_reuse(sample, spec_for, members, sigma2):
     best_m, best_crit = members[0], math.inf
     for m in members:
         spec = spec_for(m)
-        theta = fit_derivative_1(sample, spec).theta
+        theta = fit_derivative(sample, spec).theta
         resid = sample.y - eval_basis(spec, sample.x) @ theta
         crit = float(resid @ resid / n) + 2.0 * sigma2 * m / n
         if crit < best_crit - CRITERION_TIE_TOL:
@@ -89,7 +89,7 @@ def n_space_errors(sample, spec_for, dims, grid, targets):
     """One curve and one trapezoid call per (dimension, target)."""
     out = {}
     for m in dims:
-        theta = fit_derivative_1(sample, spec_for(m)).theta
+        theta = fit_derivative(sample, spec_for(m)).theta
         phi, phi_prime = recursion_matrices(spec_for(m), grid)
         out[m] = {kind: float(trapezoid(((phi if kind == "regression" else phi_prime)
                                          @ theta - target) ** 2, grid))

@@ -315,20 +315,22 @@ def test_a_cut_off_byte_order_mark_is_not_utf8(tmp_path, data):
         assert "the file is not UTF-8: byte 0xef does not decode" in str(err.value)
 
 
-@pytest.mark.parametrize("blanks", [[20_000], [5, 6_000, 13_000]],
-                         ids=["trailing", "three-mid-file"])
-def test_a_line_of_blanks_goes_straight_to_the_per_row_checks(tmp_path, blanks):
+@pytest.mark.parametrize("blanks, blank", [([20_000], "  "), ([5, 6_000, 13_000], " "),
+                                           ([20_000], "\xa0"), ([20_000], "\u3000")],
+                         ids=["trailing", "three-mid-file", "trailing-no-break-space",
+                              "trailing-ideographic-space"])
+def test_a_line_of_blanks_goes_straight_to_the_per_row_checks(tmp_path, blanks, blank):
     """numpy's reader raises at a line of blanks, so such a file is not
     given to it: the per-row checks read it once, with the plain file's
-    values."""
+    values.  A blank outside ASCII (U+00A0, U+3000) makes such a line too."""
     rng = np.random.default_rng(26)
     sample = Sample(x=rng.standard_normal(20_000), y=rng.standard_normal(20_000))
     path = tmp_path / "blanks.csv"
     save_sample(sample, path)
     lines = path.read_text().splitlines()
     for row in reversed(blanks):  # after data row `row`
-        lines.insert(row + 1, "  " if row == 20_000 else " ")
-    path.write_text("\n".join(lines) + "\n")
+        lines.insert(row + 1, blank)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with mock.patch.object(derivfit.dataio.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
         loaded = load_csv(path)
     assert loadtxt.call_count == 0

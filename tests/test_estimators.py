@@ -8,8 +8,8 @@ import pytest
 from derivfit.basis import BasisSpec, Family, eval_basis
 from derivfit.design import Sample, truncation_gate
 from derivfit.errors import SingularGramError
-from derivfit.estimators import DerivativeFit, Strategy, evaluate_fit, truncate_fit
-from derivfit.selection import fit_derivative_1, fit_derivative_2
+from derivfit.estimators import DerivativeFit, Strategy, evaluate_fit
+from derivfit.selection import fit_derivative
 from oracles import (build_design, derivative_recursion, empirical_norm, fit_regression,
                      fitted_derivative_at_sample, projection_coefficients)
 
@@ -76,9 +76,9 @@ def test_linearity_in_y():
     x = rng.standard_normal(150)
     y = np.sin(x)
     spec = BasisSpec(Family.HERMITE, 4)
-    for fitter in (fit_derivative_1, fit_derivative_2):
-        t1 = fitter(Sample(x=x, y=y), spec).theta
-        t3 = fitter(Sample(x=x, y=3.0 * y), spec).theta
+    for strategy in Strategy:
+        t1 = fit_derivative(Sample(x=x, y=y), spec, strategy).theta
+        t3 = fit_derivative(Sample(x=x, y=3.0 * y), spec, strategy).theta
         np.testing.assert_allclose(t3, 3.0 * t1, rtol=1e-9)
 
 
@@ -87,7 +87,7 @@ def test_singular_gram_raises():
     with pytest.raises(SingularGramError):
         fit_regression(sample, BasisSpec(Family.TRIG_ODD, 5))
     with pytest.raises(SingularGramError):
-        fit_derivative_2(sample, BasisSpec(Family.HERMITE, 5))
+        fit_derivative(sample, BasisSpec(Family.HERMITE, 5), Strategy.PROJECTION_OF_DERIV)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ def test_derivative_1_hermite_in_span():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(5000)
     sample = Sample(x=x, y=np.exp(-x * x / 2.0))
-    fit = fit_derivative_1(sample, BasisSpec(Family.HERMITE, 1))
+    fit = fit_derivative(sample, BasisSpec(Family.HERMITE, 1))
     grid = np.linspace(-2, 2, 101)
     np.testing.assert_allclose(evaluate_fit(fit, grid),
                                -grid * np.exp(-grid * grid / 2.0), atol=1e-10)
@@ -107,7 +107,7 @@ def test_derivative_1_hermite_in_span():
 def test_derivative_1_constant_basis_is_zero():
     rng = np.random.default_rng(6)
     sample = uniform_sample(rng, 50, lambda x: x)
-    fit = fit_derivative_1(sample, BasisSpec(Family.TRIG_ODD, 1))
+    fit = fit_derivative(sample, BasisSpec(Family.TRIG_ODD, 1))
     assert np.all(evaluate_fit(fit, np.linspace(0, 1, 20)) == 0.0)
 
 
@@ -115,7 +115,7 @@ def test_derivative_1_sample_point_identity():
     rng = np.random.default_rng(7)
     sample = uniform_sample(rng, 200, lambda x: np.cos(3 * x))
     spec = BasisSpec(Family.TRIG_ODD, 9)
-    fit = fit_derivative_1(sample, spec)
+    fit = fit_derivative(sample, spec)
     direct = evaluate_fit(fit, sample.x)
     via_matrix = derivative_recursion(spec, sample.x) @ fit.theta
     scale = np.abs(via_matrix).max()
@@ -131,7 +131,7 @@ def test_derivative_1_sample_point_identity():
 def test_derivative_2_zero_response():
     rng = np.random.default_rng(8)
     sample = uniform_sample(rng, 100)
-    fit = fit_derivative_2(sample, BasisSpec(Family.TRIG_ODD, 3))
+    fit = fit_derivative(sample, BasisSpec(Family.TRIG_ODD, 3), Strategy.PROJECTION_OF_DERIV)
     np.testing.assert_allclose(fit.theta, np.zeros(3), atol=1e-15)
     assert fit.strategy is Strategy.PROJECTION_OF_DERIV
 
@@ -144,7 +144,7 @@ def test_derivative_2_trig_recovers_projection_of_derivative():
     rng = np.random.default_rng(9)
     x = rng.uniform(0, 1, 20000)
     sample = Sample(x=x, y=np.sin(2 * np.pi * x))
-    fit = fit_derivative_2(sample, spec)
+    fit = fit_derivative(sample, spec, Strategy.PROJECTION_OF_DERIV)
     np.testing.assert_allclose(fit.theta, oracle, atol=0.05)
 
 
@@ -152,7 +152,7 @@ def test_derivative_2_hermite_odd_symmetry():
     rng = np.random.default_rng(10)
     x = rng.standard_normal(20000)
     sample = Sample(x=x, y=np.exp(-x * x / 2.0))
-    fit = fit_derivative_2(sample, BasisSpec(Family.HERMITE, 1))
+    fit = fit_derivative(sample, BasisSpec(Family.HERMITE, 1), Strategy.PROJECTION_OF_DERIV)
     # the derivative is odd, so its first (even) projection coefficient vanishes
     assert abs(fit.theta[0]) <= 0.05
 
@@ -163,8 +163,8 @@ def test_strategies_agree_for_periodic_function():
     b = lambda t: np.sin(2 * np.pi * t) + 0.3 * np.cos(4 * np.pi * t)
     sample = Sample(x=x, y=b(x))
     spec = BasisSpec(Family.TRIG_ODD, 5)
-    f1 = fit_derivative_1(sample, spec)
-    f2 = fit_derivative_2(sample, spec)
+    f1 = fit_derivative(sample, spec)
+    f2 = fit_derivative(sample, spec, Strategy.PROJECTION_OF_DERIV)
     grid = np.linspace(0, 1, 512)
     gap = np.sqrt(np.mean((evaluate_fit(f1, grid) - evaluate_fit(f2, grid)) ** 2))
     assert gap <= 0.1  # Monte Carlo error at n = 40000
@@ -179,24 +179,24 @@ def _in_lambda(sample, spec):
     return truncation_gate(ext, build_design(sample, ext), sample.n)
 
 
-def test_truncation_behavior():
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_truncation_behavior(strategy):
     rng = np.random.default_rng(12)
     sample = uniform_sample(rng, 1000, lambda x: np.sin(2 * np.pi * x))
     spec = BasisSpec(Family.TRIG_ODD, 3)
-    fit = fit_derivative_1(sample, spec)
+    fit = fit_derivative(sample, spec, strategy)
     assert _in_lambda(sample, spec)
-    assert truncate_fit(fit, True) is fit
+    kept = fit_derivative(sample, spec, strategy, truncate=True)
+    assert not kept.truncated_to_zero
+    assert np.array_equal(kept.theta, fit.theta)
 
+    # four points carry the fit at m+p = 4, but not the gate there
     bad_sample = Sample(x=sample.x[:4], y=sample.y[:4])
-    bad = _in_lambda(bad_sample, BasisSpec(Family.TRIG_ODD, 5))
+    bad = _in_lambda(bad_sample, spec)
     assert not bad
-    truncated = truncate_fit(fit, bad)
+    truncated = fit_derivative(bad_sample, spec, strategy, truncate=True)
     assert truncated.truncated_to_zero
     assert np.all(evaluate_fit(truncated, np.linspace(0, 1, 7)) == 0.0)
-    # idempotent
-    again = truncate_fit(truncated, bad)
-    assert again.truncated_to_zero
-    np.testing.assert_array_equal(again.theta, truncated.theta)
 
 
 def test_evaluate_fit_unit_vectors():

@@ -12,8 +12,8 @@ import derivfit.estimators
 import derivfit.selection
 from derivfit.basis import Family, delta_matrix, eval_basis
 from derivfit.design import Sample, gram, is_singular, moments
-from derivfit.selection import (DesignCache, Selection, fit_derivative_1,
-                                fit_derivative_2)
+from derivfit.estimators import Strategy
+from derivfit.selection import DesignCache, Selection, fit_derivative
 from oracles import build_design
 
 
@@ -90,9 +90,9 @@ def test_cache_and_direct_builds_agree_bitwise(family, n, m, seed):
         assert is_singular(cache.eigvals(dim)) == is_singular(direct)
         if not is_singular(direct):
             assert _same_bits(cache.theta(dim),
-                              fit_derivative_1(sample, cache.spec_for(dim)).theta)
+                              fit_derivative(sample, cache.spec_for(dim)).theta)
     if not is_singular(cache.eigvals(spec.extended().m)):
-        assert _same_bits(fit_derivative_2(sample, spec).theta,
+        assert _same_bits(fit_derivative(sample, spec, Strategy.PROJECTION_OF_DERIV).theta,
                           -(delta_matrix(spec) @ cache.theta(spec.extended().m)))
 
 

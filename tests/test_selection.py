@@ -12,7 +12,7 @@ from derivfit.estimators import Strategy
 from derivfit.selection import (EVAL_GRID_POINTS, KAPPA, DesignCache, Selection,
                                 _first_minimum, _oracle_error_sweep,
                                 _whitened, collection_members,
-                                default_m_grid, estimate_sigma2, fit_derivative_1,
+                                default_m_grid, estimate_sigma2, fit_derivative,
                                 gl_select, oracle_select, penalty_v_hat, reuse_select)
 from derivfit.simulation import (TEST_FUNCTIONS, ExperimentConfig, generate_sample,
                                  rng_for)
@@ -239,7 +239,7 @@ def test_oracle_zeroes_in_on_exact_representation():
     assert err <= 1e-18
     # the strategy-1 fit at the chosen m, from the cache that scored it
     assert fit.m == m and fit.strategy is Strategy.DERIV_OF_PROJECTION
-    assert np.array_equal(fit.theta, fit_derivative_1(sample, fit.spec).theta)
+    assert np.array_equal(fit.theta, fit_derivative(sample, fit.spec).theta)
 
 
 def test_oracle_regression_kind():

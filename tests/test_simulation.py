@@ -183,6 +183,23 @@ def test_calibration_rejects_an_unknown_function_or_no_kappas_before_any_draw(
         calibrate_kappa("b1", "hermite", 250, kappas=[], seeds=2)
 
 
+@pytest.mark.parametrize("n, message", [
+    (0, "the sample size n must be >= 1, got n = 0"),
+    (-3, "the sample size n must be >= 1, got n = -3"),
+    (1, "needs n > 2*m_max, but n = 1 with m_max = 1"),
+    (2, "needs n > 2*m_max, but n = 2 with m_max = 1")])
+def test_calibration_rejects_a_sample_too_small_before_any_draw(monkeypatch, n, message):
+    """n < 1 gives an empty grid, which used to reach the room check as
+    `max() arg is an empty sequence`; n = 1, 2 have a grid but no room
+    for the noise estimate."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(simulation, "generate_sample", no_draw)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        calibrate_kappa("b3", "hermite", n, [1.0], seeds=2)
+
+
 def test_calibration_rejects_a_repeated_kappa_before_any_draw(monkeypatch):
     """A repeated value used to sweep twice and count every draw twice in
     its row (q90 27.83 for [1.0, 1.0] against 19.47 for [1.0])."""

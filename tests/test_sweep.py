@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import derivfit.basis
 import derivfit.design
 import oracles
 from derivfit.basis import Family, admissible_dims, eval_basis, parse_family
 from derivfit.cli import main
 from derivfit.design import Sample, gram, trim_interval
 from derivfit.selection import (DesignCache, _oracle_error_sweep,
-                                default_m_grid, fit_derivative_1,
+                                default_m_grid, fit_derivative,
                                 gl_select, reuse_select)
 from derivfit.simulation import (ExperimentConfig, TEST_FUNCTIONS, _run_repetition,
                                  generate_sample, rng_for, run_experiment)
@@ -62,13 +63,28 @@ def test_harness_repetition_picks_the_public_selectors_dims(mode):
             assert err_bp == pytest.approx(errors[m_bp]["derivative"], rel=1e-12)
 
 
-def test_one_cache_per_gl_repetition(cache_builds):
+@pytest.mark.parametrize("mode", ["oracle", "gl", "reuse"])
+def test_one_cache_and_one_link_matrix_per_repetition(cache_builds, monkeypatch, mode):
+    """A draw builds one cache, and the cache builds the top dimension's
+    link matrix once: gl's root and the error scoring both read its
+    leading blocks."""
+    link_builds = []
+    original = derivfit.basis.delta_matrix
+
+    def counting(spec):
+        link_builds.append(spec)
+        return original(spec)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("derivfit.") and hasattr(module, "delta_matrix"):
+            monkeypatch.setattr(module, "delta_matrix", counting)
     config = ExperimentConfig(functions=("b1", "b3"), families=("hermite", "half-trig"),
-                              n_list=(250,), repetitions=2, seed=3, mode="gl")
+                              n_list=(250,), repetitions=2, seed=3, mode=mode)
     report = run_experiment(config)
     reps = sum(r.k for r in report.rows if r.target == "b")
     assert reps + sum(report.excluded.values()) == 8
-    assert len(cache_builds) == 8
+    assert not report.excluded
+    assert len(cache_builds) == len(link_builds) == 8
 
 
 @pytest.mark.parametrize("family", ["hermite", "half-trig"])
@@ -135,7 +151,7 @@ def test_cache_slices_match_direct_builds(family, m, seed):
     spec = cache.spec_for(m)
     np.testing.assert_allclose(cache._gram[:m, :m], gram(eval_basis(spec, x)),
                                rtol=1e-12)
-    np.testing.assert_allclose(cache.theta(m), fit_derivative_1(sample, spec).theta,
+    np.testing.assert_allclose(cache.theta(m), fit_derivative(sample, spec).theta,
                                rtol=1e-12)
 
 

@@ -18,7 +18,7 @@ from derivfit.errors import SingularGramError
 from derivfit.estimators import Strategy
 from derivfit.selection import (CRITERION_TIE_TOL, DesignCache, Selection,
                                 _first_minimum, _oracle_error_sweep, default_m_grid,
-                                estimate_sigma2, fit_derivative_1)
+                                estimate_sigma2, fit_derivative)
 from derivfit.simulation import TEST_FUNCTIONS
 
 EPS = np.finfo(float).eps
@@ -132,7 +132,7 @@ def _n_space_reuse(cache, members, sigma2):
     n = cache.sample.n
     best_m, best = members[0], math.inf
     for m in members:
-        theta = fit_derivative_1(cache.sample, cache.spec_for(m)).theta
+        theta = fit_derivative(cache.sample, cache.spec_for(m)).theta
         resid = cache.sample.y - eval_basis(cache.spec_for(m), cache.sample.x) @ theta
         value = float(resid @ resid) / n + 2.0 * sigma2 * m / n
         if value < best - CRITERION_TIE_TOL:
