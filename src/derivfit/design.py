@@ -43,6 +43,7 @@ import numpy as np
 import scipy.linalg
 
 from .basis import BasisSpec, l_factor
+from .errors import DataFormatError
 
 # c = (3 log(3/2) - 1)/9, approx 0.0240439
 STABILITY_C = (3.0 * math.log(1.5) - 1.0) / 9.0
@@ -237,13 +238,40 @@ def default_d_constant(x) -> float:
     density-dependent denominator but rescales with n^3, calibrated on
     the simulation study so the collection reaches the oracle
     dimensions.  This is a knob: pass an explicit d to override.
-    f_sup_hat is a histogram estimate of the density sup.
+
+    f_sup_hat is the largest density of a histogram of max(10, sqrt(n))
+    equal-width bins over [min x, max x] (widened by 0.5 each way for a
+    constant sample), each bin closed on the left and the last on both
+    sides.  The binning is numpy's equal-width path of np.histogram(x,
+    bins, density=True), written out with the same operations so that d
+    keeps its bits without histogram's argument handling: a point's bin
+    is its scaled offset truncated, corrected by one step against the
+    np.linspace edges.  A sample whose edges are not strictly increasing
+    (a range that overflows, or too narrow for the bins) or whose d is
+    not finite and positive raises DataFormatError.
     """
     x = np.asarray(x, dtype=float)
     bins = max(10, int(math.sqrt(x.size)))
-    counts, _ = np.histogram(x, bins=bins, density=True)
-    f_sup = float(counts.max()) if counts.size else 1.0
-    return x.size ** 3 / (max(f_sup, 1.0) + 1.0 / 3.0)
+    lo, hi = x.min(), x.max()
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    d = math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.linspace(lo, hi, bins + 1)
+        if (edges[:-1] < edges[1:]).all():
+            index = ((x - lo) / (hi - lo) * bins).astype(np.intp)
+            index[index == bins] -= 1
+            index[x < edges[index]] -= 1
+            index[(x >= edges[index + 1]) & (index != bins - 1)] += 1
+            counts = np.bincount(index, minlength=bins)
+            f_sup = float((counts / np.diff(edges) / counts.sum()).max())
+            d = x.size ** 3 / (max(f_sup, 1.0) + 1.0 / 3.0)
+    if not (math.isfinite(d) and d > 0.0):
+        raise DataFormatError(
+            f"the default collection constant d cannot be computed from a histogram "
+            f"of x over [{float(x.min())!r}, {float(x.max())!r}] in {bins} equal-width bins; "
+            f"pass d explicitly (--d-const)")
+    return d
 
 
 def _budget(n: int) -> float:

@@ -51,7 +51,8 @@ one prologue before any cache: _check_tuning, the one check of kappa0,
 kappa1 (KAPPA by default), sigma2 (None: estimate it) and d, which the
 harness's config and `derivfit select` also make in every mode and
 calibrate_kappa once per kappa; the grid is taken ascending and without
-repeats and must be admissible, and an estimate of sigma2 must have room.
+repeats and must be admissible, an estimate of sigma2 must have room, and
+a default d must be one the sample gives (design.default_d_constant).
 Then it builds one cache, at the largest grid entry the sample can carry
 (a Gram of more columns than points is singular), gates the grid
 (collection_members) and estimates sigma^2; the reuse contrast and gl's
@@ -459,11 +460,13 @@ class Selection:
     terms both choices read, on the sample's one DesignCache.
 
     Building it runs the prologue before any cache (_check_tuning, the
-    grid as _checked_m_grid returns it and, when sigma2 is None, the room
-    for its estimate), builds the cache at _cache_top of the grid, gates
-    the grid (collection_members) and resolves sigma^2: the given value,
-    or the residual mean square at the largest member, corrected for the
-    fitted degrees of freedom.  cache, grid, members, sigma2,
+    grid as _checked_m_grid returns it, when sigma2 is None the room for
+    its estimate, and when d is None its default, which raises
+    DataFormatError for a sample it cannot bin), builds the cache at
+    _cache_top of the grid, gates the grid (collection_members) and
+    resolves sigma^2: the given value, or the residual mean square at the
+    largest member, corrected for the fitted degrees of freedom.
+    cache, grid, members, sigma2,
     d_constant, kappa0 and kappa1 are the values as used; compare uses
     the pass's kappa0 and kappa1 unless given others, and m_hat is its
     choice under them.
@@ -487,9 +490,9 @@ class Selection:
         self.grid = _checked_m_grid(m_grid, family, sample.n)
         if sigma2 is None:
             _check_room_for_sigma2(sample.n, self.grid, family)
-        self.cache = DesignCache(sample, family, _cache_top(self.grid, sample.n), interval)
         # the checks above leave d and sigma2 None or positive
         self.d_constant = d_constant or default_d_constant(sample.x)
+        self.cache = DesignCache(sample, family, _cache_top(self.grid, sample.n), interval)
         self.members = collection_members(self.cache, self.grid, self.d_constant)
         n, top = sample.n, self.members[-1]
         self.sigma2 = float(sigma2 or self.cache.residual_ms([top])[0] * n / (n - top))
@@ -629,8 +632,14 @@ def _oracle_error_sweep(cache: DesignCache, m_grid, interval: tuple[float, float
     for kind, target in targets.items():
         curves = (ext[:, :spec.m] @ thetas if kind == "regression"
                   else ext @ (cache.link(spec.m).T @ thetas))
-        sq = (curves - eval_on_grid(target, grid)[:, None]) ** 2
-        errors[kind] = (steps * (sq[1:] + sq[:-1]) / 2.0).sum(0).tolist()
+        # np.trapezoid's (steps * (sq[1:] + sq[:-1]) / 2.0).sum(0), its
+        # operations in order, in place on the fresh product
+        curves -= eval_on_grid(target, grid)[:, None]
+        np.square(curves, out=curves)
+        pairs = curves[1:] + curves[:-1]
+        pairs *= steps
+        pairs /= 2.0
+        errors[kind] = pairs.sum(0).tolist()
     return {m: {kind: err[col] for kind, err in errors.items()}
             for col, m in enumerate(dims)}
 

@@ -16,7 +16,10 @@ penalties from all of its whitened eigenvalues) are direct n-space or
 dense forms of quantities the package computes another way.  The
 regression fit is the exception: it wraps the package's one
 least-squares solve, so the tests of its residual orthogonality and
-optimality check that solve.
+optimality check that solve.  Two keep expressions the package once
+used, which its faster forms must match bit for bit: the default
+collection constant from np.histogram itself, and the grid scorer with
+np.trapezoid's expression on fresh temporaries.
 report_row looks up one cell of an experiment report, and gl_record
 reads a selection pass's gl terms as one comparable value.
 
@@ -36,7 +39,7 @@ from derivfit.basis import BasisSpec, Family, delta_matrix, eval_basis
 from derivfit.design import SINGULAR_RTOL, Sample, design_from_matrices, gram
 from derivfit.errors import DerivfitError, SingularGramError
 from derivfit.estimators import DerivativeFit, Strategy
-from derivfit.selection import DesignCache
+from derivfit.selection import EVAL_GRID_POINTS, DesignCache, eval_on_grid
 from derivfit.simulation import ExperimentReport, ReportRow
 
 
@@ -299,6 +302,39 @@ def penalties_from_all_eigenvalues(cache: DesignCache, members, sigma2: float
     n = cache.sample.n
     return np.array([sigma2 * m / n * max(np.linalg.eigvalsh(whitened[:m, :m])[-1], 0.0)
                      for m in members])
+
+
+def histogram_d_constant(x) -> float:
+    """The default collection constant n^3 / (max(f_sup_hat, 1) + 1/3)
+    with f_sup_hat the largest density of np.histogram(x, bins,
+    density=True), bins = max(10, sqrt(n)): the form that
+    design.default_d_constant writes out."""
+    x = np.asarray(x, dtype=float)
+    bins = max(10, int(math.sqrt(x.size)))
+    counts, _ = np.histogram(x, bins=bins, density=True)
+    return x.size ** 3 / (max(float(counts.max()), 1.0) + 1.0 / 3.0)
+
+
+def trapezoid_error_sweep(cache: DesignCache, m_grid, interval, targets: dict
+                          ) -> dict[int, dict[str, float]]:
+    """selection._oracle_error_sweep with np.trapezoid's expression as
+    written, (steps * (sq[1:] + sq[:-1]) / 2.0).sum(0), on the squared
+    errors sq of each target's curves: the same curves, each operation
+    on a fresh temporary."""
+    dims = [m for m in m_grid if cache.solvable(m)]
+    grid = np.linspace(*interval, EVAL_GRID_POINTS)
+    steps = np.diff(grid)[:, None]
+    thetas = cache.thetas(dims)
+    spec = cache.spec_for(thetas.shape[0])
+    ext = eval_basis(spec.extended(), grid)
+    errors = {}
+    for kind, target in targets.items():
+        curves = (ext[:, :spec.m] @ thetas if kind == "regression"
+                  else ext @ (cache.link(spec.m).T @ thetas))
+        sq = (curves - eval_on_grid(target, grid)[:, None]) ** 2
+        errors[kind] = (steps * (sq[1:] + sq[:-1]) / 2.0).sum(0).tolist()
+    return {m: {kind: err[col] for kind, err in errors.items()}
+            for col, m in enumerate(dims)}
 
 
 def report_row(report: ExperimentReport, function: str, family: str, n: int,

@@ -121,6 +121,26 @@ def test_a_laguerre_point_at_huge_x_is_a_zero_row(tmp_path, capsys, argv):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [np.linspace(-1.0, 1.0, 300) * 1e308,
+                               np.linspace(1e-320, 3e-320, 300)])
+def test_a_sample_the_default_d_cannot_bin_is_a_data_error(tmp_path, capsys, monkeypatch,
+                                                            x):
+    # at x = +-1e308 the histogram's range overflowed (exit 1, after the
+    # cache, with numpy's warnings); at x ~ 1e-320 its densities
+    # overflowed, so d was 0 and the collection came out empty (exit 3)
+    data = tmp_path / "x.csv"
+    np.savetxt(data, np.column_stack([x, np.sin(np.arange(x.size))]), fmt="%.17g",
+               delimiter=",", header="x,y", comments="")
+    x = load_csv(data).x
+    _refuse_caches(monkeypatch)
+    assert run_cli("select", str(data), "--family", "hermite", "--mode", "gl") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"x over [{float(x.min())!r}, {float(x.max())!r}]" in captured.err
+    assert "--d-const" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [["fit", "--m", "3"],
                                   ["select", "--m-max", "3", "--sigma2", "0.1"]])
 def test_a_half_trig_point_at_huge_x_keeps_its_phase(tmp_path, capsys, argv):

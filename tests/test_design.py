@@ -11,9 +11,11 @@ from derivfit.basis import BasisSpec, Family, eval_basis, l_factor
 from derivfit.design import (STABILITY_C, Sample, default_d_constant, gram,
                              is_singular, stability_check, trim_interval,
                              truncation_gate)
+from derivfit.errors import DataFormatError
 from derivfit.selection import DesignCache
 from oracles import (build_design, derivative_recursion, empirical_inner,
-                     empirical_norm, frobenius_norm, operator_norm, whitener)
+                     empirical_norm, frobenius_norm, histogram_d_constant,
+                     operator_norm, whitener)
 
 
 def test_sample_validation():
@@ -170,6 +172,52 @@ def test_variance_trace_monotone():
         traces.append(np.trace(w @ psi_prime @ w))
     diffs = np.diff(traces)
     assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(traces[:-1])))
+
+
+def _d_sample(kind: str, n: int, seed: int, scale: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        x = rng.standard_normal(n)
+    elif kind == "uniform":
+        x = rng.uniform(-1.0, 3.0, n)
+    elif kind == "tenths":  # points on the bin edges
+        x = np.round(rng.uniform(-3.0, 3.0, n), 1)
+    else:
+        x = np.full(n, rng.standard_normal())
+    return x * scale
+
+
+def _assert_d_is_histograms(x):
+    got, expected = default_d_constant(x), histogram_d_constant(x)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["normal", "uniform", "tenths", "constant"]),
+       n=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-5, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5]))
+def test_default_d_is_bitwise_numpy_histogram(kind, n, seed, scale):
+    """default_d_constant writes out np.histogram's equal-width path: d
+    keeps the bits of the np.histogram plug-in."""
+    _assert_d_is_histograms(_d_sample(kind, n, seed, scale))
+
+
+@pytest.mark.parametrize("n", [1, 2, 20_000])
+@pytest.mark.parametrize("kind", ["normal", "uniform", "tenths", "constant"])
+@pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+def test_default_d_is_bitwise_numpy_histogram_at_fixed_sizes(kind, n, scale):
+    _assert_d_is_histograms(_d_sample(kind, n, 29, scale))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [np.linspace(-1.0, 1.0, 300) * 1e308,  # the range overflows
+                               np.linspace(1e-320, 3e-320, 300),  # densities overflow: d = 0
+                               np.full(300, 1e17)])  # x - 0.5 == x: no width to widen
+def test_a_sample_the_default_d_cannot_bin_is_a_data_error(x):
+    """np.histogram raised a ValueError or gave d = 0, with warnings."""
+    with pytest.raises(DataFormatError, match=r"--d-const"):
+        default_d_constant(x)
 
 
 def test_trim_interval_linear_interpolation_rule():

@@ -63,6 +63,28 @@ def test_harness_repetition_picks_the_public_selectors_dims(mode):
             assert err_bp == pytest.approx(errors[m_bp]["derivative"], rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [250, 4000])
+@pytest.mark.parametrize("family", [Family.HERMITE, Family.HALF_TRIG])
+def test_grid_scoring_is_bitwise_the_trapezoid_expression(family, n):
+    """_oracle_error_sweep computes np.trapezoid's expression in place: its
+    errors for both targets are those of the expression on fresh
+    temporaries, over the default grid (40 dimensions at n = 4000) and a
+    grid of two dimensions, as a gl draw scores."""
+    for cell, fn_id in enumerate(("b1", "b2", "b3", "b4")):
+        fn = TEST_FUNCTIONS[fn_id]
+        sample = generate_sample(fn, n, 0.25, rng_for(28, cell, n))
+        m_grid = default_m_grid(family, n)
+        cache = DesignCache(sample, family, max(m_grid))
+        targets = {"regression": fn.b, "derivative": fn.b_prime}
+        for grid in (m_grid, m_grid[2:4]):
+            got = _oracle_error_sweep(cache, grid, cache.trimmed, targets)
+            expected = oracles.trapezoid_error_sweep(cache, grid, cache.trimmed, targets)
+            assert list(got) == list(expected)
+            assert (np.array([list(e.values()) for e in got.values()]).tobytes()
+                    == np.array([list(e.values()) for e in expected.values()]).tobytes())
+    assert len(m_grid) == (40 if n == 4000 else 25)
+
+
 @pytest.mark.parametrize("mode", ["oracle", "gl", "reuse"])
 def test_one_cache_and_one_link_matrix_per_repetition(cache_builds, monkeypatch, mode):
     """A draw builds one cache, and the cache builds the top dimension's
