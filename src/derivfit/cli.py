@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from . import dataio, simulation
-from .basis import BasisSpec, Family, parse_family
-from .design import Sample, trim_interval
+from .basis import parse_family
+from .design import Sample, sample_spec
 from .errors import DataFormatError, EmptyCollectionError, SingularGramError
 from .estimators import Strategy
 from .selection import (EVAL_GRID_POINTS, KAPPA, _check_tuning, default_m_grid,
@@ -36,30 +36,6 @@ class _Parser(argparse.ArgumentParser):
 Range = tuple[float, float]
 
 
-def _trimmed(sample: Sample) -> Range | None:
-    """The trimmed design range, computed once per command; None for a
-    one-observation sample, which each use of the range reports itself."""
-    return trim_interval(sample) if sample.n > 1 else None
-
-
-def _design_interval(sample: Sample, trimmed: Range | None) -> Range:
-    """The trimmed design range that half-trig rescales to without --interval."""
-    lo, hi = trimmed or (sample.x[0], sample.x[0])
-    if lo < hi:
-        return lo, hi
-    raise DataFormatError(
-        f"degenerate design for half-trig: the 3%-97% quantile range of the "
-        f"{sample.n} x value(s) is the single point {lo:g}; pass --interval a,b")
-
-
-def _spec_for(family: Family, m: int, sample: Sample, interval: Range | None,
-              trimmed: Range | None) -> BasisSpec:
-    """The basis spec; BasisSpec rejects an interval for a fixed-support family."""
-    if family is Family.HALF_TRIG and interval is None:
-        interval = _design_interval(sample, trimmed)
-    return BasisSpec(family, m, interval)
-
-
 def _parse_interval(text: str | None) -> Range | None:
     if text is None:
         return None
@@ -70,14 +46,14 @@ def _parse_interval(text: str | None) -> Range | None:
     return lo, hi
 
 
-def _trim(sample: Sample, trimmed: Range | None, purpose: str) -> Range:
+def _trim(sample: Sample, purpose: str) -> Range:
     """The trimmed design range; a one-observation sample is a data error."""
-    if trimmed is None:
+    if sample.n < 2:
         raise DataFormatError(f"cannot trim {sample.n} observation to {purpose}")
-    return trimmed
+    return sample.trimmed
 
 
-def _grid_for(args, sample: Sample, trimmed: Range | None) -> np.ndarray:
+def _grid_for(args, sample: Sample) -> np.ndarray:
     """The output grid; resolve it before any fit, so a bad one fails first."""
     if args.grid_points < 1:
         raise ValueError(f"--grid-points must be >= 1, got {args.grid_points}")
@@ -86,7 +62,7 @@ def _grid_for(args, sample: Sample, trimmed: Range | None) -> np.ndarray:
         if bound is not None and not math.isfinite(bound):
             raise ValueError(f"{flag} must be finite, got {bound}")
     if lo is None or hi is None:
-        tlo, thi = _trim(sample, trimmed, "an output grid; pass --grid-lo and --grid-hi")
+        tlo, thi = _trim(sample, "an output grid; pass --grid-lo and --grid-hi")
         lo = tlo if lo is None else lo
         hi = thi if hi is None else hi
     return np.linspace(lo, hi, args.grid_points)
@@ -105,9 +81,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     sample = dataio.load_csv(args.data)
     family = parse_family(args.family)
-    trimmed = _trimmed(sample)
-    spec = _spec_for(family, args.m, sample, _parse_interval(args.interval), trimmed)
-    grid = _grid_for(args, sample, trimmed)
+    spec = sample_spec(sample, family, args.m, _parse_interval(args.interval))
+    grid = _grid_for(args, sample)
     fit = fit_derivative(sample, spec, Strategy(args.strategy), args.truncate)
     dataio.emit_curve(fit, grid, args.out)
     status = " (truncated to zero)" if fit.truncated_to_zero else ""
@@ -121,15 +96,16 @@ def _cmd_select(args) -> int:
     sample = dataio.load_csv(args.data)
     family = parse_family(args.family)
     m_grid = default_m_grid(family, sample.n, args.m_max)
-    trimmed = _trimmed(sample)
     # one spec before any cache, so a bad --interval fails first
-    interval = _spec_for(family, m_grid[-1], sample, _parse_interval(args.interval),
-                         trimmed).interval
+    interval = sample_spec(sample, family, m_grid[-1], _parse_interval(args.interval)).interval
     if args.mode == "oracle":
         if args.function is None:
             raise DataFormatError("--mode oracle needs --function for the true target")
-        eval_iv = _trim(sample, trimmed, "the oracle's scoring interval")
-    grid = _grid_for(args, sample, trimmed) if args.out else None
+        lo, hi = eval_iv = _trim(sample, "the oracle's scoring interval")
+        if not (math.isfinite(hi - lo) and lo < hi):
+            raise DataFormatError(f"the oracle's scoring interval, the x values' 3%-97% "
+                                  f"range [{lo!r}, {hi!r}], has no finite width > 0")
+    grid = _grid_for(args, sample) if args.out else None
     if args.mode == "gl":
         selection, fit = gl_select(sample, family, m_grid, args.sigma2, args.d_const,
                                    interval, args.kappa0, args.kappa1)
@@ -191,6 +167,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="derivfit",
                      description="Orthogonal-series regression derivative estimation")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    curve = _Parser(add_help=False)  # the flags fit and select share
+    curve.add_argument("--interval", help="half-trig rescaling interval 'a,b'; "
+                       "write --interval=a,b when a is negative")
+    curve.add_argument("--grid-lo", type=float)
+    curve.add_argument("--grid-hi", type=float)
+    curve.add_argument("--grid-points", type=int, default=EVAL_GRID_POINTS)
 
     p = sub.add_parser("simulate", help="write a synthetic sample CSV")
     p.add_argument("--function", choices=sorted(simulation.TEST_FUNCTIONS), default="b1")
@@ -200,22 +182,18 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fit", help="fixed-dimension derivative fit, curve CSV out")
+    p = sub.add_parser("fit", parents=[curve],
+                       help="fixed-dimension derivative fit, curve CSV out")
     p.add_argument("data", help="two-column x,y CSV")
     p.add_argument("--family", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--strategy", type=int, choices=(1, 2), default=1)
     p.add_argument("--truncate", action="store_true",
                    help="zero the fit when the conditioning gate fails")
-    p.add_argument("--interval", help="half-trig rescaling interval 'a,b'; "
-                   "write --interval=a,b when a is negative")
-    p.add_argument("--grid-lo", type=float)
-    p.add_argument("--grid-hi", type=float)
-    p.add_argument("--grid-points", type=int, default=EVAL_GRID_POINTS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("select", help="choose the dimension from the data")
+    p = sub.add_parser("select", parents=[curve], help="choose the dimension from the data")
     p.add_argument("data")
     p.add_argument("--family", required=True)
     p.add_argument("--mode", choices=("oracle", "gl", "reuse"), default="gl")
@@ -226,11 +204,6 @@ def build_parser() -> _Parser:
     p.add_argument("--m-max", type=int)
     p.add_argument("--function", choices=sorted(simulation.TEST_FUNCTIONS),
                    help="true target for --mode oracle")
-    p.add_argument("--interval", help="half-trig rescaling interval 'a,b'; "
-                   "write --interval=a,b when a is negative")
-    p.add_argument("--grid-lo", type=float)
-    p.add_argument("--grid-hi", type=float)
-    p.add_argument("--grid-points", type=int, default=EVAL_GRID_POINTS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_select)
 

@@ -32,17 +32,26 @@ has one function, on spec, eigenvalues and n:
 
 Both gates are meant to be evaluated at the extended dimension m+p of the
 fit under consideration; singular Grams fail both.
+
+A sample's trimmed range, the 3%-97% quantile range of its design points
+(trim_interval), is computed once per sample, by whoever asks first
+(Sample.trimmed).  sample_spec, the basis spec of a fit on a sample,
+which the library's caches and the command line both build, holds the
+one rule for half-trig's rescaling interval when none is given: the
+trimmed range, when it has finite width and lo < hi, and a
+DataFormatError naming it otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .basis import BasisSpec, l_factor
+from .basis import BasisSpec, Family, l_factor
 from .errors import DataFormatError
 
 # c = (3 log(3/2) - 1)/9, approx 0.0240439
@@ -96,6 +105,13 @@ class Sample:
     @property
     def n(self) -> int:
         return self.x.size
+
+    @functools.cached_property
+    def trimmed(self) -> tuple[float, float]:
+        """The 3%-97% quantile range of x (trim_interval), computed once
+        per sample: half-trig's default interval (sample_spec) and the
+        harness's scoring interval."""
+        return trim_interval(self)
 
 
 def _panels(phi: np.ndarray) -> list[np.ndarray]:
@@ -224,6 +240,23 @@ def trim_interval(sample: Sample) -> tuple[float, float]:
         a, b = float(ordered[i]), float(ordered[i + 1])
         ends.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
     return ends[0], ends[1]
+
+
+def sample_spec(sample: Sample, family: Family, m: int,
+                interval: tuple[float, float] | None = None) -> BasisSpec:
+    """The basis spec of a fit on sample, and the one rule for half-trig's
+    rescaling interval when none is given: the sample's trimmed range (a
+    one-observation sample's is its one point), which must have finite
+    width and lo < hi, else DataFormatError naming it.  BasisSpec rejects
+    an interval for a fixed-support family.  Both fail before any basis
+    evaluation."""
+    if family is Family.HALF_TRIG and interval is None:
+        lo, hi = interval = sample.trimmed if sample.n > 1 else (float(sample.x[0]),) * 2
+        if not (math.isfinite(hi - lo) and lo < hi):
+            raise DataFormatError(f"degenerate design for half-trig: the {sample.n} x "
+                                  f"values' 3%-97% range [{lo!r}, {hi!r}] has no finite "
+                                  f"width > 0; pass --interval a,b")
+    return BasisSpec(family, m, interval)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,9 @@ calibrate_kappa once per kappa; the grid is taken ascending and without
 repeats and must be admissible, an estimate of sigma2 must have room, and
 a default d must be one the sample gives (design.default_d_constant).
 Then it builds one cache, at the largest grid entry the sample can carry
-(a Gram of more columns than points is singular), gates the grid
+(a Gram of more columns than points is singular; half-trig with no
+interval rescales to the trimmed range, and design.sample_spec refuses a
+degenerate one with DataFormatError), gates the grid
 (collection_members) and estimates sigma^2; the reuse contrast and gl's
 penalties and pairwise distances are computed on first use, once per
 pass; compare() is gl's choice from them under the pass's kappa0 and
@@ -64,13 +66,15 @@ grid, members, v_hat, compare()[1] and m_hat are what a caller reads.
 The cache is the package's one least-squares solve: every theta, the
 fixed-dimension fits included, is one of its leading-block solves, and
 DesignCache.fit turns theta_m into the strategy-1 fit and theta_{m+p}
-into the strategy-2 fit -Delta theta_{m+p}.
+into the strategy-2 fit -Delta theta_{m+p}, the strategy coerced to a
+Strategy first, so 1 and 2 mean what the enum's values mean.
 fit_derivative is that call on a cache of its own, built at the fit's
 dimension once the sample can carry it (m, or m+p for strategy 2, at
 most n), with the truncation gate at m+p when asked for.
 Grid scoring (_oracle_error_sweep, the one scoring path of
 the oracle and the harness) builds the EVAL_GRID_POINTS grid over the
-interval it is given, evaluates the basis and the target functions once
+interval it is given (oracle_select first refuses one without finite
+ends lo < hi), evaluates the basis and the target functions once
 on it, and all dimensions' curves in one product per target, the
 derivative curves as Phi_{m+p} (Delta^T theta); when no candidate
 dimension is solvable it raises the package's one SingularGramError for
@@ -94,7 +98,7 @@ from scipy.linalg import blas, lapack
 from .basis import BasisSpec, Family, admissible_dims, delta_matrix, eval_basis
 from .design import (Sample, certified_collection, certified_dims, default_d_constant,
                      design_from_matrices, gram, is_singular, moments, prefix_cholesky,
-                     stability_check, trim_interval, truncation_gate)
+                     sample_spec, stability_check, truncation_gate)
 from .errors import EmptyCollectionError, SingularGramError
 from .estimators import DerivativeFit, Strategy
 
@@ -158,10 +162,10 @@ class DesignCache:
     further eigendecomposition, while the oracle and a fixed-dimension
     fit bisect as they need.
 
-    trimmed, the sample's 3%-97% quantile range, is computed once: it is
-    half-trig's interval when none is given, and the harness's scoring
-    interval.  The gate, the noise estimate, every selector and the error
-    scoring share one cache.  The derivative Gram is never formed:
+    Half-trig without an interval rescales to the sample's trimmed range
+    (design.sample_spec), on which the harness also scores.  The gate,
+    the noise estimate, every selector and the error scoring share one
+    cache.  The derivative Gram is never formed:
     derivative_root(k) is its square root B = Delta_k L_{k+p}, with
     Psi'_k = Delta Gram_{k+p} Delta^T = B B^T, from the factor alone.
     The first m rows of Delta are zero past dimension m's m+p columns and
@@ -176,11 +180,9 @@ class DesignCache:
                  interval: tuple[float, float] | None = None):
         self.sample = sample
         self.family = family
-        if family is Family.HALF_TRIG and interval is None:
-            interval = self.trimmed
-        # the top spec, so BasisSpec rejects an interval for a fixed-support
-        # family before the basis is evaluated
-        self.spec = BasisSpec(family, m_hi, interval)
+        # the top spec first, so a bad or degenerate interval fails before
+        # the basis is evaluated
+        self.spec = sample_spec(sample, family, m_hi, interval)
         self._phi = eval_basis(self.spec.extended(), sample.x)
         self._gram = gram(self._phi)
         self._rhs = moments(self._phi, sample.y)
@@ -189,12 +191,6 @@ class DesignCache:
         self._solvable_to = 0  # the largest non-singular Gram probed within the factor
         self._thetas: dict[int, np.ndarray] = {}
         self._residuals: dict[int, float] = {}
-
-    @functools.cached_property
-    def trimmed(self) -> tuple[float, float]:
-        """The sample's 3%-97% quantile range: half-trig's default interval
-        and the harness's scoring interval."""
-        return trim_interval(self.sample)
 
     def spec_for(self, m: int) -> BasisSpec:
         return self.spec.with_m(m)
@@ -251,8 +247,9 @@ class DesignCache:
 
     def fit(self, m: int, strategy: Strategy) -> DerivativeFit:
         """The derivative fit at dimension m: theta_m for strategy 1,
-        -Delta theta_{m+p} for strategy 2 (raises SingularGramError)."""
-        spec = self.spec_for(m)
+        -Delta theta_{m+p} for strategy 2 (raises SingularGramError); a
+        strategy that is not a Strategy is coerced (1, 2), else ValueError."""
+        spec, strategy = self.spec_for(m), Strategy(strategy)
         if strategy is Strategy.DERIV_OF_PROJECTION:
             theta = self.theta(m)
         else:
@@ -320,8 +317,9 @@ def fit_derivative(sample: Sample, spec: BasisSpec,
     2), and a Gram of that many columns on n points has rank <= n, so one
     wider than the sample raises SingularGramError before the basis is
     evaluated.  With truncate, the fit is zeroed unless the truncation
-    gate passes at m+p (design.truncation_gate)."""
-    ext = spec.extended()
+    gate passes at m+p (design.truncation_gate).  strategy is coerced
+    to a Strategy (1 or 2 pass, anything else raises ValueError)."""
+    ext, strategy = spec.extended(), Strategy(strategy)
     solved_at = spec.m if strategy is Strategy.DERIV_OF_PROJECTION else ext.m
     if solved_at > sample.n:
         raise _singular_at(solved_at, spec.family)
@@ -590,8 +588,13 @@ def oracle_select(sample: Sample, family: Family, m_grid, truth,
     raised.  Errors within CRITERION_TIE_TOL of each other tie, and ties
     go to the smaller dimension.  Returns (chosen m, its error,
     strategy-1 derivative fit at m), the fit from the same cache as the
-    errors, as gl_select and reuse_select do.
+    errors, as gl_select and reuse_select do.  An eval_interval without
+    finite ends lo < hi raises ValueError before any cache.
     """
+    lo, hi = eval_interval
+    if not (math.isfinite(hi - lo) and lo < hi):
+        raise ValueError(f"the scoring interval eval_interval must have finite ends "
+                         f"lo < hi, got {eval_interval}")
     m_grid = _checked_m_grid(m_grid, family, sample.n)
     cache = DesignCache(sample, family, _cache_top(m_grid, sample.n), interval)
     errors = _oracle_error_sweep(cache, m_grid, eval_interval, {"derivative": truth})

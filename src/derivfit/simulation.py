@@ -6,8 +6,9 @@ triple.  A repetition draws standard-normal design points and Gaussian
 noise, builds the draw's one dimension sweep (a DesignCache, which
 rescales half-trig to the draw's trimmed range), selects a dimension per
 the configured mode for both the regression function and its derivative
-from that sweep, and scores squared L2 errors on the cache's trimmed
-range, the central 3%-97% quantile range of the design.  A gl or reuse
+from that sweep, and scores squared L2 errors on the sample's trimmed
+range (Sample.trimmed), the central 3%-97% quantile range of the design,
+computed once per draw whatever the family.  A gl or reuse
 draw builds one selection.Selection on the default grid, which gates it
 and estimates sigma^2 unless the config gives it (sigma2 None, the
 default, means estimate), and reads the reuse choice and, in gl mode,
@@ -157,15 +158,13 @@ def _run_repetition(config: ExperimentConfig, fn: TestFunction, family: Family,
     m_grid = default_m_grid(family, n, config.m_max)
     if config.mode == "oracle":  # no gate: the oracle scores the grid
         cache, scored = DesignCache(sample, family, _cache_top(m_grid, n)), m_grid
-    else:  # the regression dimension by the reuse contrast over the members;
-        # with m_max None the pass gets no grid and builds the default one
-        # itself, skipping the check a given grid needs (~5 us a draw)
-        selection = Selection(sample, family, config.m_max and m_grid, config.sigma2,
-                              config.d_constant, None, config.kappa0, config.kappa1)
+    else:  # the regression dimension by the reuse contrast over the members
+        selection = Selection(sample, family, m_grid, config.sigma2, config.d_constant,
+                              None, config.kappa0, config.kappa1)
         cache, m_b = selection.cache, selection.m_reuse
         m_bp = selection.m_hat if config.mode == "gl" else m_b
         scored = {m_b, m_bp}
-    errors = _oracle_error_sweep(cache, scored, cache.trimmed,
+    errors = _oracle_error_sweep(cache, scored, sample.trimmed,
                                  {"regression": fn.b, "derivative": fn.b_prime})
     if config.mode == "oracle":  # errors are keyed in ascending m
         m_b = _first_minimum(list(errors), [e["regression"] for e in errors.values()])
@@ -266,7 +265,7 @@ def calibrate_kappa(function: str, family_name: str, n: int, kappas,
         sample = generate_sample(fn, n, sigma, rng_for(seed, 9000 + i, 0))
         try:
             selection = Selection(sample, family, m_grid, None, d_constant)
-            errors = _oracle_error_sweep(selection.cache, m_grid, selection.cache.trimmed,
+            errors = _oracle_error_sweep(selection.cache, m_grid, sample.trimmed,
                                          {"derivative": fn.b_prime})
         except (SingularGramError, EmptyCollectionError):
             continue

@@ -294,6 +294,31 @@ def test_degenerate_half_trig_design_is_a_data_error(tmp_path, capsys, rows):
                    "--interval", "0,2", "--sigma2", "0.1") == 0
 
 
+def test_an_overflowing_half_trig_range_is_a_data_error(tmp_path, capsys):
+    """A trimmed range whose width overflows is a fault in the data (exit
+    2) that names the range, not a usage error."""
+    data = tmp_path / "overflowing.csv"
+    data.write_text("x,y\n" + "-1e308,0\n" * 100 + "1e308,1\n" * 100)
+    for argv in (["select", str(data), "--family", "half-trig", "--d-const", "1"],
+                 ["fit", str(data), "--family", "half-trig", "--m", "3",
+                  "--out", str(tmp_path / "c.csv")]):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert "[-1e+308, 1e+308]" in captured.err and "--interval" in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_oracle_select_on_a_single_point_range_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "constant.csv"
+    data.write_text("x,y\n1,2\n1,3\n1,4\n1,5\n")
+    assert run_cli("select", str(data), "--family", "hermite", "--mode", "oracle",
+                   "--function", "b1") == 2
+    captured = capsys.readouterr()
+    assert "the oracle's scoring interval" in captured.err and "[1.0, 1.0]" in captured.err
+    assert captured.out == ""
+
+
 def test_bench_rejects_a_bad_config_before_running(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     out = tmp_path / "report.csv"
@@ -439,13 +464,12 @@ def test_one_trimmed_range_per_command(tmp_path, capsys, monkeypatch, sample_csv
     """The half-trig interval, the output grid and the oracle's scoring
     interval all read one trimmed range of the sample."""
     calls = []
-    trim = derivfit.cli.trim_interval
+    trim = derivfit.design.trim_interval
 
     def counted(sample):
         calls.append(sample.n)
         return trim(sample)
-    monkeypatch.setattr(derivfit.cli, "trim_interval", counted)
-    monkeypatch.setattr(derivfit.selection, "trim_interval", counted)
+    monkeypatch.setattr(derivfit.design, "trim_interval", counted)
     command, *options = argv
     assert run_cli(command, str(sample_csv), *options, "--out", str(tmp_path / "c.csv")) == 0
     assert calls == [400]

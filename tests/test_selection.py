@@ -7,8 +7,8 @@ import pytest
 import derivfit.selection
 from derivfit.basis import BasisSpec, Family, eval_basis
 from derivfit.design import Sample, default_d_constant, trim_interval
-from derivfit.errors import EmptyCollectionError
-from derivfit.estimators import Strategy
+from derivfit.errors import DataFormatError, EmptyCollectionError
+from derivfit.estimators import Strategy, evaluate_fit
 from derivfit.selection import (EVAL_GRID_POINTS, KAPPA, DesignCache, Selection,
                                 _first_minimum, _oracle_error_sweep,
                                 _whitened, collection_members,
@@ -194,6 +194,60 @@ def test_an_interval_for_a_fixed_support_family_is_rejected_before_the_basis(
             build()
 
 
+@pytest.mark.parametrize("x, shown", [
+    (np.ones(200), "[1.0, 1.0]"),
+    (np.repeat([-1e308, 1e308], 100), "[-1e+308, 1e+308]"),
+], ids=["constant-x", "overflowing-range"])
+def test_a_degenerate_half_trig_design_is_a_data_error_before_the_basis(
+        monkeypatch, x, shown):
+    """Half-trig's default interval is the trimmed range, refused where it
+    has no finite width > 0 with the command line's data error (exit 2),
+    by every library entry as by the CLI, before the basis is evaluated."""
+    def no_basis(*args, **kwargs):
+        raise AssertionError("the basis was evaluated")
+
+    monkeypatch.setattr(derivfit.selection, "eval_basis", no_basis)
+    sample = Sample(x=x, y=np.zeros(x.size))
+    for build in (
+            lambda: Selection(sample, Family.HALF_TRIG, d_constant=1.0),
+            lambda: gl_select(sample, Family.HALF_TRIG, sigma2=0.1, d_constant=1.0),
+            lambda: reuse_select(sample, Family.HALF_TRIG, d_constant=1.0),
+            lambda: oracle_select(sample, Family.HALF_TRIG, (1, 3), np.cos, (0.0, 1.0)),
+            lambda: DesignCache(sample, Family.HALF_TRIG, 5)):
+        with pytest.raises(DataFormatError, match="degenerate design for half-trig") as info:
+            build()
+        assert shown in str(info.value) and "pass --interval a,b" in str(info.value)
+
+
+@pytest.mark.parametrize("eval_interval", [(1.5, -1.5), (0.5, 0.5), (0.0, np.inf),
+                                           (np.nan, 1.0), (-1e308, 1e308)])
+def test_the_oracle_refuses_a_scoring_interval_without_finite_ends_lo_below_hi(
+        monkeypatch, eval_interval):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DesignCache was built")
+
+    monkeypatch.setattr(derivfit.selection.DesignCache, "__init__", refuse)
+    sample = normal_sample(18, 300, np.sin)
+    with pytest.raises(ValueError, match="must have finite ends lo < hi"):
+        oracle_select(sample, Family.HERMITE, range(1, 8), np.cos, eval_interval)
+
+
+def test_a_strategy_given_by_its_value_fits_as_the_enum_does():
+    sample = normal_sample(19, 500, np.sin)
+    spec, grid = BasisSpec(Family.HERMITE, 6), np.linspace(-2.0, 2.0, 9)
+    cache = DesignCache(sample, Family.HERMITE, 6)
+    for strategy in Strategy:
+        expected = fit_derivative(sample, spec, strategy)
+        for fit in (fit_derivative(sample, spec, strategy.value),
+                    cache.fit(6, strategy.value)):
+            assert fit.strategy is strategy
+            assert np.array_equal(fit.theta, expected.theta)
+            assert np.array_equal(evaluate_fit(fit, grid), evaluate_fit(expected, grid))
+    for fit in (lambda: fit_derivative(sample, spec, "x"), lambda: cache.fit(6, "x")):
+        with pytest.raises(ValueError, match="is not a valid Strategy"):
+            fit()
+
+
 def test_sigma2_none_means_estimate_it_everywhere():
     sample = normal_sample(16, 1000, np.sin)
     sigma2 = estimate_sigma2(sample, Family.HERMITE)
@@ -221,7 +275,7 @@ def harness_oracle(sample, truth, kind):
     """The harness's oracle over hermite dimensions 1..25: (m, error) of
     the least squared L2 error of kind's fit on the trimmed design range."""
     cache = DesignCache(sample, Family.HERMITE, 25)
-    errors = _oracle_error_sweep(cache, range(1, 26), cache.trimmed, {kind: truth})
+    errors = _oracle_error_sweep(cache, range(1, 26), cache.sample.trimmed, {kind: truth})
     m = _first_minimum(list(errors), [e[kind] for e in errors.values()])
     return m, errors[m][kind]
 

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import derivfit.design
 from derivfit import simulation
 from derivfit.basis import Family
 from derivfit.design import Sample
@@ -160,6 +161,23 @@ def test_oracle_dimensions_for_both_targets_stay_coupled():
             m_bp = min(errors, key=lambda m: (errors[m]["derivative"], m))
             gaps.append(abs(m_b - m_bp))
     assert np.median(gaps) <= 2
+
+
+@pytest.mark.parametrize("mode", ["oracle", "gl"])
+@pytest.mark.parametrize("family", ["hermite", "half-trig"])
+def test_the_harness_trims_each_draw_once(monkeypatch, family, mode):
+    """Half-trig's interval and the scoring interval are one trimmed range
+    of the draw, computed once whatever the family."""
+    calls = []
+    trim = derivfit.design.trim_interval
+
+    def counted(sample):
+        calls.append(sample.n)
+        return trim(sample)
+    monkeypatch.setattr(derivfit.design, "trim_interval", counted)
+    simulation.run_experiment(ExperimentConfig(functions=("b1",), families=(family,),
+                                               n_list=(250,), repetitions=3, mode=mode))
+    assert calls == [250] * 3
 
 
 def test_calibration_sweep_and_best():

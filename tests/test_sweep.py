@@ -77,8 +77,8 @@ def test_grid_scoring_is_bitwise_the_trapezoid_expression(family, n):
         cache = DesignCache(sample, family, max(m_grid))
         targets = {"regression": fn.b, "derivative": fn.b_prime}
         for grid in (m_grid, m_grid[2:4]):
-            got = _oracle_error_sweep(cache, grid, cache.trimmed, targets)
-            expected = oracles.trapezoid_error_sweep(cache, grid, cache.trimmed, targets)
+            got = _oracle_error_sweep(cache, grid, cache.sample.trimmed, targets)
+            expected = oracles.trapezoid_error_sweep(cache, grid, cache.sample.trimmed, targets)
             assert list(got) == list(expected)
             assert (np.array([list(e.values()) for e in got.values()]).tobytes()
                     == np.array([list(e.values()) for e in expected.values()]).tobytes())

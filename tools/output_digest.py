@@ -38,7 +38,11 @@ and an ``x,ŷ`` header go to numpy's reader on the path; a form feed and a
 next-line character (U+0085) inside a line (line breaks only
 ``str.splitlines`` honours), a whitespace-only line in mid-file (which
 numpy would reject), the header alone and a bad cell on a known line end in
-the per-row checks.
+the per-row checks.  Then two degenerate designs (``DEGENERATE``): a
+constant x, whose trimmed range is one point, through half-trig ``select``
+gl and ``fit`` and hermite ``select`` oracle, and x at +-1e308, whose
+trimmed range has no finite width, through half-trig ``select`` gl and
+``fit``.
 """
 
 from __future__ import annotations
@@ -68,6 +72,9 @@ TUNING = ["--sigma2", "0.0625", "--kappa0", "0.5", "--kappa1", "2", "--d-const",
 VARIANTS = ("bom-crlf-blanks", "no-header", "non-ascii-header", "form-feed", "next-line",
             "blank-line", "header-only", "bad-cell")
 BAD_LINE = 101  # the line of the bad-cell variant's bad cell
+# samples whose trimmed range is one point, or has no finite width
+DEGENERATE = {"constant": "x,y\n" + "1,2\n1,3\n1,4\n1,5\n",
+              "overflowing": "x,y\n" + "-1e308,0\n" * 100 + "1e308,1\n" * 100}
 
 
 def variants(text: str) -> dict[str, str]:
@@ -149,6 +156,17 @@ def corpus() -> list[list[tuple[str, list[str], list[str]]]]:
         rest.append((f"select gl hermite b3 {name}",
                      ["select", f"b3-{name}.csv", "--family", "hermite", "--mode", "gl",
                       "--out", out], [out]))
+    for name in DEGENERATE:
+        rest.append((f"select gl half-trig {name}",
+                     ["select", f"{name}.csv", "--family", "half-trig", "--d-const", "1"],
+                     []))
+        out = f"fit-{name}.csv"
+        rest.append((f"fit half-trig {name}", ["fit", f"{name}.csv", "--family",
+                                               "half-trig", "--m", "3", "--out", out],
+                     [out]))
+    rest.append(("select oracle hermite constant",
+                 ["select", "constant.csv", "--family", "hermite", "--mode", "oracle",
+                  "--function", "b1"], []))
     for mode in (*MODES, "gl-sigma2"):
         rest.append((f"bench {mode}", ["bench", "--config", f"bench-{mode}.cfg",
                                        "--out", f"bench-{mode}.csv"],
@@ -199,6 +217,8 @@ def main(argv=None) -> int:
             (workdir / f"bench-{mode}.cfg").write_text(BENCH_CONFIG.format(mode=mode))
         (workdir / "bench-gl-sigma2.cfg").write_text(BENCH_CONFIG.format(mode="gl")
                                                      + "sigma2 = 0.0625\n")
+        for name, text in DEGENERATE.items():
+            (workdir / f"{name}.csv").write_text(text)
         with ThreadPoolExecutor(max_workers=2) as pool:
             for i, phase in enumerate(corpus()):
                 if i == 1:  # the simulate phase has written b3.csv
